@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
@@ -88,12 +87,7 @@ def _optimize_one(cfg: RunConfig, path: Path) -> int:
 
 
 def cmd_optimize(cfg: RunConfig) -> int:
-    codes = []
-    if len(cfg.inputs) == 1:
-        codes.append(_optimize_one(cfg, cfg.inputs[0]))
-    else:
-        with ThreadPoolExecutor(max_workers=min(4, len(cfg.inputs))) as pool:
-            codes = list(pool.map(lambda p: _optimize_one(cfg, p), cfg.inputs))
+    codes = [_optimize_one(cfg, path) for path in cfg.inputs]
     return max(codes) if codes else EXIT_USAGE
 
 
@@ -116,8 +110,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     except DimensionMismatch as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    terminal, _ = simplify(circuit_to_diagram(original), seed=cfg.seed)
-    certificate = optimality_certificate(terminal)
+    try:
+        terminal, _ = simplify(circuit_to_diagram(original), seed=cfg.seed)
+        certificate = optimality_certificate(terminal)
+    except ZXParamError as exc:
+        print(f"verify: internal invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
     payload = {
         "proportionality": report.to_dict(),
@@ -126,13 +124,16 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.report:
         _atomic_write(cfg.report, json.dumps(payload, indent=2) + "\n")
     if not report.holds:
-        samples_ok = [abs(r) > 0 for r in report.ratios]
-        first_bad = samples_ok.index(False) if False in samples_ok else "unknown"
+        first_bad = next(i for i, dev in enumerate(report.deviations) if not dev <= cfg.tolerance)
         print(f"verify: FAILED proportionality, max deviation {report.max_deviation:.3e}, "
-              f"first failing sample {first_bad}")
+              f"first failing sample {first_bad} (deviation {report.deviations[first_bad]:.3e})")
         return EXIT_VERIFY
     if not certificate.passed:
         print("verify: FAILED certificate: " + "; ".join(certificate.failures))
+        return EXIT_VERIFY
+    if len(optimised.params) > certificate.n_parameters:
+        print(f"verify: FAILED optimality: the optimised circuit has {len(optimised.params)} "
+              f"parameters, the certificate proves {certificate.n_parameters} suffice")
         return EXIT_VERIFY
     print(f"verify: OK ({len(report.ratios)} samples, max deviation {report.max_deviation:.3e}; "
           f"certificate passed, {certificate.n_parameters} parameters)")
@@ -156,7 +157,11 @@ def cmd_oracle(cfg: RunConfig) -> int:
     except TooManyParams as exc:
         print(f"oracle: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    optimised = phase_teleport(circuit, seed=cfg.seed)
+    try:
+        optimised = phase_teleport(circuit, seed=cfg.seed)
+    except ZXParamError as exc:
+        print(f"oracle: internal invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     print(f"min = {result.count}")
     for i in range(len(result.witness.new_param_names)):
         print(f"  {result.witness.row_string(i)}")
@@ -202,7 +207,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("ZXPARAM_SEED", "0"))
+        try:
+            seed = int(os.environ.get("ZXPARAM_SEED", "0"))
+        except ValueError:
+            print(f"bad configuration: ZXPARAM_SEED={os.environ['ZXPARAM_SEED']!r} is not an integer",
+                  file=sys.stderr)
+            return EXIT_USAGE
     try:
         cfg = RunConfig(command=args.command, inputs=list(args.inputs), seed=seed,
                         samples=args.samples, tolerance=args.tol, report=args.report,

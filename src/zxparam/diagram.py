@@ -12,11 +12,12 @@ provenance tracking across rewrites can rely on identity.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from .errors import RepeatedParameter
+from .errors import ConversionError, RepeatedParameter
 from .params import ParamExpr, Phase
 
 
@@ -48,6 +49,7 @@ class Diagram:
     def __init__(self):
         self._vertices: Dict[int, Vertex] = {}
         self._adj: Dict[int, Dict[int, EdgeKind]] = {}
+        self._boundary_count: Dict[int, int] = {}  # boundary neighbours per vertex
         self._next_id = 0
         self.param_registry: Dict[str, int] = {}
 
@@ -62,6 +64,7 @@ class Diagram:
         v = self._new_id()
         self._vertices[v] = Vertex(VKind.SPIDER, phase)
         self._adj[v] = {}
+        self._boundary_count[v] = 0
         for name in phase.param_ids:
             self._register(name, v)
         return v
@@ -72,6 +75,7 @@ class Diagram:
         v = self._new_id()
         self._vertices[v] = Vertex(kind, Phase(), position)
         self._adj[v] = {}
+        self._boundary_count[v] = 0
         return v
 
     def add_edge(self, a: int, b: int, kind: EdgeKind = EdgeKind.HADAMARD) -> None:
@@ -81,6 +85,10 @@ class Diagram:
             raise ValueError(f"parallel edge {a}-{b}")
         self._adj[a][b] = kind
         self._adj[b][a] = kind
+        if self._vertices[b].kind is not VKind.SPIDER:
+            self._boundary_count[a] += 1
+        if self._vertices[a].kind is not VKind.SPIDER:
+            self._boundary_count[b] += 1
 
     def _register(self, name: str, v: int) -> None:
         if name in self.param_registry and self.param_registry[name] != v:
@@ -132,19 +140,15 @@ class Diagram:
 
     def is_internal(self, v: int) -> bool:
         """A spider none of whose neighbours is a boundary node."""
-        data = self._vertices[v]
-        if data.kind is not VKind.SPIDER:
-            return False
-        return all(not self._vertices[n].is_boundary for n in self._adj[v])
+        return self._vertices[v].kind is VKind.SPIDER and not self._boundary_count[v]
 
     def is_boundary_spider(self, v: int) -> bool:
-        data = self._vertices[v]
-        if data.kind is not VKind.SPIDER:
-            return False
-        return any(self._vertices[n].is_boundary for n in self._adj[v])
+        return self._vertices[v].kind is VKind.SPIDER and self._boundary_count[v] > 0
 
     def boundary_wires(self, v: int) -> List[int]:
         """Boundary nodes attached to spider ``v``."""
+        if not self._boundary_count[v]:
+            return []
         return [n for n in self._adj[v] if self._vertices[n].is_boundary]
 
     # -- mutation ---------------------------------------------------------
@@ -167,6 +171,10 @@ class Diagram:
     def remove_edge(self, a: int, b: int) -> None:
         del self._adj[a][b]
         del self._adj[b][a]
+        if self._vertices[b].kind is not VKind.SPIDER:
+            self._boundary_count[a] -= 1
+        if self._vertices[a].kind is not VKind.SPIDER:
+            self._boundary_count[b] -= 1
 
     def toggle_hadamard(self, a: int, b: int) -> None:
         """Complement the Hadamard edge between two spiders."""
@@ -182,12 +190,14 @@ class Diagram:
             if self.param_registry.get(name) == v:
                 del self.param_registry[name]
         del self._adj[v]
+        del self._boundary_count[v]
         del self._vertices[v]
 
     def copy(self) -> "Diagram":
         d = Diagram()
         d._vertices = {v: Vertex(x.kind, x.phase, x.position) for v, x in self._vertices.items()}
         d._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
+        d._boundary_count = dict(self._boundary_count)
         d._next_id = self._next_id
         d.param_registry = dict(self.param_registry)
         return d
@@ -290,6 +300,9 @@ def validate(d: Diagram) -> ValidationReport:
                 report.add(f"boundary node {v} has degree {d.degree(v)}")
             if not data.phase.is_zero():
                 report.add(f"boundary node {v} carries a phase")
+        count = sum(1 for n in d._adj[v] if d.vertex(n).is_boundary)
+        if d._boundary_count.get(v) != count:
+            report.add(f"vertex {v} has {count} boundary neighbours, recorded {d._boundary_count.get(v)}")
     seen: Dict[str, int] = {}
     for v in d.spiders():
         for name in d.phase(v).param_ids:
@@ -352,7 +365,16 @@ def to_graph_like(raw: SpiderNetwork) -> Diagram:
     (a Hadamard self-loop leaves a pi phase, parallel Hadamard edges cancel).
     The result is tensor-equal to the input up to a nonzero constant scalar.
 
-    Raises RepeatedParameter if one parameter id occurs on two spiders.
+    One pass over the wires: each node keeps the list of its incident edges
+    for H-box absorption and colour change, Z-spiders joined by plain edges
+    merge in a union-find (the class phase is the sum of its members), and
+    the Hadamard edges between two classes reduce to their parity.  Plain
+    edges merge in the order the wires were added and the class keeps the id
+    of the first endpoint, so vertex ids follow the order of the network.
+
+    Raises RepeatedParameter if one parameter id occurs on two spiders, and
+    ConversionError if the network has no graph-like form (an H-box without
+    exactly two wires, or boundary wires that do not resolve).
     """
     seen_params: Dict[str, int] = {}
     for v, ph in raw.phases.items():
@@ -361,122 +383,113 @@ def to_graph_like(raw: SpiderNetwork) -> Diagram:
                 raise RepeatedParameter(f"parameter {name!r} occurs on nodes {seen_params[name]} and {v}")
             seen_params[name] = v
 
-    # Working copies.  Edges carry a Hadamard parity bit.
     kinds = dict(raw.kinds)
     phases = dict(raw.phases)
-    edges: List[List] = []  # [node, node, parity]
-    for a, b in raw.edges:
-        edges.append([a, b, 0])
+    # [node, node, Hadamard parity] in the order the wires were added; an
+    # absorbed H-box leaves None and appends its replacement wire.
+    edges: List[Optional[List[int]]] = []
+    incident: Dict[int, List[int]] = defaultdict(list)  # node -> edge indices, a self-loop once
 
-    # Absorb H-boxes into edge parities.  An H-box must have exactly 2 wires.
-    for v, kind in list(kinds.items()):
+    def add(a: int, b: int, parity: int) -> None:
+        incident[a].append(len(edges))
+        if b != a:
+            incident[b].append(len(edges))
+        edges.append([a, b, parity])
+
+    for a, b in raw.edges:
+        add(a, b, 0)
+
+    for v, kind in raw.kinds.items():
         if kind is not NKind.HBOX:
             continue
-        incident = [e for e in edges if v in (e[0], e[1])]
-        if len(incident) != 2:
-            raise ValueError(f"Hadamard box {v} must have exactly 2 wires, has {len(incident)}")
-        (e1, e2) = incident
-        a = e1[0] if e1[1] == v else e1[1]
-        b = e2[0] if e2[1] == v else e2[1]
-        parity = (e1[2] + e2[2] + 1) % 2
-        edges.remove(e1)
-        if e2 is not e1:
-            edges.remove(e2)
-        edges.append([a, b, parity])
+        live = [i for i in incident.pop(v, ()) if edges[i] is not None]
+        if len(live) != 2:
+            raise ConversionError(f"Hadamard box {v} must have exactly 2 wires, has {len(live)}")
+        e1, e2 = edges[live[0]], edges[live[1]]
+        edges[live[0]] = edges[live[1]] = None
+        add(e1[0] if e1[1] == v else e1[1], e2[0] if e2[1] == v else e2[1], (e1[2] + e2[2] + 1) % 2)
         del kinds[v]
         del phases[v]
 
-    # Colour change: X spider becomes Z spider, toggling all incident parities.
-    for v, kind in list(kinds.items()):
-        if kind is not NKind.X:
-            continue
-        for e in edges:
-            if e[0] == v:
-                e[2] ^= 1
-            if e[1] == v:
-                e[2] ^= 1
-            if e[0] == v and e[1] == v:
-                e[2] ^= 0  # both endpoint toggles already applied
-        kinds[v] = NKind.Z
+    for v, kind in kinds.items():
+        if kind is NKind.X:
+            for i in incident[v]:
+                e = edges[i]
+                if e is not None:
+                    e[2] ^= (e[0] == v) ^ (e[1] == v)  # a self-loop toggles twice
+            kinds[v] = NKind.Z
 
-    def resolve_local(v: int) -> None:
-        """Remove self-loops at v and cancel parallel edge pairs incident to v."""
-        changed = True
-        while changed:
-            changed = False
-            for e in list(edges):
-                if e[0] == v and e[1] == v:
-                    if e[2] == 1:
-                        phases[v] = phases[v].add_clifford(2)
-                    edges.remove(e)
-                    changed = True
-            by_pair: Dict[FrozenSet[int], List] = {}
-            for e in edges:
-                if v in (e[0], e[1]):
-                    by_pair.setdefault(frozenset((e[0], e[1])), []).append(e)
-            for pair, es in by_pair.items():
-                plains = [e for e in es if e[2] == 0]
-                hads = [e for e in es if e[2] == 1]
-                if len(plains) > 1:
-                    # duplicate plain wires between spiders are redundant
-                    for e in plains[1:]:
-                        edges.remove(e)
-                    changed = True
-                if len(hads) > 1:
-                    # Hopf: parallel Hadamard edges cancel pairwise
-                    for e in hads[: 2 * (len(hads) // 2)]:
-                        edges.remove(e)
-                    changed = True
+    parent = {v: v for v, kind in kinds.items() if kind is NKind.Z}
 
-    # Fuse along plain spider-spider edges until only Hadamard edges remain.
-    def find_plain_fusion() -> Optional[List]:
-        for e in edges:
-            a, b, parity = e
-            if parity == 0 and kinds.get(a) is NKind.Z and kinds.get(b) is NKind.Z and a != b:
-                return e
-        return None
+    def find(v: int) -> int:
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        while parent[v] != root:
+            parent[v], v = root, parent[v]
+        return root
 
-    for v in list(kinds):
-        if kinds[v] is NKind.Z:
-            resolve_local(v)
+    for e in edges:
+        if e is not None and e[2] == 0 and e[0] in parent and e[1] in parent:
+            a, b = find(e[0]), find(e[1])
+            if a != b:
+                parent[b] = a
+    for v in parent:
+        root = find(v)
+        if root != v:
+            phases[root] = phases[root].add_expr(phases[v].expr)
 
-    while True:
-        e = find_plain_fusion()
+    # Resolve wires between classes: a Hadamard self-loop adds pi, a plain
+    # self-loop or a repeated plain wire vanishes, Hadamard wires between the
+    # same two nodes cancel in pairs (the last one is kept when their count
+    # is odd).  Wires between two boundary nodes are left as they are.
+    resolved: List[Tuple[int, int, int]] = []  # (edge index, node, node)
+    last_hadamard: Dict[Tuple[int, int], int] = {}
+    hadamard_parity: Dict[Tuple[int, int], int] = {}
+    plain_seen: Set[Tuple[int, int]] = set()
+    for i, e in enumerate(edges):
         if e is None:
-            break
-        a, b, _ = e
-        edges.remove(e)
-        phases[a] = phases[a].add_expr(phases[b].expr)
-        for other in edges:
-            if other[0] == b:
-                other[0] = a
-            if other[1] == b:
-                other[1] = a
-        del kinds[b]
-        del phases[b]
-        resolve_local(a)
+            continue
+        a = find(e[0]) if e[0] in parent else e[0]
+        b = find(e[1]) if e[1] in parent else e[1]
+        if a not in parent and b not in parent:
+            resolved.append((i, a, b))
+            continue
+        if a == b:
+            if e[2]:
+                phases[a] = phases[a].add_clifford(2)
+            continue
+        pair = (a, b) if a < b else (b, a)
+        if e[2]:
+            last_hadamard[pair] = i
+            hadamard_parity[pair] = hadamard_parity.get(pair, 0) ^ 1
+        elif pair not in plain_seen:
+            plain_seen.add(pair)
+            resolved.append((i, a, b))
+    for pair, i in last_hadamard.items():
+        if hadamard_parity[pair]:
+            resolved.append((i, *pair))
+    resolved.sort()
 
-    # Build the Diagram.  Boundary-boundary wires keep their parity as edge kind.
     d = Diagram()
     id_map: Dict[int, int] = {}
     for v, kind in kinds.items():
         if kind is NKind.Z:
-            id_map[v] = d.add_spider(phases[v])
+            if parent[v] == v:
+                id_map[v] = d.add_spider(phases[v])
         elif kind is NKind.INPUT:
             id_map[v] = d.add_boundary(VKind.INPUT, raw.positions.get(v, 0))
         elif kind is NKind.OUTPUT:
             id_map[v] = d.add_boundary(VKind.OUTPUT, raw.positions.get(v, 0))
         else:
-            raise ValueError(f"unresolved node kind {kind}")
-    for a, b, parity in edges:
-        kind = EdgeKind.HADAMARD if parity else EdgeKind.PLAIN
+            raise ConversionError(f"unresolved node kind {kind}")
+    for i, a, b in resolved:
         da, db = id_map[a], id_map[b]
-        if d.has_edge(da, db):
-            # can only happen between a spider and a boundary pair; keep simple
-            raise ValueError(f"unresolved parallel edge {da}-{db}")
-        d.add_edge(da, db, kind)
+        if da == db or d.has_edge(da, db):
+            raise ConversionError(f"unresolved {'self-loop' if da == db else 'parallel edge'} {da}-{db}")
+        d.add_edge(da, db, EdgeKind.HADAMARD if edges[i][2] else EdgeKind.PLAIN)
 
     report = validate(d)
     if not report.ok:
-        raise ValueError("conversion produced an invalid diagram: " + "; ".join(report.violations))
+        raise ConversionError("conversion produced an invalid diagram: " + "; ".join(report.violations))
     return d

@@ -64,3 +64,11 @@ class InconsistentProvenance(ZXParamError):
 
 class TooManyParams(ZXParamError):
     """Brute-force enumeration refused: parameter count above the limit."""
+
+
+class ConversionError(ZXParamError, ValueError):
+    """A spider network cannot be converted into a graph-like diagram."""
+
+
+class FixpointNotReached(ZXParamError, RuntimeError):
+    """A rewrite loop hit its safety cap before reaching a fixpoint."""

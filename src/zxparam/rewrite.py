@@ -16,10 +16,10 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .diagram import Diagram, EdgeKind, GadgetView, VKind, axis_parity, find_gadgets
-from .errors import NotApplicable
+from .errors import FixpointNotReached, NotApplicable
 from .params import ParamExpr, Phase
 
 
@@ -316,7 +316,7 @@ def _needs_boundary_cleanup(d: Diagram, b: int) -> bool:
 
 # -- driver -------------------------------------------------------------------
 
-def _pick(candidates: list, rng: Optional[Random]):
+def _pick(candidates, rng: Optional[Random]):
     if not candidates:
         return None
     if rng is None:
@@ -324,40 +324,248 @@ def _pick(candidates: list, rng: Optional[Random]):
     return rng.choice(sorted(candidates))
 
 
-def _match_local_comp(d: Diagram) -> List[int]:
-    return [v for v in d.spiders()
-            if d.phase(v).is_clifford() and d.phase(v).clifford in (1, 3) and d.is_internal(v)]
+def _mark(members: Set[int], v: int, flag: bool) -> None:
+    if flag:
+        members.add(v)
+    else:
+        members.discard(v)
 
 
-def _match_pivot(d: Diagram) -> List[Tuple[int, int]]:
-    out = []
-    for a, b, kind in d.edges():
-        if _is_internal_pauli(d, a) and _is_internal_pauli(d, b):
-            out.append((min(a, b), max(a, b)))
-    return out
+class Rewriter:
+    """The fixpoint driver: applies one rewrite at a time, taking the first
+    stage of ``stages`` that has a match.
+
+    The candidates of every rule are kept in indexes that always equal what
+    a full rescan of the diagram returns, so a pick is ``min`` of a rule's
+    candidates, or ``rng.choice`` of them sorted when a seed is given.
+    After a rewrite only what it changed is re-checked: the matched, removed
+    and touched vertices and the former neighbours of the matched ones, which
+    are every vertex whose phase, degree or adjacency changed.  The gadget
+    and gadget/boundary pivot candidates of a vertex also read its
+    neighbours' degree class (0, 1, more), boundary adjacency and parameter;
+    when one of those changed, the internal 0/pi neighbours are re-checked
+    too.
+    """
+
+    def __init__(self, d: Diagram, stages: Sequence[Callable[["Rewriter"], Optional[List[RewriteEvent]]]],
+                 seed: Optional[int] = None):
+        self.d = d
+        self.stages = tuple(stages)
+        self.rng = Random(seed) if seed is not None else None
+        self.local_comp: Set[int] = set()
+        self.pauli: Set[int] = set()  # internal spiders with phase 0 or pi
+        self.pivot: Set[Tuple[int, int]] = set()
+        self.gadget_pivot: Set[Tuple[int, int]] = set()
+        self.boundary_pivot: Set[Tuple[int, int]] = set()
+        self.gadgets: Dict[int, GadgetView] = {}  # axis -> gadget
+        self.by_neighbourhood: Dict[FrozenSet[int], Set[int]] = {}  # neighbourhood -> axes
+        self.unary: Set[int] = set()  # axes of gadgets with one neighbour
+        self.shared: Set[FrozenSet[int]] = set()  # neighbourhoods of two gadgets or more
+        self.hadamard_wired: Set[int] = set()  # boundary spiders with a Hadamard boundary wire
+        self._pivot_partners: Dict[int, Set[int]] = {}
+        self._pairs_at: Dict[int, Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]] = {}
+        self.recheck(set(d.vertices()))
+
+    def run(self, limit: int, what: str = "simplify") -> List[RewriteEvent]:
+        """Rewrite to the fixpoint; raise FixpointNotReached after ``limit``
+        rewrites."""
+        events: List[RewriteEvent] = []
+        for _ in range(limit):
+            step = self.step()
+            if step is None:
+                return events
+            events.extend(step)
+        raise FixpointNotReached(f"{what} did not reach a fixpoint (safety cap hit)")
+
+    def step(self) -> Optional[List[RewriteEvent]]:
+        """Apply the first stage with a match; None at the fixpoint."""
+        for stage in self.stages:
+            events = stage(self)
+            if events is not None:
+                return events
+        return None
+
+    def apply(self, match: Tuple[int, ...], rewrite: Callable, *args) -> List[RewriteEvent]:
+        """Run ``rewrite(d, *args)`` on the matched vertices and re-check what
+        it changed: every rule removes or touches only matched vertices,
+        their neighbours and vertices it adds."""
+        adj = self.d._adj
+        changed = set(match)
+        for v in match:
+            changed.update(adj[v])
+        before = {v: self._signature(v) for v in changed}
+        event = rewrite(self.d, *args)
+        changed.update(event.removed)
+        changed.update(event.touched)
+        self.recheck(changed, before)
+        return [event]
+
+    def _signature(self, v: int):
+        """What the candidates of a neighbour read off ``v``."""
+        data = self.d._vertices.get(v)
+        if data is None or data.kind is not VKind.SPIDER:
+            return data is None
+        degree = len(self.d._adj[v])
+        return min(degree, 2), self.d._boundary_count[v] > 0, bool(data.phase.terms)
+
+    def recheck(self, changed: Set[int], before: Optional[Dict[int, object]] = None) -> None:
+        """Bring every index up to date after the vertices in ``changed``
+        (present or removed) changed phase, degree or adjacency.  ``before``
+        holds their signatures from before the change; without it, every
+        internal 0/pi neighbour is re-checked."""
+        d = self.d
+        vertices, adj, boundary_count = d._vertices, d._adj, d._boundary_count
+        for v in changed:
+            data = vertices.get(v)
+            spider = data is not None and data.kind is VKind.SPIDER
+            wired = spider and boundary_count[v] > 0
+            # Clifford phase of an internal spider, None for anything else
+            k = data.phase.clifford if spider and not wired and not data.phase.terms else None
+            _mark(self.local_comp, v, k in (1, 3))
+            _mark(self.pauli, v, k in (0, 2))
+            _mark(self.hadamard_wired, v, wired and any(
+                kind is EdgeKind.HADAMARD and vertices[n].kind is not VKind.SPIDER
+                for n, kind in adj[v].items()))
+        around: Set[int] = set()
+        for v in changed:
+            if v in self.pauli or v in self._pivot_partners:
+                self._recheck_pivots(v)
+            if v in self.pauli or v in self._pairs_at or v in self.gadgets:
+                self._recheck_anchored(v)
+            if v in adj and (before is None or before.get(v, "new") != self._signature(v)):
+                around.update(adj[v])
+        around.difference_update(changed)
+        for u in around & self.pauli:
+            self._recheck_anchored(u)
+
+    def _recheck_pivots(self, v: int) -> None:
+        for p in self._pivot_partners.pop(v, ()):
+            self.pivot.discard((v, p) if v < p else (p, v))
+            self._pivot_partners[p].discard(v)
+        if v in self.pauli:
+            partners = {n for n in self.d._adj[v] if n in self.pauli}
+            if partners:
+                self._pivot_partners[v] = partners
+                for n in partners:
+                    self._pivot_partners.setdefault(n, set()).add(v)
+                    self.pivot.add((v, n) if v < n else (n, v))
+
+    def _recheck_anchored(self, u: int) -> None:
+        """The gadget with axis ``u`` and the gadget/boundary pivots of ``u``;
+        all of them need ``u`` to be an internal 0/pi spider."""
+        d = self.d
+        gadget_pairs, boundary_pairs = self._pairs_at.pop(u, ((), ()))
+        self.gadget_pivot.difference_update(gadget_pairs)
+        self.boundary_pivot.difference_update(boundary_pairs)
+        old = self.gadgets.pop(u, None)
+        if old is not None:
+            axes = self.by_neighbourhood[old.neighbourhood]
+            axes.discard(u)
+            if len(axes) < 2:
+                self.shared.discard(old.neighbourhood)
+                if not axes:
+                    del self.by_neighbourhood[old.neighbourhood]
+            self.unary.discard(u)
+        if u not in self.pauli:
+            return
+        adj = d._adj[u]
+        vertices = d._vertices
+        legs = [n for n in adj if len(d._adj[n]) == 1 and vertices[n].kind is VKind.SPIDER]
+        if len(legs) == 1:
+            g = GadgetView(u, legs[0], frozenset(n for n in adj if n != legs[0]))
+            self.gadgets[u] = g
+            axes = self.by_neighbourhood.setdefault(g.neighbourhood, set())
+            axes.add(u)
+            if len(axes) >= 2:
+                self.shared.add(g.neighbourhood)
+            if len(g.neighbourhood) == 1:
+                self.unary.add(u)
+            return
+        gadget_pairs, boundary_pairs = [], []
+        for w in adj:
+            if vertices[w].kind is not VKind.SPIDER:
+                continue
+            if d._boundary_count[w]:
+                boundary_pairs.append((u, w))
+            elif vertices[w].phase.terms and len(d._adj[w]) > 1:
+                gadget_pairs.append((u, w))
+        if gadget_pairs or boundary_pairs:
+            self._pairs_at[u] = (gadget_pairs, boundary_pairs)
+            self.gadget_pivot.update(gadget_pairs)
+            self.boundary_pivot.update(boundary_pairs)
 
 
-def _match_gadget_pivot(d: Diagram) -> List[Tuple[int, int]]:
-    out = []
-    for u in d.spiders():
-        if not _is_internal_pauli(d, u) or _is_clean_axis(d, u):
-            continue
-        for w in d.neighbors(u):
-            if (d.vertex(w).kind is VKind.SPIDER and d.is_internal(w)
-                    and not d.phase(w).is_clifford() and d.degree(w) > 1):
-                out.append((u, w))
-    return out
+def _local_comp_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
+    v = _pick(rw.local_comp, rw.rng)
+    return None if v is None else rw.apply((v,), local_complement_simp, v)
 
 
-def _match_boundary_pivot(d: Diagram) -> List[Tuple[int, int]]:
-    out = []
-    for u in d.spiders():
-        if not _is_internal_pauli(d, u) or _is_clean_axis(d, u):
-            continue
-        for b in d.neighbors(u):
-            if d.is_boundary_spider(b):
-                out.append((u, b))
-    return out
+def _pivot_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
+    pair = _pick(rw.pivot, rw.rng)
+    return None if pair is None else rw.apply(pair, pivot_simp, *pair)
+
+
+def _gadget_pivot_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
+    pair = _pick(rw.gadget_pivot, rw.rng)
+    return None if pair is None else rw.apply(pair, gadget_pivot, *pair)
+
+
+def _boundary_pivot_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
+    pair = _pick(rw.boundary_pivot, rw.rng)
+    return None if pair is None else rw.apply(pair, boundary_pivot, *pair)
+
+
+def _gadget_id_fuse_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
+    axis = _pick(rw.unary, rw.rng)
+    if axis is None:
+        return None
+    g = rw.gadgets[axis]
+    return rw.apply((g.axis_spider, g.phase_spider), gadget_id_fuse, g)
+
+
+def _gadget_fusion_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
+    # groups are disjoint, so sorting them orders them by their smallest axis
+    groups = sorted(sorted(rw.by_neighbourhood[n]) for n in rw.shared)
+    if not groups:
+        return None
+    axes = groups[0] if rw.rng is None else rw.rng.choice(groups)
+    g1, g2 = rw.gadgets[axes[0]], rw.gadgets[axes[1]]
+    return rw.apply((g1.axis_spider, g1.phase_spider, g2.axis_spider, g2.phase_spider),
+                    gadget_fusion, g1, g2)
+
+
+def _scalar_removal_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
+    events = remove_scalar_spiders(rw.d)
+    if not events:
+        return None
+    rw.recheck({v for ev in events for v in ev.removed})
+    return events
+
+
+def _boundary_cleanup_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
+    b = _pick([b for b in rw.hadamard_wired if _needs_boundary_cleanup(rw.d, b)], rw.rng)
+    return None if b is None else rw.apply((b,), _boundary_cleanup, b)
+
+
+def _hadamard_wire_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
+    """Buffer the boundary wires of a spider with a Hadamard boundary wire
+    (no event: the buffering is tensor-exact and moves no parameter)."""
+    b = _pick(rw.hadamard_wired, rw.rng)
+    if b is None:
+        return None
+    changed = {b, *rw.d._adj[b]}
+    changed.update(_buffer_boundary_wires(rw.d, b))
+    rw.recheck(changed)
+    return []
+
+
+# Rule priority of the full strategy.
+SIMPLIFY_STAGES = (_local_comp_stage, _pivot_stage, _gadget_pivot_stage, _boundary_pivot_stage,
+                   _gadget_id_fuse_stage, _gadget_fusion_stage, _scalar_removal_stage,
+                   _boundary_cleanup_stage)
+# Clifford state reduction for the AP form: internal spiders are removed and
+# every boundary wire is made plain.
+AP_FORM_STAGES = (_local_comp_stage, _pivot_stage, _hadamard_wire_stage)
 
 
 def simplify(d: Diagram, seed: Optional[int] = None) -> Tuple[Diagram, List[RewriteEvent]]:
@@ -369,57 +577,12 @@ def simplify(d: Diagram, seed: Optional[int] = None) -> Tuple[Diagram, List[Rewr
     candidate with the smallest vertex ids is chosen, or a seeded random
     candidate when ``seed`` is given.  The terminal diagram satisfies the
     pseudo-normal form conditions checked by ``terminal_violations``.
+    Raises FixpointNotReached if the safety cap on the number of rewrites
+    is hit.
     """
     d = d.copy()
-    rng = Random(seed) if seed is not None else None
-    events: List[RewriteEvent] = []
     limit = 1000 + 60 * (len(d.spiders()) + 2) ** 2
-    steps = 0
-    while True:
-        steps += 1
-        if steps > limit:
-            raise RuntimeError("simplify did not reach a fixpoint (safety cap hit)")
-
-        v = _pick(_match_local_comp(d), rng)
-        if v is not None:
-            events.append(local_complement_simp(d, v))
-            continue
-        pair = _pick(_match_pivot(d), rng)
-        if pair is not None:
-            events.append(pivot_simp(d, *pair))
-            continue
-        pair = _pick(_match_gadget_pivot(d), rng)
-        if pair is not None:
-            events.append(gadget_pivot(d, *pair))
-            continue
-        pair = _pick(_match_boundary_pivot(d), rng)
-        if pair is not None:
-            events.append(boundary_pivot(d, *pair))
-            continue
-        gadgets = find_gadgets(d)
-        unary = [g for g in gadgets if len(g.neighbourhood) == 1]
-        if unary:
-            g = unary[0] if rng is None else rng.choice(unary)
-            events.append(gadget_id_fuse(d, g))
-            continue
-        by_nbhd: Dict[FrozenSet[int], List[GadgetView]] = {}
-        for g in gadgets:
-            by_nbhd.setdefault(g.neighbourhood, []).append(g)
-        fusable = [gs for gs in by_nbhd.values() if len(gs) > 1]
-        if fusable:
-            gs = min(fusable, key=lambda gs: gs[0].axis_spider) if rng is None else rng.choice(fusable)
-            events.append(gadget_fusion(d, gs[0], gs[1]))
-            continue
-        scalar_events = remove_scalar_spiders(d)
-        if scalar_events:
-            events.extend(scalar_events)
-            continue
-        b = _pick([b for b in d.spiders() if d.is_boundary_spider(b) and _needs_boundary_cleanup(d, b)], rng)
-        if b is not None:
-            events.append(_boundary_cleanup(d, b))
-            continue
-        break
-    return d, events
+    return d, Rewriter(d, SIMPLIFY_STAGES, seed).run(limit)
 
 
 # -- terminal form ------------------------------------------------------------

@@ -10,7 +10,7 @@ so they deliberately share no code with the rewrite rules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
@@ -117,10 +117,6 @@ def tensor_eval(d: Diagram, assignment: Mapping[str, float] | None = None) -> Te
     for a, b, kind in d.edges():
         edge_leg[(a, b)] = ("e", a, b)
 
-    def leg_of(v: int, other: int):
-        key = (v, other) if (v, other) in edge_leg else (other, v)
-        return edge_leg[key]
-
     for a, b, kind in d.edges():
         if kind is EdgeKind.HADAMARD:
             mid = ("h", a, b)
@@ -166,12 +162,14 @@ class ProportionalityReport:
     holds: bool
     ratios: List[complex]
     max_deviation: float
+    deviations: List[float] = field(default_factory=list)  # per sample, same order as ratios
 
     def to_dict(self) -> dict:
         return {
             "holds": self.holds,
             "ratios": [[float(r.real), float(r.imag)] for r in self.ratios],
             "max_deviation": float(self.max_deviation),
+            "deviations": [float(dev) for dev in self.deviations],
         }
 
 
@@ -196,4 +194,4 @@ def check_proportional(t1: TensorState, t2: TensorState, tol: float = 1e-9) -> P
     if t1.n_wires != t2.n_wires:
         raise ShapeMismatch(f"wire counts differ: {t1.n_wires} vs {t2.n_wires}")
     holds, lam, dev = proportionality_ratio(t1.amplitudes, t2.amplitudes, tol)
-    return ProportionalityReport(holds=holds, ratios=[lam], max_deviation=dev)
+    return ProportionalityReport(holds=holds, ratios=[lam], max_deviation=dev, deviations=[dev])

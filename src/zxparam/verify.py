@@ -23,8 +23,7 @@ from .diagram import Diagram, EdgeKind, VKind, find_gadgets
 from .errors import (DimensionMismatch, NotClifford, NotTerminalForm, TooManyParams, ZeroState)
 
 from .reduction import ReductionMap
-from .rewrite import (_buffer_boundary_wires, _match_local_comp, _match_pivot,
-                      local_complement_simp, pivot_simp)
+from .rewrite import AP_FORM_STAGES, Rewriter
 from .tensor import ProportionalityReport, proportionality_ratio
 
 logger = logging.getLogger(__name__)
@@ -62,16 +61,17 @@ def check_reduction(c1: Circuit, c2: Circuit, reduction: ReductionMap,
     if sorted(reduction.new_param_names) != sorted(c2.params):
         raise DimensionMismatch(f"map outputs {reduction.new_param_names} do not match circuit params {c2.params}")
     ratios: List[complex] = []
-    max_dev = 0.0
+    deviations: List[float] = []
     holds = True
     for sample in structured_samples(c1.params, n_samples, seed):
         u1 = circuit_unitary(c1, sample)
         u2 = circuit_unitary(c2, reduction.apply(sample))
         ok, lam, dev = proportionality_ratio(u1.reshape(-1), u2.reshape(-1), tol)
         ratios.append(lam)
-        max_dev = max(max_dev, dev)
+        deviations.append(dev)
         holds = holds and ok
-    return ProportionalityReport(holds=holds, ratios=ratios, max_deviation=max_dev)
+    return ProportionalityReport(holds=holds, ratios=ratios, max_deviation=max(deviations, default=0.0),
+                                 deviations=deviations)
 
 
 # -- AP form -------------------------------------------------------------------
@@ -154,25 +154,7 @@ def ap_form(d: Diagram) -> APForm:
             raise NotClifford(f"spider {v} carries a parameter")
 
     d = d.copy()
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 1000 + 20 * len(d.spiders()) ** 2:
-            raise RuntimeError("ap_form reduction did not converge")
-        lc = _match_local_comp(d)
-        if lc:
-            local_complement_simp(d, min(lc))
-            continue
-        pivots = _match_pivot(d)
-        if pivots:
-            pivot_simp(d, *min(pivots))
-            continue
-        had_boundary = [v for v in d.spiders() if d.is_boundary_spider(v)
-                        and any(d.edge_kind(v, o) is EdgeKind.HADAMARD for o in d.boundary_wires(v))]
-        if had_boundary:
-            _buffer_boundary_wires(d, min(had_boundary))
-            continue
-        break
+    Rewriter(d, AP_FORM_STAGES).run(1000 + 20 * len(d.spiders()) ** 2, what="ap_form reduction")
 
     outputs = d.outputs()
     n = len(outputs)

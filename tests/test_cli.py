@@ -1,7 +1,13 @@
 import json
 
+import pytest
+
+import zxparam.circuits
 from zxparam.circuits import parse_circuit
 from zxparam.cli import main
+from zxparam.diagram import NKind, SpiderNetwork
+from zxparam.reduction import ReductionMap
+from zxparam.rewrite import Rewriter
 
 FUSION = "qreg 1\nrz(t0) 0\nrz(t1) 0\n"
 CLIFFORD_ONLY = "qreg 2\nh 0\ncx 0 1\ns 1\n"
@@ -142,3 +148,60 @@ def test_verify_report_file(tmp_path):
     payload = json.loads(verify_report.read_text())
     assert payload["proportionality"]["holds"] is True
     assert payload["certificate"]["passed"] is True
+
+
+def test_verify_rejects_unoptimised_output(tmp_path, capsys):
+    # the identity map keeps both parameters; the certificate proves one suffices
+    src = write(tmp_path, "in.zxc", FUSION)
+    identity = write(tmp_path, "id.json", ReductionMap.identity(["t0", "t1"]).to_text())
+    assert main(["verify", str(src), str(src), str(identity)]) == 3
+    assert "FAILED optimality" in capsys.readouterr().out
+
+
+def test_verify_names_first_failing_sample(tmp_path, capsys):
+    # t0 and t1 sit on different parities: fusing them fails at the sample t1 = pi
+    src = write(tmp_path, "in.zxc", "qreg 2\nrz(t0) 0\ncx 0 1\nrz(t1) 1\n")
+    fused = write(tmp_path, "fused.zxc", "qreg 2\nrz(u0) 0\ncx 0 1\n")
+    mapping = ReductionMap(("t0", "t1"), ("u0",), ((("t0", 1), ("t1", 1)),), (0,))
+    bad = write(tmp_path, "fused.json", mapping.to_text())
+    verify_report = tmp_path / "verify.json"
+    assert main(["verify", str(src), str(fused), str(bad), "--report", str(verify_report)]) == 3
+    assert "first failing sample 2 " in capsys.readouterr().out
+    deviations = json.loads(verify_report.read_text())["proportionality"]["deviations"]
+    assert deviations[:2] == [0.0, 0.0] and deviations[2] > 1e-9
+
+
+def test_non_integer_env_seed_exits_1(tmp_path, monkeypatch, capsys):
+    src = write(tmp_path, "in.zxc", FUSION)
+    monkeypatch.setenv("ZXPARAM_SEED", "abc")
+    assert main(["optimize", str(src)]) == 1
+    assert "ZXPARAM_SEED" in capsys.readouterr().err
+
+
+def cli_args(tmp_path, command):
+    src = write(tmp_path, "in.zxc", FUSION)
+    if command == "verify":
+        opt = write(tmp_path, "out.zxc", "qreg 1\nrz(u0) 0\n")
+        mapping = write(tmp_path, "map.json", ReductionMap(
+            ("t0", "t1"), ("u0",), ((("t0", 1), ("t1", 1)),), (0,)).to_text())
+        return ["verify", str(src), str(opt), str(mapping)]
+    return [command, str(src)]
+
+
+@pytest.mark.parametrize("command", ["optimize", "verify", "oracle"])
+def test_safety_cap_exits_2(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(Rewriter, "step", lambda self: [])  # never reaches a fixpoint
+    assert main(cli_args(tmp_path, command)) == 2
+    assert "safety cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["optimize", "verify", "oracle"])
+def test_conversion_failure_exits_2(tmp_path, monkeypatch, capsys, command):
+    def broken_network(c):
+        net = SpiderNetwork()
+        net.wire(net.node(NKind.INPUT, position=0), net.node(NKind.HBOX))
+        return net
+
+    monkeypatch.setattr(zxparam.circuits, "circuit_to_network", broken_network)
+    assert main(cli_args(tmp_path, command)) == 2
+    assert "Hadamard box" in capsys.readouterr().err

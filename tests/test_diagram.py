@@ -157,6 +157,11 @@ def test_validate_reports_constructed_violations():
     bad._adj[a][a] = EdgeKind.HADAMARD
     report = validate(bad)
     assert any("self-loop" in v and str(a) in v for v in report.violations)
+    # stale boundary-neighbour count
+    bad = d.copy()
+    bad._boundary_count[a] += 1
+    report = validate(bad)
+    assert any("boundary neighbours" in v and str(a) in v for v in report.violations)
     # registry omission
     bad = d.copy()
     bad.set_phase(a, Phase(0, (("t9", 1),)))

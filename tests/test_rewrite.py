@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_rule_sound
-from zxparam.circuits import circuit_to_diagram, parse_circuit
+from zxparam.circuits import circuit_state_diagram, circuit_to_diagram, parse_circuit
 from zxparam.diagram import Diagram, EdgeKind, VKind, find_gadgets, validate
 from zxparam.errors import NotApplicable
 from zxparam.generate import attach_gadget, random_circuit, random_graph_like_state
 from zxparam.params import ParamExpr, Phase
-from zxparam.rewrite import (Rule, boundary_pivot, gadget_fusion, gadget_id_fuse, gadget_pivot,
-                             local_complement_simp, pivot_simp, remove_scalar_spiders, simplify,
-                             terminal_violations)
+from zxparam.rewrite import (AP_FORM_STAGES, SIMPLIFY_STAGES, Rewriter, Rule, boundary_pivot,
+                             gadget_fusion, gadget_id_fuse, gadget_pivot, local_complement_simp,
+                             pivot_simp, remove_scalar_spiders, simplify, terminal_violations)
 
 
 def state_with(phases, edges, n_out=0):
@@ -364,3 +364,80 @@ def test_simplify_seeds_agree_on_parameter_count(seed):
     t1, _ = simplify(d, seed=1)
     t2, _ = simplify(d, seed=2)
     assert len(t1.param_exprs()) == len(t2.param_exprs())
+
+
+def rescan(d: Diagram) -> dict:
+    """Every candidate index of the driver, recomputed from scratch."""
+    def spider(v):
+        return d.vertex(v).kind is VKind.SPIDER
+
+    def wires(v):
+        return [n for n in d.neighbors(v) if not spider(n)]
+
+    def internal(v):
+        return spider(v) and not wires(v)
+
+    def internal_pauli(v):
+        return internal(v) and d.phase(v).is_pauli()
+
+    def clean_axis(u):
+        return internal_pauli(u) and len([n for n in d.neighbors(u)
+                                          if d.degree(n) == 1 and spider(n)]) == 1
+
+    spiders = d.spiders()
+    gadgets = {g.axis_spider: g for g in find_gadgets(d)}
+    by_neighbourhood = {}
+    for g in gadgets.values():
+        by_neighbourhood.setdefault(g.neighbourhood, set()).add(g.axis_spider)
+    return {
+        "local_comp": {v for v in spiders if internal(v) and d.phase(v).is_clifford()
+                       and d.phase(v).clifford in (1, 3)},
+        "pauli": {v for v in spiders if internal_pauli(v)},
+        "pivot": {(min(a, b), max(a, b)) for a, b, _ in d.edges()
+                  if internal_pauli(a) and internal_pauli(b)},
+        "gadget_pivot": {(u, w) for u in spiders if internal_pauli(u) and not clean_axis(u)
+                         for w in d.neighbors(u)
+                         if internal(w) and not d.phase(w).is_clifford()
+                         and d.degree(w) > 1},
+        "boundary_pivot": {(u, b) for u in spiders if internal_pauli(u) and not clean_axis(u)
+                           for b in d.neighbors(u) if spider(b) and wires(b)},
+        "gadgets": gadgets,
+        "by_neighbourhood": by_neighbourhood,
+        "unary": {a for a, g in gadgets.items() if len(g.neighbourhood) == 1},
+        "shared": {n for n, axes in by_neighbourhood.items() if len(axes) > 1},
+        "hadamard_wired": {b for b in spiders if any(d.edge_kind(b, o) is EdgeKind.HADAMARD
+                                                     for o in wires(b))},
+    }
+
+
+def assert_driver_matches_rescan(rw: Rewriter) -> int:
+    steps = 0
+    while True:
+        expected = rescan(rw.d)
+        assert {name: getattr(rw, name) for name in expected} == expected
+        assert validate(rw.d).ok, validate(rw.d).violations
+        if rw.step() is None:
+            return steps
+        steps += 1
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_driver_indexes_equal_full_rescan(seed):
+    rng = Random(seed)
+    steps = 0
+    for trial in range(6):
+        d = random_graph_like_state(Random(f"{seed}/{trial}"), rng.randint(1, 5), rng.randint(2, 12),
+                                    rng.randint(0, 5), edge_p=rng.uniform(0.15, 0.7))
+        steps += assert_driver_matches_rescan(Rewriter(d, SIMPLIFY_STAGES, seed=seed))
+    c = random_circuit(Random(seed), 4, 40, 8)
+    steps += assert_driver_matches_rescan(Rewriter(circuit_to_diagram(c), SIMPLIFY_STAGES, seed=seed))
+    # CNOT + rz circuits: repeated parities make gadgets fuse
+    lines = ["qreg 4"]
+    for i in range(30):
+        a, b = rng.sample(range(4), 2)
+        lines += [f"cx {a} {b}", f"rz(t{i}) {b}"] if i % 2 else [f"cx {a} {b}"]
+    c = parse_circuit("\n".join(lines))
+    steps += assert_driver_matches_rescan(Rewriter(circuit_to_diagram(c), SIMPLIFY_STAGES, seed=seed))
+    state = circuit_state_diagram(random_circuit(Random(seed), 4, 30, 0))
+    steps += assert_driver_matches_rescan(Rewriter(state, AP_FORM_STAGES))
+    assert steps > 20
