@@ -17,12 +17,12 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .diagram import Diagram, NKind, SpiderNetwork, to_graph_like
-from .errors import CircuitSyntaxError, NonCliffordConstant, RepeatedParameter
+from .errors import CircuitSyntaxError, NonCliffordConstant, RepeatedParameter, TooLarge
 from .params import Phase
 
 
@@ -63,17 +63,7 @@ class Circuit:
     @property
     def params(self) -> List[str]:
         """Parameter ids in order of first appearance."""
-        out = []
-        for g in self.gates:
-            if g.kind is GateKind.RZ_PARAM and g.param not in out:
-                out.append(g.param)
-        return out
-
-    def param_gate_index(self, name: str) -> int:
-        for i, g in enumerate(self.gates):
-            if g.kind is GateKind.RZ_PARAM and g.param == name:
-                return i
-        raise KeyError(name)
+        return list(dict.fromkeys(g.param for g in self.gates if g.kind is GateKind.RZ_PARAM))
 
     def validate(self) -> None:
         seen = set()
@@ -194,80 +184,71 @@ def emit_circuit(c: Circuit) -> str:
 
 # -- unitary oracle -----------------------------------------------------------
 
-_H1 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_X1 = np.array([[0, 1], [1, 0]], dtype=complex)
+MAX_UNITARY_QUBITS = 10  # one 10-qubit unitary is 16 MB
+_QUARTER_TURNS = (1, 1j, -1, -1j)  # exp(i k pi/2), exact
+_SQRT_HALF = 1 / math.sqrt(2)
+_PHASE_K = {GateKind.S: 1, GateKind.SDG: 3, GateKind.Z: 2}
 
 
-def _rz(angle: float) -> np.ndarray:
-    return np.diag([1.0, np.exp(1j * angle)]).astype(complex)
+def _halves(u: np.ndarray, q: int, control: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Views of the stack ``u`` (S, 2^n, 2^n) where output qubit ``q`` is 0
+    and where it is 1, restricted to ``control`` = 1 if given (qubit 0 is
+    the most significant bit)."""
+    s = u.shape[0]
+    if control is None:
+        v = u.reshape(s, 2 ** q, 2, -1)
+        return v[:, :, 0], v[:, :, 1]
+    lo, hi = sorted((q, control))
+    v = u.reshape(s, 2 ** lo, 2, 2 ** (hi - lo - 1), 2, -1)
+    if control < q:
+        v = v[:, :, 1]
+        return v[:, :, :, 0], v[:, :, :, 1]
+    v = v[:, :, :, :, 1]
+    return v[:, :, 0], v[:, :, 1]
 
 
-def _apply_1q(state: np.ndarray, gate: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Apply a 1-qubit gate to axis q of the output index (qubit 0 = MSB)."""
-    t = state.reshape((2,) * n + (-1,))
-    t = np.moveaxis(t, q, 0)
-    t = np.tensordot(gate, t, axes=(1, 0))
-    t = np.moveaxis(t, 0, q)
-    return t.reshape(state.shape)
-
-
-def _apply_cz(state: np.ndarray, q1: int, q2: int, n: int) -> np.ndarray:
-    t = state.reshape((2,) * n + (-1,)).copy()
-    idx = [slice(None)] * (n + 1)
-    idx[q1] = 1
-    idx[q2] = 1
-    t[tuple(idx)] *= -1
-    return t.reshape(state.shape)
-
-
-def _apply_cx(state: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
-    t = state.reshape((2,) * n + (-1,)).copy()
-    idx0 = [slice(None)] * (n + 1)
-    idx1 = [slice(None)] * (n + 1)
-    idx0[control] = 1
-    idx1[control] = 1
-    idx0[target] = 0
-    idx1[target] = 1
-    tmp = t[tuple(idx0)].copy()
-    t[tuple(idx0)] = t[tuple(idx1)]
-    t[tuple(idx1)] = tmp
-    return t.reshape(state.shape)
-
-
-def circuit_unitary(c: Circuit, assignment: Mapping[str, float] | None = None) -> np.ndarray:
-    """Exact 2^n x 2^n unitary of the circuit at a parameter assignment.
-
-    Built gate by gate on the computational basis (qubit 0 is the most
-    significant bit), independent of the diagram machinery.
-    """
-    assignment = dict(assignment or {})
-    missing = [p for p in c.params if p not in assignment]
+def circuit_unitary(c: Circuit, assignment: Mapping[str, float] | Sequence[Mapping[str, float]] | None = None
+                    ) -> np.ndarray:
+    """Exact 2^n x 2^n unitary of the circuit at one assignment (a mapping or
+    None), or the (S, 2^n, 2^n) stack at a sequence of S assignments, built in
+    one pass over the gates that updates all S in place.  Qubit 0 is the most
+    significant bit; independent of the diagram machinery.  Raises TooLarge
+    above MAX_UNITARY_QUBITS qubits."""
+    n = c.n_qubits
+    if n > MAX_UNITARY_QUBITS:
+        raise TooLarge(f"{n} qubits exceeds the dense unitary limit {MAX_UNITARY_QUBITS}")
+    single = assignment is None or isinstance(assignment, Mapping)
+    assignments = [assignment or {}] if single else list(assignment)
+    params = c.params
+    missing = {p for a in assignments for p in params if p not in a}
     if missing:
         raise KeyError(f"no value for parameters {sorted(missing)}")
-    n = c.n_qubits
-    u = np.eye(2 ** n, dtype=complex)
+    phases = {p: np.exp(1j * np.array([a[p] for a in assignments], dtype=float))[:, None, None]
+              for p in params}
+    u = np.tile(np.eye(2 ** n, dtype=complex), (len(assignments), 1, 1))
     for g in c.gates:
+        if g.kind in TWO_QUBIT:
+            zero, one = _halves(u, g.qubits[1], control=g.qubits[0])
+        else:
+            zero, one = _halves(u, g.qubits[0])
         if g.kind is GateKind.H:
-            u = _apply_1q(u, _H1, g.qubits[0], n)
-        elif g.kind is GateKind.S:
-            u = _apply_1q(u, _rz(math.pi / 2), g.qubits[0], n)
-        elif g.kind is GateKind.SDG:
-            u = _apply_1q(u, _rz(-math.pi / 2), g.qubits[0], n)
-        elif g.kind is GateKind.Z:
-            u = _apply_1q(u, _rz(math.pi), g.qubits[0], n)
-        elif g.kind is GateKind.X:
-            u = _apply_1q(u, _X1, g.qubits[0], n)
-        elif g.kind is GateKind.RZ_CLIFFORD:
-            u = _apply_1q(u, _rz(g.k * math.pi / 2), g.qubits[0], n)
-        elif g.kind is GateKind.RZ_PARAM:
-            u = _apply_1q(u, _rz(assignment[g.param]), g.qubits[0], n)
+            diff = zero - one
+            zero += one
+            zero *= _SQRT_HALF
+            np.multiply(diff, _SQRT_HALF, out=one)
+        elif g.kind is GateKind.X or g.kind is GateKind.CX:
+            tmp = zero.copy()
+            zero[...] = one
+            one[...] = tmp
         elif g.kind is GateKind.CZ:
-            u = _apply_cz(u, g.qubits[0], g.qubits[1], n)
-        elif g.kind is GateKind.CX:
-            u = _apply_cx(u, g.qubits[0], g.qubits[1], n)
+            one *= -1
+        elif g.kind is GateKind.RZ_PARAM:
+            one *= phases[g.param]
+        elif g.kind is GateKind.RZ_CLIFFORD or g.kind in _PHASE_K:
+            one *= _QUARTER_TURNS[_PHASE_K.get(g.kind, g.k)]
         else:
             raise ValueError(f"unhandled gate {g}")
-    return u
+    return u[0] if single else u
 
 
 def flatten_unitary(u: np.ndarray, n: int) -> np.ndarray:

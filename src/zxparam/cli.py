@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .circuits import parse_circuit, emit_circuit
-from .errors import DimensionMismatch, TooManyParams, ZXParamError
+from .errors import DimensionMismatch, TooLarge, TooManyParams, ZXParamError
 from .reduction import ReductionMap, phase_teleport
 from .rewrite import simplify
 from .circuits import circuit_to_diagram
@@ -107,7 +107,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     try:
         report = check_reduction(original, optimised, reduction,
                                  n_samples=cfg.samples, tol=cfg.tolerance, seed=cfg.seed)
-    except DimensionMismatch as exc:
+    except (DimensionMismatch, TooLarge) as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -154,7 +154,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
         result = brute_force_min(circuit, tol=cfg.tolerance,
                                  max_params=cfg.oracle_max_params,
                                  n_samples=cfg.samples, seed=cfg.seed)
-    except TooManyParams as exc:
+    except (TooManyParams, TooLarge) as exc:
         print(f"oracle: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -203,8 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()  # built once: main runs many times in one process
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     seed = args.seed
     if seed is None:
         try:

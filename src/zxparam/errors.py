@@ -31,7 +31,9 @@ class NotApplicable(ZXParamError):
 
 
 class TooLarge(ZXParamError):
-    """Diagram has too many open wires for exact tensor evaluation."""
+    """Exact dense evaluation refused: a diagram with too many open wires
+    for ``tensor_eval``, or a circuit with more than MAX_UNITARY_QUBITS
+    qubits for ``circuit_unitary``."""
 
 
 class MissingAssignment(ZXParamError):

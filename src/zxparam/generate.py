@@ -73,13 +73,6 @@ def random_graph_like_state(rng: Random, n_outputs: int, n_internal: int,
     return d
 
 
-def sprinkle_params(rng: Random, d: Diagram, spiders: List[int], n_params: int,
-                    prefix: str = "p") -> None:
-    chosen = rng.sample(spiders, min(n_params, len(spiders)))
-    for i, v in enumerate(chosen):
-        d.set_phase(v, Phase(d.phase(v).clifford, ((f"{prefix}{i}", 1),)))
-
-
 def attach_gadget(rng: Random, d: Diagram, neighbourhood: List[int], parity: int,
                   expr: ParamExpr) -> Tuple[int, int]:
     """Attach a phase gadget with the given axis parity over ``neighbourhood``."""

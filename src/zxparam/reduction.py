@@ -202,7 +202,7 @@ def phase_teleport(c: Circuit, seed: Optional[int] = None) -> TeleportResult:
     terminal, events = simplify(diagram, seed=seed)
     diagram_map = extract_reduction(events, c.params, terminal)
 
-    gate_index = {p: c.param_gate_index(p) for p in c.params}
+    gate_index = {g.param: i for i, g in enumerate(c.gates) if g.kind is GateKind.RZ_PARAM}
     groups = []
     for terms in diagram_map.rows:
         rep = min((p for p, _ in terms), key=lambda p: gate_index[p])

@@ -6,6 +6,11 @@ Everything here answers "is the optimiser right?" without reusing the
 optimiser's code paths: circuits are evaluated through the dense unitary
 oracle, stabiliser facts are read off the graph directly, and the brute
 force enumerates all in-place parsimonious maps.
+
+Circuits are evaluated at ``structured_samples`` through one helper,
+``sampled_unitaries``, which builds as many samples as fit in BLOCK_BYTES
+(at least one) per pass over the gates; a consumer that stops early skips
+the later blocks.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -46,6 +51,19 @@ def structured_samples(params: Sequence[str], n_random: int, seed: int = 0) -> L
     return samples
 
 
+# A block amortises each gate's Python overhead over its samples; 256 KB keeps
+# peak memory within a few percent of building one sample at a time.
+BLOCK_BYTES = 256 * 1024
+
+
+def sampled_unitaries(c: Circuit, samples: Sequence[Mapping[str, float]]) -> Iterator[np.ndarray]:
+    """The unitary of ``c`` at each sample, in order, computed a block of
+    samples at a time (as many as fit in BLOCK_BYTES, at least one)."""
+    block = max(1, BLOCK_BYTES // (16 * 4 ** c.n_qubits))
+    for start in range(0, len(samples), block):
+        yield from circuit_unitary(c, samples[start:start + block])
+
+
 def check_reduction(c1: Circuit, c2: Circuit, reduction: ReductionMap,
                     n_samples: int = 5, tol: float = 1e-9, seed: int = 0) -> ProportionalityReport:
     """Does ``c1[a]`` equal ``c2[P a + c]`` up to a per-sample scalar?
@@ -63,9 +81,9 @@ def check_reduction(c1: Circuit, c2: Circuit, reduction: ReductionMap,
     ratios: List[complex] = []
     deviations: List[float] = []
     holds = True
-    for sample in structured_samples(c1.params, n_samples, seed):
-        u1 = circuit_unitary(c1, sample)
-        u2 = circuit_unitary(c2, reduction.apply(sample))
+    samples = structured_samples(c1.params, n_samples, seed)
+    mapped = [reduction.apply(sample) for sample in samples]
+    for u1, u2 in zip(sampled_unitaries(c1, samples), sampled_unitaries(c2, mapped)):
         ok, lam, dev = proportionality_ratio(u1.reshape(-1), u2.reshape(-1), tol)
         ratios.append(lam)
         deviations.append(dev)
@@ -411,7 +429,7 @@ def brute_force_min(c: Circuit, tol: float = 1e-9, max_params: int = MAX_ORACLE_
         return BruteForceResult(0, ReductionMap((), (), (), ()))
 
     samples = structured_samples(params, n_samples, seed)
-    originals = [circuit_unitary(c, s) for s in samples]
+    originals = list(sampled_unitaries(c, samples))
 
     trivial = []
     base = originals[0]
@@ -423,8 +441,8 @@ def brute_force_min(c: Circuit, tol: float = 1e-9, max_params: int = MAX_ORACLE_
         logger.warning("parameters %s are trivial: {0,pi} evaluations are proportional", trivial)
 
     def candidate_passes(reduction: ReductionMap, candidate: Circuit) -> bool:
-        for sample, u1 in zip(samples, originals):
-            u2 = circuit_unitary(candidate, reduction.apply(sample))
+        mapped = [reduction.apply(sample) for sample in samples]
+        for u1, u2 in zip(originals, sampled_unitaries(candidate, mapped)):
             ok, _, _ = proportionality_ratio(u1.reshape(-1), u2.reshape(-1), tol)
             if not ok:
                 return False

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zxparam.circuits import (Circuit, Gate, GateKind, circuit_to_diagram, circuit_unitary,
-                              emit_circuit, flatten_unitary, parse_circuit)
-from zxparam.errors import CircuitSyntaxError, NonCliffordConstant, RepeatedParameter
+from zxparam.circuits import (MAX_UNITARY_QUBITS, Circuit, Gate, GateKind, circuit_to_diagram,
+                              circuit_unitary, emit_circuit, flatten_unitary, parse_circuit)
+from zxparam.errors import CircuitSyntaxError, NonCliffordConstant, RepeatedParameter, TooLarge
 from zxparam.generate import random_circuit
 from zxparam.tensor import proportionality_ratio, tensor_eval
 
@@ -113,3 +113,110 @@ def test_circuit_unitary_is_unitary():
     c = random_circuit(rng, 4, 15, 2)
     u = circuit_unitary(c, {p: 0.42 for p in c.params})
     assert np.allclose(u @ u.conj().T, np.eye(2 ** 4), atol=1e-12)
+
+
+# -- reference unitary builder: one tensordot per gate, one sample per call ---
+
+_H1 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+_X1 = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def _rz(angle):
+    return np.diag([1.0, np.exp(1j * angle)]).astype(complex)
+
+
+def _apply_1q(state, gate, q, n):
+    t = np.moveaxis(state.reshape((2,) * n + (-1,)), q, 0)
+    t = np.moveaxis(np.tensordot(gate, t, axes=(1, 0)), 0, q)
+    return t.reshape(state.shape)
+
+
+def _apply_cz(state, q1, q2, n):
+    t = state.reshape((2,) * n + (-1,)).copy()
+    idx = [slice(None)] * (n + 1)
+    idx[q1] = idx[q2] = 1
+    t[tuple(idx)] *= -1
+    return t.reshape(state.shape)
+
+
+def _apply_cx(state, control, target, n):
+    t = state.reshape((2,) * n + (-1,)).copy()
+    idx0 = [slice(None)] * (n + 1)
+    idx0[control] = 1
+    idx1 = list(idx0)
+    idx0[target], idx1[target] = 0, 1
+    tmp = t[tuple(idx0)].copy()
+    t[tuple(idx0)] = t[tuple(idx1)]
+    t[tuple(idx1)] = tmp
+    return t.reshape(state.shape)
+
+
+def reference_unitary(c, assignment):
+    n = c.n_qubits
+    angles = {GateKind.S: math.pi / 2, GateKind.SDG: -math.pi / 2, GateKind.Z: math.pi}
+    u = np.eye(2 ** n, dtype=complex)
+    for g in c.gates:
+        if g.kind is GateKind.H:
+            u = _apply_1q(u, _H1, g.qubits[0], n)
+        elif g.kind is GateKind.X:
+            u = _apply_1q(u, _X1, g.qubits[0], n)
+        elif g.kind in angles:
+            u = _apply_1q(u, _rz(angles[g.kind]), g.qubits[0], n)
+        elif g.kind is GateKind.RZ_CLIFFORD:
+            u = _apply_1q(u, _rz(g.k * math.pi / 2), g.qubits[0], n)
+        elif g.kind is GateKind.RZ_PARAM:
+            u = _apply_1q(u, _rz(assignment[g.param]), g.qubits[0], n)
+        elif g.kind is GateKind.CZ:
+            u = _apply_cz(u, g.qubits[0], g.qubits[1], n)
+        else:
+            u = _apply_cx(u, g.qubits[0], g.qubits[1], n)
+    return u
+
+
+def every_kind_circuit(rng, n, n_random):
+    """Every gate kind, two-qubit kinds in both qubit orders, then random gates."""
+    gates = []
+    for kind in GateKind:
+        if kind in (GateKind.CZ, GateKind.CX):
+            if n >= 2:
+                a, b = sorted(rng.sample(range(n), 2))
+                gates += [Gate(kind, (a, b)), Gate(kind, (b, a))]
+        else:
+            gates.append(Gate(kind, (rng.randrange(n),), k=rng.randrange(1, 4),
+                              param=f"p{len(gates)}" if kind is GateKind.RZ_PARAM else None))
+    one_qubit = [k for k in GateKind if k not in (GateKind.CZ, GateKind.CX)]
+    for _ in range(n_random):
+        if n >= 2 and rng.random() < 0.4:
+            gates.append(Gate(rng.choice([GateKind.CZ, GateKind.CX]), tuple(rng.sample(range(n), 2))))
+            continue
+        kind = rng.choice(one_qubit)
+        gates.append(Gate(kind, (rng.randrange(n),), k=rng.randrange(4),
+                          param=f"p{len(gates)}" if kind is GateKind.RZ_PARAM else None))
+    c = Circuit(n, gates)
+    c.validate()
+    return c
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_slice_kernels_match_tensordot_reference(n):
+    rng = Random(900 + n)
+    for _ in range(3):
+        c = every_kind_circuit(rng, n, 30)
+        samples = [{p: rng.uniform(0, 2 * math.pi) for p in c.params} for _ in range(3)]
+        samples[0] = {p: 0.0 for p in c.params}
+        stack = circuit_unitary(c, samples)
+        assert stack.shape == (3, 2 ** n, 2 ** n)
+        for sample, u in zip(samples, stack):
+            ref = reference_unitary(c, sample)
+            assert np.max(np.abs(u - ref)) <= 1e-12
+            assert np.max(np.abs(circuit_unitary(c, sample) - ref)) <= 1e-12
+
+
+def test_circuit_unitary_refuses_too_many_qubits():
+    assert MAX_UNITARY_QUBITS == 10
+    for n in (MAX_UNITARY_QUBITS + 1, 40):
+        c = Circuit(n, [Gate(GateKind.H, (0,))])
+        with pytest.raises(TooLarge):
+            circuit_unitary(c)
+        with pytest.raises(TooLarge):
+            circuit_unitary(c, [{}, {}])

@@ -171,6 +171,24 @@ def test_verify_names_first_failing_sample(tmp_path, capsys):
     assert deviations[:2] == [0.0, 0.0] and deviations[2] > 1e-9
 
 
+WIDE = "qreg 40\nh 0\nrz(t0) 0\ncx 0 39\nrz(t1) 39\n"
+
+
+def test_verify_too_many_qubits_exits_1(tmp_path, capsys):
+    src = write(tmp_path, "wide.zxc", WIDE)
+    identity = write(tmp_path, "id.json", ReductionMap.identity(["t0", "t1"]).to_text())
+    assert main(["verify", str(src), str(src), str(identity)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "40 qubits" in err
+
+
+def test_oracle_too_many_qubits_exits_1(tmp_path, capsys):
+    src = write(tmp_path, "wide.zxc", WIDE)
+    assert main(["oracle", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "40 qubits" in err
+
+
 def test_non_integer_env_seed_exits_1(tmp_path, monkeypatch, capsys):
     src = write(tmp_path, "in.zxc", FUSION)
     monkeypatch.setenv("ZXPARAM_SEED", "abc")

@@ -109,7 +109,7 @@ def test_phase_teleport_representative_is_earliest_gate():
     res = phase_teleport(c)
     assert len(res.circuit.params) == 1
     kept = [g for g in res.circuit.gates if g.kind is GateKind.RZ_PARAM]
-    assert res.circuit.gates.index(kept[0]) == c.param_gate_index("t0")
+    assert res.circuit.gates.index(kept[0]) == next(i for i, g in enumerate(c.gates) if g.param == "t0")
 
 
 def test_phase_teleport_idempotent_count():

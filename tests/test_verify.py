@@ -4,7 +4,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from zxparam.circuits import circuit_state_diagram, circuit_to_diagram, parse_circuit
+from zxparam.circuits import circuit_state_diagram, circuit_to_diagram, circuit_unitary, parse_circuit
 from zxparam.diagram import Diagram, EdgeKind, VKind
 from zxparam.errors import (DimensionMismatch, NotClifford, NotTerminalForm, TooManyParams,
                             ZeroState)
@@ -13,8 +13,8 @@ from zxparam.params import ParamExpr, Phase
 from zxparam.reduction import ReductionMap, phase_teleport
 from zxparam.rewrite import simplify
 from zxparam.tensor import proportionality_ratio, tensor_eval
-from zxparam.verify import (ap_form, brute_force_min, check_reduction, optimality_certificate,
-                            structured_samples, zz_certificate)
+from zxparam.verify import (BLOCK_BYTES, ap_form, brute_force_min, check_reduction,
+                            optimality_certificate, structured_samples, zz_certificate)
 
 FUSION = "qreg 1\nrz(t0) 0\nrz(t1) 0"
 
@@ -53,6 +53,27 @@ def test_check_reduction_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         check_reduction(c, parse_circuit("qreg 2\nrz(u0) 0"),
                         ReductionMap(("t0", "t1"), ("u0",), ((("t0", 1), ("t1", 1)),), (0,)))
+
+
+@pytest.mark.parametrize("n_qubits, per_block", [(7, 1), (6, 4)])
+def test_check_reduction_blocks_keep_sample_order(n_qubits, per_block):
+    # 7 qubits: one sample per block; 6 qubits: blocks of 4 with a partial last one
+    assert BLOCK_BYTES // (16 * 4 ** n_qubits) == per_block
+    c = random_circuit(Random(960 + n_qubits), n_qubits, 40, 6)
+    res = phase_teleport(c)
+    # a correct map, and one that shifts every parameter onto its neighbour's value
+    shifted = ReductionMap(tuple(c.params), tuple(c.params),
+                           tuple(((c.params[(i + 1) % 6], 1),) for i in range(6)), (0,) * 6)
+    for out, reduction in ((res.circuit, res.reduction), (c, shifted)):
+        report = check_reduction(c, out, reduction, n_samples=6)
+        samples = structured_samples(c.params, 6)
+        assert len(report.ratios) == len(report.deviations) == len(samples) == 13
+        for sample, lam, dev in zip(samples, report.ratios, report.deviations):
+            _, lam_ref, dev_ref = proportionality_ratio(
+                circuit_unitary(c, sample).reshape(-1),
+                circuit_unitary(out, reduction.apply(sample)).reshape(-1), 1e-9)
+            assert abs(lam - lam_ref) <= 1e-12 and abs(dev - dev_ref) <= 1e-12
+    assert not report.holds and report.deviations[0] == 0.0
 
 
 def test_ap_form_zero_ket():
