@@ -185,13 +185,14 @@ def emit_circuit(c: Circuit) -> str:
 # -- unitary oracle -----------------------------------------------------------
 
 MAX_UNITARY_QUBITS = 10  # one 10-qubit unitary is 16 MB
+MAX_PROBE_QUBITS = 16  # one 16-qubit probe state is 1 MB
 _QUARTER_TURNS = (1, 1j, -1, -1j)  # exp(i k pi/2), exact
 _SQRT_HALF = 1 / math.sqrt(2)
 _PHASE_K = {GateKind.S: 1, GateKind.SDG: 3, GateKind.Z: 2}
 
 
 def _halves(u: np.ndarray, q: int, control: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Views of the stack ``u`` (S, 2^n, 2^n) where output qubit ``q`` is 0
+    """Views of the stack ``u`` (S, 2^n, k) where output qubit ``q`` is 0
     and where it is 1, restricted to ``control`` = 1 if given (qubit 0 is
     the most significant bit)."""
     s = u.shape[0]
@@ -207,16 +208,27 @@ def _halves(u: np.ndarray, q: int, control: Optional[int] = None) -> Tuple[np.nd
     return v[:, :, 0], v[:, :, 1]
 
 
-def circuit_unitary(c: Circuit, assignment: Mapping[str, float] | Sequence[Mapping[str, float]] | None = None
-                    ) -> np.ndarray:
+def circuit_unitary(c: Circuit, assignment: Mapping[str, float] | Sequence[Mapping[str, float]] | None = None,
+                    states: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact 2^n x 2^n unitary of the circuit at one assignment (a mapping or
     None), or the (S, 2^n, 2^n) stack at a sequence of S assignments, built in
-    one pass over the gates that updates all S in place.  Qubit 0 is the most
-    significant bit; independent of the diagram machinery.  Raises TooLarge
-    above MAX_UNITARY_QUBITS qubits."""
+    one pass over the gates that updates all S in place.  Given ``states``, a
+    (2^n, k) array, the unitary is applied to its columns instead: the result
+    is (2^n, k), or (S, 2^n, k), at O(g 2^n k) rather than O(g 4^n).  Qubit 0
+    is the most significant bit; independent of the diagram machinery.
+    Raises TooLarge above MAX_UNITARY_QUBITS qubits, or MAX_PROBE_QUBITS with
+    ``states``."""
     n = c.n_qubits
-    if n > MAX_UNITARY_QUBITS:
-        raise TooLarge(f"{n} qubits exceeds the dense unitary limit {MAX_UNITARY_QUBITS}")
+    if states is None:
+        if n > MAX_UNITARY_QUBITS:
+            raise TooLarge(f"{n} qubits exceeds the dense unitary limit {MAX_UNITARY_QUBITS}")
+        columns = np.eye(2 ** n, dtype=complex)
+    else:
+        if n > MAX_PROBE_QUBITS:
+            raise TooLarge(f"{n} qubits exceeds the probe state limit {MAX_PROBE_QUBITS}")
+        columns = np.asarray(states, dtype=complex)
+        if columns.ndim != 2 or columns.shape[0] != 2 ** n:
+            raise ValueError(f"states of shape {columns.shape} do not have 2^{n} rows")
     single = assignment is None or isinstance(assignment, Mapping)
     assignments = [assignment or {}] if single else list(assignment)
     params = c.params
@@ -225,7 +237,7 @@ def circuit_unitary(c: Circuit, assignment: Mapping[str, float] | Sequence[Mappi
         raise KeyError(f"no value for parameters {sorted(missing)}")
     phases = {p: np.exp(1j * np.array([a[p] for a in assignments], dtype=float))[:, None, None]
               for p in params}
-    u = np.tile(np.eye(2 ** n, dtype=complex), (len(assignments), 1, 1))
+    u = np.tile(columns, (len(assignments), 1, 1))
     for g in c.gates:
         if g.kind in TWO_QUBIT:
             zero, one = _halves(u, g.qubits[1], control=g.qubits[0])

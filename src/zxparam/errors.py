@@ -31,9 +31,10 @@ class NotApplicable(ZXParamError):
 
 
 class TooLarge(ZXParamError):
-    """Exact dense evaluation refused: a diagram with too many open wires
-    for ``tensor_eval``, or a circuit with more than MAX_UNITARY_QUBITS
-    qubits for ``circuit_unitary``."""
+    """Exact evaluation refused: a diagram with too many open wires for
+    ``tensor_eval``, a circuit with more than MAX_UNITARY_QUBITS qubits for
+    the dense ``circuit_unitary``, or with more than MAX_PROBE_QUBITS qubits
+    for its probe states (``check_reduction``, ``brute_force_min``)."""
 
 
 class MissingAssignment(ZXParamError):

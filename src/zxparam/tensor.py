@@ -173,16 +173,30 @@ class ProportionalityReport:
         }
 
 
+# magnitudes within this relative distance of the largest count as tied with it
+TIE_RTOL = 1e-12
+
+
 def proportionality_ratio(t1: np.ndarray, t2: np.ndarray, tol: float) -> Tuple[bool, complex, float]:
-    """Is ``t1 = lam * t2`` for a nonzero ``lam``?  Returns (holds, lam, deviation)."""
+    """Is ``t1 = lam * t2`` for a nonzero ``lam``?  Returns (holds, lam, deviation).
+
+    ``lam`` is read at the first entry of ``t2`` whose magnitude is within
+    TIE_RTOL of the largest, so rounding noise between tied magnitudes does
+    not move it.  It is ``a conj(b) / |b|^2`` in real arithmetic, which is
+    exactly 1 (or -1, i, -i) when ``a = b`` (or ``-b``, ``ib``, ``-ib``);
+    numpy's complex division is not, and ``x / x`` would leave a deviation
+    of order 1e-17 between identical evaluations."""
+    mag2 = np.abs(t2)
     n1 = np.max(np.abs(t1))
-    n2 = np.max(np.abs(t2))
+    n2 = np.max(mag2)
     if n1 == 0 and n2 == 0:
         return True, 1.0 + 0j, 0.0
     if n1 == 0 or n2 == 0:
         return False, 0j, 1.0
-    idx = int(np.argmax(np.abs(t2)))
-    lam = t1[idx] / t2[idx]
+    idx = int(np.argmax(mag2 >= n2 * (1 - TIE_RTOL)))
+    a, b = complex(t1[idx]) / float(n2), complex(t2[idx]) / float(n2)  # |b| ~ 1: no underflow
+    norm = b.real * b.real + b.imag * b.imag
+    lam = complex((a.real * b.real + a.imag * b.imag) / norm, (a.imag * b.real - a.real * b.imag) / norm)
     if lam == 0:
         return False, lam, 1.0
     deviation = float(np.max(np.abs(t1 - lam * t2)) / max(n1, float(np.abs(lam)) * n2))

@@ -3,14 +3,16 @@ weight-two stabiliser certificate, the optimality certificate, and a
 brute-force minimal-parameter-count search.
 
 Everything here answers "is the optimiser right?" without reusing the
-optimiser's code paths: circuits are evaluated through the dense unitary
-oracle, stabiliser facts are read off the graph directly, and the brute
-force enumerates all in-place parsimonious maps.
+optimiser's code paths: circuits are evaluated by the gate-by-gate
+simulator ``circuit_unitary``, stabiliser facts are read off the graph
+directly, and the brute force enumerates all in-place parsimonious maps.
 
-Circuits are evaluated at ``structured_samples`` through one helper,
-``sampled_unitaries``, which builds as many samples as fit in BLOCK_BYTES
-(at least one) per pass over the gates; a consumer that stops early skips
-the later blocks.
+Circuits are compared at ``structured_samples`` on one seeded random input,
+``probe_state``, rather than as 2^n x 2^n matrices: the images of the probe
+are proportional exactly when the unitaries are, almost surely, and cost
+O(g 2^n) instead of O(g 4^n).  One helper, ``sampled_unitaries``, computes
+them for as many samples as fit in BLOCK_BYTES (at least one) per pass over
+the gates; a consumer that stops early skips the later blocks.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from typing import Dict, FrozenSet, Iterator, List, Mapping, Sequence, Set, Tupl
 
 import numpy as np
 
-from .circuits import Circuit, Gate, GateKind, circuit_unitary
+from .circuits import MAX_PROBE_QUBITS, Circuit, Gate, GateKind, circuit_unitary
 from .diagram import Diagram, EdgeKind, VKind, find_gadgets
-from .errors import (DimensionMismatch, NotClifford, NotTerminalForm, TooManyParams, ZeroState)
+from .errors import (DimensionMismatch, NotClifford, NotTerminalForm, TooLarge, TooManyParams, ZeroState)
 
 from .reduction import ReductionMap
 from .rewrite import AP_FORM_STAGES, Rewriter
@@ -51,17 +53,33 @@ def structured_samples(params: Sequence[str], n_random: int, seed: int = 0) -> L
     return samples
 
 
+def probe_state(n_qubits: int, seed: int = 0) -> np.ndarray:
+    """The (2^n, 1) complex Gaussian input that circuits are applied to.
+
+    If ``U1 v = lam U2 v`` for a generic ``v``, then ``v`` lies in an
+    eigenspace of ``U2^dag U1``, which has probability 0 unless
+    ``U2^dag U1 = lam I``; so one probe decides proportionality almost
+    surely.  Its generator is keyed by the seed and the width, apart from
+    the stream of ``structured_samples``."""
+    if n_qubits > MAX_PROBE_QUBITS:
+        raise TooLarge(f"{n_qubits} qubits exceeds the probe state limit {MAX_PROBE_QUBITS}")
+    rng = np.random.default_rng([seed, n_qubits])
+    return rng.standard_normal((2 ** n_qubits, 2)).view(complex)
+
+
 # A block amortises each gate's Python overhead over its samples; 256 KB keeps
-# peak memory within a few percent of building one sample at a time.
+# peak memory within a few percent of evaluating one sample at a time.
 BLOCK_BYTES = 256 * 1024
 
 
-def sampled_unitaries(c: Circuit, samples: Sequence[Mapping[str, float]]) -> Iterator[np.ndarray]:
-    """The unitary of ``c`` at each sample, in order, computed a block of
-    samples at a time (as many as fit in BLOCK_BYTES, at least one)."""
-    block = max(1, BLOCK_BYTES // (16 * 4 ** c.n_qubits))
+def sampled_unitaries(c: Circuit, samples: Sequence[Mapping[str, float]], probe: np.ndarray
+                      ) -> Iterator[np.ndarray]:
+    """The image of ``probe`` under the unitary of ``c`` at each sample, in
+    order, computed a block of samples at a time (as many as fit in
+    BLOCK_BYTES, at least one)."""
+    block = max(1, BLOCK_BYTES // (16 * probe.size))
     for start in range(0, len(samples), block):
-        yield from circuit_unitary(c, samples[start:start + block])
+        yield from circuit_unitary(c, samples[start:start + block], states=probe)
 
 
 def check_reduction(c1: Circuit, c2: Circuit, reduction: ReductionMap,
@@ -69,8 +87,9 @@ def check_reduction(c1: Circuit, c2: Circuit, reduction: ReductionMap,
     """Does ``c1[a]`` equal ``c2[P a + c]`` up to a per-sample scalar?
 
     ``n_samples`` counts the uniform-random vectors added on top of the
-    structured {0, pi} set.  The scalar may vary between samples; each
-    sample's ratio must be a single nonzero constant across all amplitudes.
+    structured {0, pi} set.  The scalar may vary between samples; at each
+    sample the two circuits' images of the seeded probe state must differ
+    by a single nonzero constant across all amplitudes.
     """
     if c1.n_qubits != c2.n_qubits:
         raise DimensionMismatch(f"qubit counts differ: {c1.n_qubits} vs {c2.n_qubits}")
@@ -83,8 +102,9 @@ def check_reduction(c1: Circuit, c2: Circuit, reduction: ReductionMap,
     holds = True
     samples = structured_samples(c1.params, n_samples, seed)
     mapped = [reduction.apply(sample) for sample in samples]
-    for u1, u2 in zip(sampled_unitaries(c1, samples), sampled_unitaries(c2, mapped)):
-        ok, lam, dev = proportionality_ratio(u1.reshape(-1), u2.reshape(-1), tol)
+    probe = probe_state(c1.n_qubits, seed)
+    for v1, v2 in zip(sampled_unitaries(c1, samples, probe), sampled_unitaries(c2, mapped, probe)):
+        ok, lam, dev = proportionality_ratio(v1.reshape(-1), v2.reshape(-1), tol)
         ratios.append(lam)
         deviations.append(dev)
         holds = holds and ok
@@ -429,7 +449,8 @@ def brute_force_min(c: Circuit, tol: float = 1e-9, max_params: int = MAX_ORACLE_
         return BruteForceResult(0, ReductionMap((), (), (), ()))
 
     samples = structured_samples(params, n_samples, seed)
-    originals = list(sampled_unitaries(c, samples))
+    probe = probe_state(c.n_qubits, seed)
+    originals = list(sampled_unitaries(c, samples, probe))
 
     trivial = []
     base = originals[0]
@@ -442,8 +463,8 @@ def brute_force_min(c: Circuit, tol: float = 1e-9, max_params: int = MAX_ORACLE_
 
     def candidate_passes(reduction: ReductionMap, candidate: Circuit) -> bool:
         mapped = [reduction.apply(sample) for sample in samples]
-        for u1, u2 in zip(originals, sampled_unitaries(candidate, mapped)):
-            ok, _, _ = proportionality_ratio(u1.reshape(-1), u2.reshape(-1), tol)
+        for v1, v2 in zip(originals, sampled_unitaries(candidate, mapped, probe)):
+            ok, _, _ = proportionality_ratio(v1.reshape(-1), v2.reshape(-1), tol)
             if not ok:
                 return False
         return True

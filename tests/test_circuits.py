@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zxparam.circuits import (MAX_UNITARY_QUBITS, Circuit, Gate, GateKind, circuit_to_diagram,
+from zxparam.circuits import (MAX_PROBE_QUBITS, MAX_UNITARY_QUBITS, Circuit, Gate, GateKind, circuit_to_diagram,
                               circuit_unitary, emit_circuit, flatten_unitary, parse_circuit)
 from zxparam.errors import CircuitSyntaxError, NonCliffordConstant, RepeatedParameter, TooLarge
 from zxparam.generate import random_circuit
@@ -220,3 +220,33 @@ def test_circuit_unitary_refuses_too_many_qubits():
             circuit_unitary(c)
         with pytest.raises(TooLarge):
             circuit_unitary(c, [{}, {}])
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_circuit_unitary_on_states_applies_the_unitary(n):
+    rng = Random(930 + n)
+    c = every_kind_circuit(rng, n, 30)
+    samples = [{p: rng.uniform(0, 2 * math.pi) for p in c.params} for _ in range(3)]
+    states = np.random.default_rng(n).standard_normal((2 ** n, 4)) + 0j
+    stack = circuit_unitary(c, samples, states=states)
+    assert stack.shape == (3, 2 ** n, 4)
+    for sample, image in zip(samples, stack):
+        dense = circuit_unitary(c, sample)
+        assert np.max(np.abs(image - dense @ states)) <= 1e-12
+        assert np.max(np.abs(circuit_unitary(c, sample, states=states[:, :1]) - dense @ states[:, :1])) <= 1e-12
+    with pytest.raises(ValueError):
+        circuit_unitary(c, samples, states=states[1:])
+
+
+def test_circuit_unitary_on_states_refuses_too_many_qubits():
+    assert MAX_PROBE_QUBITS == 16
+    wide = Circuit(MAX_PROBE_QUBITS, [Gate(GateKind.H, (0,)), Gate(GateKind.CX, (0, MAX_PROBE_QUBITS - 1))])
+    state = np.zeros((2 ** MAX_PROBE_QUBITS, 1), dtype=complex)
+    state[0] = 1
+    image = circuit_unitary(wide, states=state).reshape(-1)
+    # (|0> + |1>) |0...0> / sqrt 2, then qubit 0 copied onto the last qubit
+    assert np.flatnonzero(image).tolist() == [0, 2 ** (MAX_PROBE_QUBITS - 1) + 1]
+    assert image[0] == image[2 ** (MAX_PROBE_QUBITS - 1) + 1] == pytest.approx(math.sqrt(0.5))
+    for n in (MAX_PROBE_QUBITS + 1, 40):
+        with pytest.raises(TooLarge):
+            circuit_unitary(Circuit(n, [Gate(GateKind.H, (0,))]), states=np.ones((1, 1)))

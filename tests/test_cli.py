@@ -1,11 +1,13 @@
 import json
+from random import Random
 
 import pytest
 
 import zxparam.circuits
-from zxparam.circuits import parse_circuit
+from zxparam.circuits import emit_circuit, parse_circuit
 from zxparam.cli import main
 from zxparam.diagram import NKind, SpiderNetwork
+from zxparam.generate import random_circuit
 from zxparam.reduction import ReductionMap
 from zxparam.rewrite import Rewriter
 
@@ -171,22 +173,33 @@ def test_verify_names_first_failing_sample(tmp_path, capsys):
     assert deviations[:2] == [0.0, 0.0] and deviations[2] > 1e-9
 
 
-WIDE = "qreg 40\nh 0\nrz(t0) 0\ncx 0 39\nrz(t1) 39\n"
+def wide(n):
+    return f"qreg {n}\nh 0\nrz(t0) 0\ncx 0 {n - 1}\nrz(t1) {n - 1}\n"
 
 
 def test_verify_too_many_qubits_exits_1(tmp_path, capsys):
-    src = write(tmp_path, "wide.zxc", WIDE)
     identity = write(tmp_path, "id.json", ReductionMap.identity(["t0", "t1"]).to_text())
-    assert main(["verify", str(src), str(src), str(identity)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "40 qubits" in err
+    for n in (40, 17):  # the probe state limit is 16 qubits
+        src = write(tmp_path, "wide.zxc", wide(n))
+        assert main(["verify", str(src), str(src), str(identity)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{n} qubits" in err
 
 
 def test_oracle_too_many_qubits_exits_1(tmp_path, capsys):
-    src = write(tmp_path, "wide.zxc", WIDE)
-    assert main(["oracle", str(src)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "40 qubits" in err
+    for n in (40, 17):
+        src = write(tmp_path, "wide.zxc", wide(n))
+        assert main(["oracle", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{n} qubits" in err
+
+
+def test_verify_past_the_dense_limit(tmp_path, capsys):
+    # 12 qubits: a dense unitary check was refused, the probe check takes well under a second
+    code, src, out, report = run_optimize(tmp_path, emit_circuit(random_circuit(Random(12), 12, 300, 60)))
+    assert code == 0
+    assert main(["verify", str(src), str(out), str(report)]) == 0
+    assert "verify: OK (66 samples" in capsys.readouterr().out
 
 
 def test_non_integer_env_seed_exits_1(tmp_path, monkeypatch, capsys):

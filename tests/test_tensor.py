@@ -71,6 +71,24 @@ def test_check_proportional_rejects_orthogonal_relative_phase():
     assert not check_proportional(t1, t2).holds
 
 
+def test_reference_amplitude_ignores_one_ulp_ties():
+    # |t2| peaks at index 1 by one ulp only: the first near-maximal entry, index 0, is used
+    t2 = np.array([1.0, np.nextafter(1.0, 2.0), 0.5])
+    assert int(np.argmax(np.abs(t2))) == 1
+    ok, lam, dev = proportionality_ratio(np.array([2.0, 3.0, 1.0]), t2, 1e-9)
+    assert lam == 2.0 and not ok and dev > 0.1
+    ok, lam, dev = proportionality_ratio(np.array([0.5, 0.25, 0.0]), np.array([0.25, 1.0, 0.0]), 1e-9)
+    assert lam == 0.25 and not ok  # a clear maximum is still the reference
+
+
+def test_identical_and_negated_tensors_have_exact_ratios():
+    rng = np.random.default_rng(3)
+    t = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    for scalar in (1, -1, 1j, -1j):
+        ok, lam, dev = proportionality_ratio(scalar * t, t, 1e-9)
+        assert ok and lam == scalar and dev == 0.0
+
+
 def test_check_proportional_shape_mismatch():
     t1 = TensorState(np.array([1.0, 2.0]), (0,))
     t2 = TensorState(np.array([1.0, 2.0, 3.0, 4.0]), (0, 1))

@@ -1,12 +1,14 @@
 import math
+from collections import Counter
 from random import Random
 
 import numpy as np
 import pytest
 
-from zxparam.circuits import circuit_state_diagram, circuit_to_diagram, circuit_unitary, parse_circuit
+import zxparam.verify
+from zxparam.circuits import MAX_PROBE_QUBITS, circuit_state_diagram, circuit_to_diagram, circuit_unitary, parse_circuit
 from zxparam.diagram import Diagram, EdgeKind, VKind
-from zxparam.errors import (DimensionMismatch, NotClifford, NotTerminalForm, TooManyParams,
+from zxparam.errors import (DimensionMismatch, NotClifford, NotTerminalForm, TooLarge, TooManyParams,
                             ZeroState)
 from zxparam.generate import attach_gadget, random_circuit
 from zxparam.params import ParamExpr, Phase
@@ -14,7 +16,7 @@ from zxparam.reduction import ReductionMap, phase_teleport
 from zxparam.rewrite import simplify
 from zxparam.tensor import proportionality_ratio, tensor_eval
 from zxparam.verify import (BLOCK_BYTES, ap_form, brute_force_min, check_reduction,
-                            optimality_certificate, structured_samples, zz_certificate)
+                            optimality_certificate, probe_state, structured_samples, zz_certificate)
 
 FUSION = "qreg 1\nrz(t0) 0\nrz(t1) 0"
 
@@ -55,12 +57,13 @@ def test_check_reduction_dimension_mismatch():
                         ReductionMap(("t0", "t1"), ("u0",), ((("t0", 1), ("t1", 1)),), (0,)))
 
 
-@pytest.mark.parametrize("n_qubits, per_block", [(7, 1), (6, 4)])
+@pytest.mark.parametrize("n_qubits, per_block", [(14, 1), (12, 4)])
 def test_check_reduction_blocks_keep_sample_order(n_qubits, per_block):
-    # 7 qubits: one sample per block; 6 qubits: blocks of 4 with a partial last one
-    assert BLOCK_BYTES // (16 * 4 ** n_qubits) == per_block
+    # 14 qubits: one sample per block; 12 qubits: blocks of 4 with a partial last one
+    assert BLOCK_BYTES // (16 * 2 ** n_qubits) == per_block
     c = random_circuit(Random(960 + n_qubits), n_qubits, 40, 6)
     res = phase_teleport(c)
+    probe = probe_state(n_qubits)
     # a correct map, and one that shifts every parameter onto its neighbour's value
     shifted = ReductionMap(tuple(c.params), tuple(c.params),
                            tuple(((c.params[(i + 1) % 6], 1),) for i in range(6)), (0,) * 6)
@@ -70,10 +73,96 @@ def test_check_reduction_blocks_keep_sample_order(n_qubits, per_block):
         assert len(report.ratios) == len(report.deviations) == len(samples) == 13
         for sample, lam, dev in zip(samples, report.ratios, report.deviations):
             _, lam_ref, dev_ref = proportionality_ratio(
-                circuit_unitary(c, sample).reshape(-1),
-                circuit_unitary(out, reduction.apply(sample)).reshape(-1), 1e-9)
+                circuit_unitary(c, sample, states=probe).reshape(-1),
+                circuit_unitary(out, reduction.apply(sample), states=probe).reshape(-1), 1e-9)
             assert abs(lam - lam_ref) <= 1e-12 and abs(dev - dev_ref) <= 1e-12
     assert not report.holds and report.deviations[0] == 0.0
+
+
+def wrong_maps(c, res):
+    """Maps for ``c`` that are wrong in general, each with its output
+    circuit: a sign flip, a term moved to another row, parameters shifted."""
+    rows = [list(terms) for terms in res.reduction.rows]
+    names, consts = res.reduction.new_param_names, res.reduction.constants
+
+    def variant(kind, new_rows):
+        return kind, res.circuit, ReductionMap(tuple(c.params), names, tuple(map(tuple, new_rows)), consts)
+
+    maps = []
+    wide = [i for i, terms in enumerate(rows) if len(terms) > 1]
+    if wide:
+        i = wide[0]
+        flipped = [list(terms) for terms in rows]
+        p, sign = flipped[i][-1]
+        flipped[i][-1] = (p, -sign)
+        maps.append(variant("flipped", flipped))
+        if len(rows) > 1:
+            moved = [list(terms) for terms in rows]
+            moved[(i + 1) % len(rows)].append(moved[i].pop())
+            maps.append(variant("misfused", moved))
+    k = len(c.params)
+    if k > 1:
+        maps.append(("shifted", c, ReductionMap(tuple(c.params), tuple(c.params),
+                                                tuple(((c.params[(i + 1) % k], 1),) for i in range(k)),
+                                                (0,) * k)))
+    return maps
+
+
+def test_probe_verdicts_match_dense_oracle():
+    kinds, verdicts = Counter(), Counter()
+    for i in range(40):
+        n = 2 + i % 5
+        c = random_circuit(Random(1300 + i), n, 24, 6)
+        res = phase_teleport(c)
+        for kind, out, reduction in [("correct", res.circuit, res.reduction)] + wrong_maps(c, res):
+            kinds[kind] += 1
+            report = check_reduction(c, out, reduction, n_samples=3, seed=i)
+            samples = structured_samples(c.params, 3, i)
+            oks = []
+            for sample, lam, dev in zip(samples, report.ratios, report.deviations):
+                ok, lam_dense, _ = proportionality_ratio(
+                    circuit_unitary(c, sample).reshape(-1),
+                    circuit_unitary(out, reduction.apply(sample)).reshape(-1), 1e-9)
+                assert (dev <= 1e-9) == ok, (i, kind)
+                if ok:
+                    assert abs(lam - lam_dense) <= 1e-12, (i, kind)
+                oks.append(ok)
+            assert report.holds == all(oks), (i, kind)
+            verdicts[kind, report.holds] += 1
+    assert kinds["flipped"] >= 10 and kinds["misfused"] >= 5 and kinds["shifted"] >= 10
+    assert verdicts["correct", True] == 40
+    assert all(verdicts[kind, False] >= 5 for kind in ("flipped", "misfused", "shifted"))
+
+
+ORACLE_INSTANCES = [FUSION, "qreg 1\nrz(t0) 0\nh 0\nrz(t1) 0", "qreg 1\nrz(t0) 0\nx 0\nrz(t1) 0\nx 0",
+                    "qreg 2\nh 0\ncx 0 1"]
+
+
+def test_brute_force_probe_matches_dense_oracle(monkeypatch):
+    # with the identity as the probe, every sample is the dense unitary
+    circuits = [parse_circuit(src) for src in ORACLE_INSTANCES]
+    rng = Random(81)
+    for i in range(15):
+        circuits.append(random_circuit(Random(i + 250), rng.randint(2, 5), rng.randint(4, 16), rng.randint(1, 4)))
+    probed = [brute_force_min(c) for c in circuits]
+    monkeypatch.setattr(zxparam.verify, "probe_state", lambda n, seed=0: np.eye(2 ** n, dtype=complex))
+    dense = [brute_force_min(c) for c in circuits]
+    assert probed == dense
+    assert [r.count for r in probed][:4] == [1, 2, 1, 0]
+
+
+def test_probe_state_is_seeded_and_bounded():
+    probe = probe_state(3, 5)
+    assert probe.shape == (8, 1) and probe.dtype == complex
+    assert np.array_equal(probe, probe_state(3, 5))
+    assert not np.allclose(probe, probe_state(3, 6))
+    assert not np.allclose(probe_state(4, 5)[:8], probe)
+    # the sample points still come from default_rng(seed) alone
+    assert structured_samples(["a"], 2, 5)[2]["a"] == np.random.default_rng(5).uniform(0, 2 * math.pi)
+    assert probe_state(MAX_PROBE_QUBITS).shape == (2 ** MAX_PROBE_QUBITS, 1)
+    for n in (MAX_PROBE_QUBITS + 1, 40):
+        with pytest.raises(TooLarge):
+            probe_state(n)
 
 
 def test_ap_form_zero_ket():
