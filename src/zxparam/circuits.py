@@ -66,13 +66,17 @@ class Circuit:
         return list(dict.fromkeys(g.param for g in self.gates if g.kind is GateKind.RZ_PARAM))
 
     def validate(self) -> None:
+        n, rz_param = self.n_qubits, GateKind.RZ_PARAM
         seen = set()
         for g in self.gates:
-            if any(q < 0 or q >= self.n_qubits for q in g.qubits):
-                raise ValueError(f"qubit index out of range in {g}")
-            if g.kind in TWO_QUBIT and g.qubits[0] == g.qubits[1]:
+            qubits = g.qubits
+            for q in qubits:
+                if not 0 <= q < n:
+                    raise ValueError(f"qubit index out of range in {g}")
+            # Gate admits two qubits exactly for the TWO_QUBIT kinds
+            if len(qubits) == 2 and qubits[0] == qubits[1]:
                 raise ValueError(f"two-qubit gate on a single qubit: {g}")
-            if g.kind is GateKind.RZ_PARAM:
+            if g.kind is rz_param:
                 if g.param in seen:
                     raise RepeatedParameter(f"parameter {g.param!r} used on two gates")
                 seen.add(g.param)

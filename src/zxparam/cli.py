@@ -1,7 +1,8 @@
 """Batch command line: optimize, verify and oracle subcommands.
 
-Exit codes: 0 success, 1 parse/usage errors (including oracle refusals),
-2 internal invariant violation, 3 verification failure, 4 the brute-force
+Exit codes: 0 success, 1 parse/usage errors (including oracle refusals, a
+bad seed or tolerance, and files that cannot be read or written), 2 internal
+invariant violation, 3 verification failure, 4 the brute-force
 oracle beat the optimiser (impossible unless the optimiser is buggy).
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -43,27 +45,45 @@ class RunConfig:
     emit_report: bool = True
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.samples < 2:
             raise ValueError("samples must be at least 2")
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name, suffix=".tmp")
+class FileAccessError(Exception):
+    """An input file that cannot be read as text, or an output file that
+    cannot be written; the command exits 1 with one line naming the path."""
+
+
+def _read(path: Path) -> str:
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise FileAccessError(f"{path}: cannot read: {reason}") from exc
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    try:
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise FileAccessError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 
 
 def _optimize_one(cfg: RunConfig, path: Path) -> int:
     try:
-        circuit = parse_circuit(path.read_text())
+        circuit = parse_circuit(_read(path))
     except ZXParamError as exc:
         print(f"{path}: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -87,7 +107,13 @@ def _optimize_one(cfg: RunConfig, path: Path) -> int:
 
 
 def cmd_optimize(cfg: RunConfig) -> int:
-    codes = [_optimize_one(cfg, path) for path in cfg.inputs]
+    codes = []
+    for path in cfg.inputs:
+        try:
+            codes.append(_optimize_one(cfg, path))
+        except FileAccessError as exc:
+            print(f"optimize: {exc}", file=sys.stderr)
+            codes.append(EXIT_USAGE)
     return max(codes) if codes else EXIT_USAGE
 
 
@@ -97,9 +123,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         return EXIT_USAGE
     original_path, optimised_path, map_path = cfg.inputs
     try:
-        original = parse_circuit(original_path.read_text())
-        optimised = parse_circuit(optimised_path.read_text())
-        reduction = ReductionMap.from_text(map_path.read_text())
+        original = parse_circuit(_read(original_path))
+        optimised = parse_circuit(_read(optimised_path))
+        reduction = ReductionMap.from_text(_read(map_path))
     except (ZXParamError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"verify: cannot load inputs: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -146,7 +172,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
         return EXIT_USAGE
     path = cfg.inputs[0]
     try:
-        circuit = parse_circuit(path.read_text())
+        circuit = parse_circuit(_read(path))
     except ZXParamError as exc:
         print(f"{path}: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -225,7 +251,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
     handlers = {"optimize": cmd_optimize, "verify": cmd_verify, "oracle": cmd_oracle}
-    return handlers[cfg.command](cfg)
+    try:
+        return handlers[cfg.command](cfg)
+    except FileAccessError as exc:
+        print(f"{cfg.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

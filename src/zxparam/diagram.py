@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .errors import ConversionError, RepeatedParameter
 from .params import ParamExpr, Phase
@@ -65,7 +65,7 @@ class Diagram:
         self._vertices[v] = Vertex(VKind.SPIDER, phase)
         self._adj[v] = {}
         self._boundary_count[v] = 0
-        for name in phase.param_ids:
+        for name, _ in phase.terms:
             self._register(name, v)
         return v
 
@@ -155,11 +155,11 @@ class Diagram:
 
     def set_phase(self, v: int, phase: Phase) -> None:
         old = self._vertices[v].phase
-        for name in old.param_ids:
+        for name, _ in old.terms:
             if self.param_registry.get(name) == v:
                 del self.param_registry[name]
         self._vertices[v].phase = phase
-        for name in phase.param_ids:
+        for name, _ in phase.terms:
             self._register(name, v)
 
     def add_to_phase(self, v: int, k: int) -> None:
@@ -176,17 +176,25 @@ class Diagram:
         if self._vertices[a].kind is not VKind.SPIDER:
             self._boundary_count[b] -= 1
 
-    def toggle_hadamard(self, a: int, b: int) -> None:
-        """Complement the Hadamard edge between two spiders."""
-        if b in self._adj[a]:
-            self.remove_edge(a, b)
-        else:
-            self.add_edge(a, b, EdgeKind.HADAMARD)
+    def complement(self, a: int, others: Iterable[int]) -> None:
+        """Toggle the Hadamard edge between spider ``a`` and each spider of
+        ``others``, in order.  Edges between two spiders never change a
+        boundary-neighbour count, so only the adjacency maps are updated."""
+        adj = self._adj
+        adj_a = adj[a]
+        hadamard = EdgeKind.HADAMARD
+        for b in others:
+            if b in adj_a:
+                del adj_a[b]
+                del adj[b][a]
+            else:
+                adj_a[b] = hadamard
+                adj[b][a] = hadamard
 
     def remove_vertex(self, v: int) -> None:
         for n in list(self._adj[v]):
             self.remove_edge(v, n)
-        for name in self._vertices[v].phase.param_ids:
+        for name, _ in self._vertices[v].phase.terms:
             if self.param_registry.get(name) == v:
                 del self.param_registry[name]
         del self._adj[v]
@@ -287,32 +295,41 @@ class ValidationReport:
 def validate(d: Diagram) -> ValidationReport:
     """Report every violated graph-like invariant; empty report iff well-formed."""
     report = ValidationReport()
-    for a, b, kind in d.edges():
-        va, vb = d.vertex(a), d.vertex(b)
-        if not va.is_boundary and not vb.is_boundary and kind is not EdgeKind.HADAMARD:
-            report.add(f"plain spider-spider edge {a}-{b}")
-    for v in d.vertices():
-        data = d.vertex(v)
-        if v in d._adj.get(v, {}):
-            report.add(f"self-loop at vertex {v}")
-        if data.is_boundary:
-            if d.degree(v) != 1:
-                report.add(f"boundary node {v} has degree {d.degree(v)}")
-            if not data.phase.is_zero():
-                report.add(f"boundary node {v} carries a phase")
-        count = sum(1 for n in d._adj[v] if d.vertex(n).is_boundary)
-        if d._boundary_count.get(v) != count:
-            report.add(f"vertex {v} has {count} boundary neighbours, recorded {d._boundary_count.get(v)}")
+    vertices, adj, boundary_count = d._vertices, d._adj, d._boundary_count
+    spider, hadamard = VKind.SPIDER, EdgeKind.HADAMARD
+    for a, nbrs in adj.items():
+        if vertices[a].kind is spider:
+            for b, kind in nbrs.items():
+                if kind is not hadamard and a < b and vertices[b].kind is spider:
+                    report.add(f"plain spider-spider edge {a}-{b}")
     seen: Dict[str, int] = {}
-    for v in d.spiders():
-        for name in d.phase(v).param_ids:
-            if name in seen:
-                report.add(f"parameter {name!r} on spiders {seen[name]} and {v}")
-            seen[name] = v
+    repeated: List[str] = []
+    for v, data in vertices.items():
+        nbrs = adj[v]
+        if v in nbrs:
+            report.add(f"self-loop at vertex {v}")
+        if data.kind is spider:
+            for name, _ in data.phase.terms:
+                if name in seen:
+                    repeated.append(f"parameter {name!r} on spiders {seen[name]} and {v}")
+                seen[name] = v
+        else:
+            if len(nbrs) != 1:
+                report.add(f"boundary node {v} has degree {len(nbrs)}")
+            if data.phase.terms or data.phase.clifford:
+                report.add(f"boundary node {v} carries a phase")
+        count = 0
+        for n in nbrs:
+            if vertices[n].kind is not spider:
+                count += 1
+        if boundary_count.get(v) != count:
+            report.add(f"vertex {v} has {count} boundary neighbours, recorded {boundary_count.get(v)}")
+    report.violations.extend(repeated)
+    registry = d.param_registry
     for name, v in seen.items():
-        if d.param_registry.get(name) != v:
-            report.add(f"registry maps {name!r} to {d.param_registry.get(name)}, spider is {v}")
-    for name in d.param_registry:
+        if registry.get(name) != v:
+            report.add(f"registry maps {name!r} to {registry.get(name)}, spider is {v}")
+    for name in registry:
         if name not in seen:
             report.add(f"registry entry {name!r} has no owning spider")
     return report
@@ -437,7 +454,11 @@ def to_graph_like(raw: SpiderNetwork) -> Diagram:
     for v in parent:
         root = find(v)
         if root != v:
-            phases[root] = phases[root].add_expr(phases[v].expr)
+            ph = phases[v]
+            if ph.terms:
+                phases[root] = phases[root].add_expr(ph.expr)
+            else:
+                phases[root] = phases[root].add_clifford(ph.clifford)
 
     # Resolve wires between classes: a Hadamard self-loop adds pi, a plain
     # self-loop or a repeated plain wire vanishes, Hadamard wires between the

@@ -101,7 +101,10 @@ class Phase:
 
     @staticmethod
     def from_expr(expr: ParamExpr) -> "Phase":
-        return Phase(expr.clifford_const, expr.terms)
+        # a ParamExpr is normalised already: sorted terms, constant mod 4
+        if not expr.terms:
+            return CLIFFORD_PHASES[expr.clifford_const]
+        return _normalised(expr.clifford_const, expr.terms)
 
     @property
     def param(self) -> ParamExpr | None:
@@ -131,9 +134,13 @@ class Phase:
         return dict(self.terms)
 
     def add_clifford(self, k: int) -> "Phase":
-        return Phase(self.clifford + k, self.terms)
+        if not self.terms:
+            return CLIFFORD_PHASES[(self.clifford + k) % 4]
+        return _normalised((self.clifford + k) % 4, self.terms)
 
     def add_expr(self, expr: ParamExpr) -> "Phase":
+        if not expr.terms:
+            return self.add_clifford(expr.clifford_const)
         return Phase.from_expr(self.expr + expr)
 
     def negated(self) -> "Phase":
@@ -144,3 +151,15 @@ class Phase:
 
     def __str__(self) -> str:
         return str(self.expr)
+
+
+def _normalised(clifford: int, terms: Tuple[Tuple[str, int], ...]) -> Phase:
+    """A Phase from a Clifford part in 0..3 and terms that are sorted by
+    name already, without normalising them again."""
+    phase = object.__new__(Phase)
+    phase.__dict__.update(clifford=clifford, terms=terms)
+    return phase
+
+
+# The four Clifford-only phases; the fast paths above return these.
+CLIFFORD_PHASES = tuple(Phase(k) for k in range(4))

@@ -12,7 +12,6 @@ parameters that vanish with a boundary-free component.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
@@ -83,13 +82,20 @@ def local_complement_simp(d: Diagram, v: int) -> RewriteEvent:
     ph = d.phase(v)
     _require(ph.is_clifford() and ph.clifford in (1, 3), f"spider {v} phase is not +-pi/2")
     _require(d.is_internal(v), f"spider {v} is boundary-adjacent")
+    return RewriteEvent(Rule.LOCAL_COMP, removed=(v,), touched=_complement_out(d, v))
+
+
+def _complement_out(d: Diagram, v: int) -> Tuple[int, ...]:
+    """Remove the +-pi/2 spider ``v``: shift each neighbour's phase by the
+    opposite quarter turn and complement the neighbourhood.  Returns the
+    former neighbours, sorted."""
+    k = d.phase(v).clifford
     nbrs = sorted(d.neighbors(v))
     d.remove_vertex(v)
-    for a in nbrs:
-        d.add_to_phase(a, -ph.clifford)
-    for a, b in itertools.combinations(nbrs, 2):
-        d.toggle_hadamard(a, b)
-    return RewriteEvent(Rule.LOCAL_COMP, removed=(v,), touched=tuple(nbrs))
+    for i, a in enumerate(nbrs):
+        d.add_to_phase(a, -k)
+        d.complement(a, nbrs[i + 1:])
+    return tuple(nbrs)
 
 
 # -- pivot family -------------------------------------------------------------
@@ -105,11 +111,11 @@ def _pivot_core(d: Diagram, u: int, v: int) -> Tuple[int, ...]:
     only_v = nv - common
     d.remove_vertex(u)
     d.remove_vertex(v)
-    for a, b in itertools.chain(
-            itertools.product(only_u, only_v),
-            itertools.product(only_u, common),
-            itertools.product(only_v, common)):
-        d.toggle_hadamard(a, b)
+    for a in only_u:
+        d.complement(a, only_v)
+        d.complement(a, common)
+    for a in only_v:
+        d.complement(a, common)
     for w in only_u:
         d.add_to_phase(w, pv)
     for w in only_v:
@@ -295,16 +301,8 @@ def _boundary_cleanup(d: Diagram, b: int) -> RewriteEvent:
     """Normalise a non-parametrised boundary spider with a Hadamard wire and
     an odd phase: buffer its wires and remove it by local complementation,
     leaving only S^k, H or Z.H decorations."""
-    added = _buffer_boundary_wires(d, b)
-    ph = d.phase(b)
-    nbrs = sorted(d.neighbors(b))
-    d.remove_vertex(b)
-    for a in nbrs:
-        d.add_to_phase(a, -ph.clifford)
-    for a, c in itertools.combinations(nbrs, 2):
-        d.toggle_hadamard(a, c)
-    return RewriteEvent(Rule.LOCAL_COMP, removed=(b,),
-                        touched=tuple(sorted(set(nbrs) | set(added))))
+    _buffer_boundary_wires(d, b)  # the buffer spiders become neighbours of b
+    return RewriteEvent(Rule.LOCAL_COMP, removed=(b,), touched=_complement_out(d, b))
 
 
 def _needs_boundary_cleanup(d: Diagram, b: int) -> bool:
@@ -324,13 +322,6 @@ def _pick(candidates, rng: Optional[Random]):
     return rng.choice(sorted(candidates))
 
 
-def _mark(members: Set[int], v: int, flag: bool) -> None:
-    if flag:
-        members.add(v)
-    else:
-        members.discard(v)
-
-
 class Rewriter:
     """The fixpoint driver: applies one rewrite at a time, taking the first
     stage of ``stages`` that has a match.
@@ -342,9 +333,10 @@ class Rewriter:
     and touched vertices and the former neighbours of the matched ones, which
     are every vertex whose phase, degree or adjacency changed.  The gadget
     and gadget/boundary pivot candidates of a vertex also read its
-    neighbours' degree class (0, 1, more), boundary adjacency and parameter;
-    when one of those changed, the internal 0/pi neighbours are re-checked
-    too.
+    neighbours' degree class (0, 1, more), boundary adjacency and parameter.
+    The driver keeps these three as a signature per vertex; when a
+    re-checked vertex's signature changed, its internal 0/pi neighbours are
+    re-checked too.
     """
 
     def __init__(self, d: Diagram, stages: Sequence[Callable[["Rewriter"], Optional[List[RewriteEvent]]]],
@@ -364,6 +356,7 @@ class Rewriter:
         self.hadamard_wired: Set[int] = set()  # boundary spiders with a Hadamard boundary wire
         self._pivot_partners: Dict[int, Set[int]] = {}
         self._pairs_at: Dict[int, Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]] = {}
+        self._signatures: Dict[int, Optional[Tuple[int, bool, bool]]] = {}  # None for boundary nodes
         self.recheck(set(d.vertices()))
 
     def run(self, limit: int, what: str = "simplify") -> List[RewriteEvent]:
@@ -393,70 +386,83 @@ class Rewriter:
         changed = set(match)
         for v in match:
             changed.update(adj[v])
-        before = {v: self._signature(v) for v in changed}
         event = rewrite(self.d, *args)
         changed.update(event.removed)
         changed.update(event.touched)
-        self.recheck(changed, before)
+        self.recheck(changed)
         return [event]
 
-    def _signature(self, v: int):
-        """What the candidates of a neighbour read off ``v``."""
-        data = self.d._vertices.get(v)
-        if data is None or data.kind is not VKind.SPIDER:
-            return data is None
-        degree = len(self.d._adj[v])
-        return min(degree, 2), self.d._boundary_count[v] > 0, bool(data.phase.terms)
-
-    def recheck(self, changed: Set[int], before: Optional[Dict[int, object]] = None) -> None:
+    def recheck(self, changed: Set[int]) -> None:
         """Bring every index up to date after the vertices in ``changed``
-        (present or removed) changed phase, degree or adjacency.  ``before``
-        holds their signatures from before the change; without it, every
-        internal 0/pi neighbour is re-checked."""
+        (present or removed) changed phase, degree or adjacency.  Where the
+        signature of a vertex changed, its internal 0/pi neighbours are
+        re-checked too."""
         d = self.d
         vertices, adj, boundary_count = d._vertices, d._adj, d._boundary_count
-        for v in changed:
-            data = vertices.get(v)
-            spider = data is not None and data.kind is VKind.SPIDER
-            wired = spider and boundary_count[v] > 0
-            # Clifford phase of an internal spider, None for anything else
-            k = data.phase.clifford if spider and not wired and not data.phase.terms else None
-            _mark(self.local_comp, v, k in (1, 3))
-            _mark(self.pauli, v, k in (0, 2))
-            _mark(self.hadamard_wired, v, wired and any(
-                kind is EdgeKind.HADAMARD and vertices[n].kind is not VKind.SPIDER
-                for n, kind in adj[v].items()))
+        local_comp, pauli, hadamard_wired = self.local_comp, self.pauli, self.hadamard_wired
+        signatures = self._signatures
+        spider, hadamard = VKind.SPIDER, EdgeKind.HADAMARD
         around: Set[int] = set()
         for v in changed:
-            if v in self.pauli or v in self._pivot_partners:
-                self._recheck_pivots(v)
-            if v in self.pauli or v in self._pairs_at or v in self.gadgets:
-                self._recheck_anchored(v)
-            if v in adj and (before is None or before.get(v, "new") != self._signature(v)):
+            data = vertices.get(v)
+            if data is None or data.kind is not spider:
+                local_comp.discard(v)
+                pauli.discard(v)
+                hadamard_wired.discard(v)
+                if data is None:
+                    signatures.pop(v, None)
+                    continue
+                signature = None
+            else:
+                nbrs = adj[v]
+                wired = boundary_count[v] > 0
+                terms = data.phase.terms
+                if wired:
+                    local_comp.discard(v)
+                    pauli.discard(v)
+                    for n, kind in nbrs.items():
+                        if kind is hadamard and vertices[n].kind is not spider:
+                            hadamard_wired.add(v)
+                            break
+                    else:
+                        hadamard_wired.discard(v)
+                else:
+                    hadamard_wired.discard(v)
+                    if terms:
+                        local_comp.discard(v)
+                        pauli.discard(v)
+                    elif data.phase.clifford & 1:
+                        local_comp.add(v)
+                        pauli.discard(v)
+                    else:
+                        pauli.add(v)
+                        local_comp.discard(v)
+                # what the candidates of a neighbour read off v
+                degree = len(nbrs)
+                signature = (degree if degree < 2 else 2, wired, bool(terms))
+            if signatures.get(v, "new") != signature:
+                signatures[v] = signature
                 around.update(adj[v])
+        partners_of, pairs_at, gadgets = self._pivot_partners, self._pairs_at, self.gadgets
+        for v in changed:
+            if v in pauli or v in partners_of or v in pairs_at or v in gadgets:
+                self._recheck_at(v)
         around.difference_update(changed)
-        for u in around & self.pauli:
-            self._recheck_anchored(u)
+        for u in around & pauli:
+            self._recheck_at(u)
 
-    def _recheck_pivots(self, v: int) -> None:
-        for p in self._pivot_partners.pop(v, ()):
-            self.pivot.discard((v, p) if v < p else (p, v))
-            self._pivot_partners[p].discard(v)
-        if v in self.pauli:
-            partners = {n for n in self.d._adj[v] if n in self.pauli}
-            if partners:
-                self._pivot_partners[v] = partners
-                for n in partners:
-                    self._pivot_partners.setdefault(n, set()).add(v)
-                    self.pivot.add((v, n) if v < n else (n, v))
-
-    def _recheck_anchored(self, u: int) -> None:
-        """The gadget with axis ``u`` and the gadget/boundary pivots of ``u``;
-        all of them need ``u`` to be an internal 0/pi spider."""
-        d = self.d
-        gadget_pairs, boundary_pairs = self._pairs_at.pop(u, ((), ()))
-        self.gadget_pivot.difference_update(gadget_pairs)
-        self.boundary_pivot.difference_update(boundary_pairs)
+    def _recheck_at(self, u: int) -> None:
+        """The candidates anchored at ``u``: its pivot pairs, the gadget with
+        axis ``u`` and its gadget/boundary pivots.  All of them need ``u`` to
+        be an internal 0/pi spider; one walk over its neighbours finds them."""
+        partners_of = self._pivot_partners
+        for p in partners_of.pop(u, ()):
+            self.pivot.discard((u, p) if u < p else (p, u))
+            partners_of[p].discard(u)
+        old_pairs = self._pairs_at.pop(u, None)
+        if old_pairs is not None:
+            self.gadget_pivot.difference_update(old_pairs[0])
+            self.boundary_pivot.difference_update(old_pairs[1])
         old = self.gadgets.pop(u, None)
         if old is not None:
             axes = self.by_neighbourhood[old.neighbourhood]
@@ -466,13 +472,31 @@ class Rewriter:
                 if not axes:
                     del self.by_neighbourhood[old.neighbourhood]
             self.unary.discard(u)
-        if u not in self.pauli:
+        pauli = self.pauli
+        if u not in pauli:
             return
-        adj = d._adj[u]
-        vertices = d._vertices
-        legs = [n for n in adj if len(d._adj[n]) == 1 and vertices[n].kind is VKind.SPIDER]
+        d = self.d
+        vertices, adj, boundary_count = d._vertices, d._adj, d._boundary_count
+        partners: Set[int] = set()
+        legs: List[int] = []
+        gadget_pairs: List[Tuple[int, int]] = []
+        boundary_pairs: List[Tuple[int, int]] = []
+        for w in adj[u]:  # u is internal, so every neighbour is a spider
+            if w in pauli:
+                partners.add(w)
+            if len(adj[w]) == 1:
+                legs.append(w)
+            elif boundary_count[w]:
+                boundary_pairs.append((u, w))
+            elif vertices[w].phase.terms:
+                gadget_pairs.append((u, w))
+        if partners:
+            partners_of[u] = partners
+            for p in partners:
+                self.pivot.add((u, p) if u < p else (p, u))
+                partners_of.setdefault(p, set()).add(u)
         if len(legs) == 1:
-            g = GadgetView(u, legs[0], frozenset(n for n in adj if n != legs[0]))
+            g = GadgetView(u, legs[0], frozenset(n for n in adj[u] if n != legs[0]))
             self.gadgets[u] = g
             axes = self.by_neighbourhood.setdefault(g.neighbourhood, set())
             axes.add(u)
@@ -480,16 +504,7 @@ class Rewriter:
                 self.shared.add(g.neighbourhood)
             if len(g.neighbourhood) == 1:
                 self.unary.add(u)
-            return
-        gadget_pairs, boundary_pairs = [], []
-        for w in adj:
-            if vertices[w].kind is not VKind.SPIDER:
-                continue
-            if d._boundary_count[w]:
-                boundary_pairs.append((u, w))
-            elif vertices[w].phase.terms and len(d._adj[w]) > 1:
-                gadget_pairs.append((u, w))
-        if gadget_pairs or boundary_pairs:
+        elif gadget_pairs or boundary_pairs:
             self._pairs_at[u] = (gadget_pairs, boundary_pairs)
             self.gadget_pivot.update(gadget_pairs)
             self.boundary_pivot.update(boundary_pairs)

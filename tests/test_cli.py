@@ -133,6 +133,60 @@ def test_bad_configuration_exits_1(tmp_path, capsys):
     assert "bad configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["optimize", "verify", "oracle"])
+@pytest.mark.parametrize("bad", [["--seed", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--tol", "-0.5"]],
+                         ids=["seed-1", "tol-nan", "tol-inf", "tol-negative"])
+def test_bad_seed_or_tolerance_exits_1(tmp_path, capsys, command, bad):
+    assert main(cli_args(tmp_path, command) + bad) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("bad configuration")
+
+
+@pytest.mark.parametrize("command", ["optimize", "verify", "oracle"])
+def test_negative_env_seed_exits_1(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setenv("ZXPARAM_SEED", "-1")
+    assert main(cli_args(tmp_path, command)) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "bad configuration" in err and "-1" in err
+
+
+def unreadable(tmp_path, kind):
+    if kind == "missing":
+        return tmp_path / "missing.zxc"
+    if kind == "directory":
+        (tmp_path / "dir.zxc").mkdir()
+        return tmp_path / "dir.zxc"
+    path = tmp_path / "latin1.zxc"
+    path.write_bytes(b"qreg 1\n# caf\xe9\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["optimize", "verify", "oracle"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_unreadable_input_exits_1(tmp_path, capsys, command, kind):
+    args = cli_args(tmp_path, command)
+    args[-1] = str(unreadable(tmp_path, kind))  # the circuit, or the map of verify
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{args[-1]}: cannot read" in err
+
+
+def test_unreadable_input_leaves_other_inputs_optimised(tmp_path):
+    good = write(tmp_path, "good.zxc", FUSION)
+    assert main(["optimize", str(tmp_path / "missing.zxc"), str(good)]) == 1
+    assert (tmp_path / "good.zxc.opt").exists()
+
+
+@pytest.mark.parametrize("command, option", [("optimize", "--out"), ("optimize", "--report"),
+                                             ("verify", "--report"), ("oracle", "--report")])
+def test_unwritable_output_exits_1(tmp_path, capsys, command, option):
+    target = tmp_path / "no_such_dir" / "out"
+    assert main(cli_args(tmp_path, command) + [option, str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{target}: cannot write" in err
+    assert not list(tmp_path.glob("**/*.tmp"))
+
+
 def test_optimize_multiple_inputs(tmp_path):
     a = write(tmp_path, "a.zxc", FUSION)
     b = write(tmp_path, "b.zxc", CLIFFORD_ONLY)

@@ -6,7 +6,7 @@ from zxparam.circuits import circuit_to_diagram, circuit_unitary, flatten_unitar
 from zxparam.diagram import (Diagram, EdgeKind, NKind, SpiderNetwork, VKind,
                              find_gadgets, to_graph_like, validate)
 from zxparam.errors import RepeatedParameter
-from zxparam.generate import attach_gadget
+from zxparam.generate import attach_gadget, random_graph_like_state
 from zxparam.params import ParamExpr, Phase
 from zxparam.tensor import proportionality_ratio, tensor_eval
 
@@ -205,3 +205,31 @@ def test_find_gadgets_matches_independent_scan():
                 expected.append((v, legs[0]))
         got = [(g.axis_spider, g.phase_spider) for g in find_gadgets(term)]
         assert got == expected
+
+
+def toggle_one_by_one(d, a, others):
+    """Reference for Diagram.complement: one edge update at a time."""
+    for b in others:
+        if d.has_edge(a, b):
+            d.remove_edge(a, b)
+        else:
+            d.add_edge(a, b, EdgeKind.HADAMARD)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_complement_equals_pairwise_toggles(seed):
+    rng = Random(seed)
+    d = random_graph_like_state(Random(f"complement/{seed}"), rng.randint(1, 4), rng.randint(2, 14),
+                                rng.randint(0, 3), edge_p=rng.uniform(0.1, 0.8))
+    reference = d.copy()
+    for _ in range(4):
+        a = rng.choice(d.spiders())
+        others = rng.sample([v for v in d.spiders() if v != a], rng.randint(0, len(d.spiders()) - 1))
+        d.complement(a, others)
+        toggle_one_by_one(reference, a, others)
+        assert set(d.edges()) == set(reference.edges())
+        # same insertion order too: buffering and extraction read adjacency in order
+        assert {v: list(n.items()) for v, n in d._adj.items()} == \
+            {v: list(n.items()) for v, n in reference._adj.items()}
+        assert d._boundary_count == reference._boundary_count
+        assert validate(d).ok and validate(reference).ok

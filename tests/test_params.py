@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from zxparam.params import ParamExpr, Phase
+from zxparam.params import CLIFFORD_PHASES, ParamExpr, Phase
 
 def expr_strategy(alphabet):
     return st.builds(
@@ -80,3 +80,23 @@ def test_phase_angle():
     p = Phase(1, (("t0", 1), ("t1", -1)))
     angle = p.angle({"t0": 0.5, "t1": 0.2})
     assert math.isclose(angle, math.pi / 2 + 0.3)
+
+
+def assert_normalised_equal(got, expected):
+    assert got == expected and hash(got) == hash(expected)
+    assert got.terms == tuple(sorted(got.terms)) and got.clifford in range(4)
+
+
+@given(st.integers(min_value=-9, max_value=9), st.integers(min_value=-9, max_value=9),
+       st.dictionaries(st.sampled_from(["c", "a", "b"]), st.sampled_from([-1, 1]), max_size=3))
+def test_phase_fast_paths_equal_normalising_constructor(clifford, shift, terms):
+    phase = Phase(clifford, tuple(terms.items()))
+    expected = Phase(clifford + shift, tuple(terms.items()))
+    assert_normalised_equal(phase.add_clifford(shift), expected)
+    assert_normalised_equal(phase.add_expr(ParamExpr((), shift)), expected)
+    assert_normalised_equal(Phase.from_expr(ParamExpr(tuple(terms.items()), clifford + shift)), expected)
+    if not terms:
+        assert phase.add_clifford(shift) is CLIFFORD_PHASES[(clifford + shift) % 4]
+    # a parametrised addend still goes through the expression sum
+    added = phase.add_expr(ParamExpr.of("z", -1, shift))
+    assert_normalised_equal(added, Phase(clifford + shift, tuple(terms.items()) + (("z", -1),)))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_rule_sound
+from test_golden import phase_poly_circuit
 from zxparam.circuits import circuit_state_diagram, circuit_to_diagram, parse_circuit
 from zxparam.diagram import Diagram, EdgeKind, VKind, find_gadgets, validate
 from zxparam.errors import NotApplicable
@@ -424,20 +425,22 @@ def assert_driver_matches_rescan(rw: Rewriter) -> int:
 @pytest.mark.parametrize("seed", range(8))
 def test_driver_indexes_equal_full_rescan(seed):
     rng = Random(seed)
-    steps = 0
-    for trial in range(6):
-        d = random_graph_like_state(Random(f"{seed}/{trial}"), rng.randint(1, 5), rng.randint(2, 12),
-                                    rng.randint(0, 5), edge_p=rng.uniform(0.15, 0.7))
-        steps += assert_driver_matches_rescan(Rewriter(d, SIMPLIFY_STAGES, seed=seed))
-    c = random_circuit(Random(seed), 4, 40, 8)
-    steps += assert_driver_matches_rescan(Rewriter(circuit_to_diagram(c), SIMPLIFY_STAGES, seed=seed))
+    diagrams = [random_graph_like_state(Random(f"{seed}/{trial}"), rng.randint(1, 5), rng.randint(2, 12),
+                                        rng.randint(0, 5), edge_p=rng.uniform(0.15, 0.7))
+                for trial in range(6)]
+    diagrams.append(circuit_to_diagram(random_circuit(Random(seed), 4, 40, 8)))
     # CNOT + rz circuits: repeated parities make gadgets fuse
     lines = ["qreg 4"]
     for i in range(30):
         a, b = rng.sample(range(4), 2)
         lines += [f"cx {a} {b}", f"rz(t{i}) {b}"] if i % 2 else [f"cx {a} {b}"]
-    c = parse_circuit("\n".join(lines))
-    steps += assert_driver_matches_rescan(Rewriter(circuit_to_diagram(c), SIMPLIFY_STAGES, seed=seed))
+    diagrams.append(circuit_to_diagram(parse_circuit("\n".join(lines))))
+    # a Clifford-wrapped phase polynomial at a benchmark rung: 6 qubits, 80 gates, 16 params
+    diagrams.append(circuit_to_diagram(phase_poly_circuit(Random(f"rescan/{seed}"), 6, 80, 16, 12)))
+    steps = 0
+    for d in diagrams:
+        for pick_seed in (seed, None):  # seeded picks, then the ``min`` picks
+            steps += assert_driver_matches_rescan(Rewriter(d.copy(), SIMPLIFY_STAGES, seed=pick_seed))
     state = circuit_state_diagram(random_circuit(Random(seed), 4, 30, 0))
     steps += assert_driver_matches_rescan(Rewriter(state, AP_FORM_STAGES))
-    assert steps > 20
+    assert steps > 40
