@@ -8,7 +8,7 @@ provides exact tensor evaluation, proportionality checking, stabiliser-based
 optimality certificates and a brute-force minimality oracle.
 """
 
-from .params import ParamExpr, Phase
+from .params import Phase
 from .diagram import Diagram, EdgeKind, GadgetView, SpiderNetwork, ValidationReport, find_gadgets, to_graph_like, validate
 from .circuits import (Circuit, Gate, circuit_state_diagram, circuit_to_diagram,
                        circuit_unitary, emit_circuit, parse_circuit)
@@ -18,7 +18,7 @@ from .tensor import TensorState, check_proportional, tensor_eval
 from .verify import APForm, CertificateReport, ProportionalityReport, ap_form, brute_force_min, check_reduction, optimality_certificate, zz_certificate
 
 __all__ = [
-    "ParamExpr", "Phase",
+    "Phase",
     "Diagram", "EdgeKind", "GadgetView", "SpiderNetwork", "ValidationReport",
     "find_gadgets", "to_graph_like", "validate",
     "Circuit", "Gate", "circuit_state_diagram", "circuit_to_diagram", "circuit_unitary",

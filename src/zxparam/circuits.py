@@ -167,7 +167,6 @@ def parse_circuit(text: str) -> Circuit:
             raise CircuitSyntaxError(f"unknown gate {head!r}", line_no)
     if circuit is None:
         raise CircuitSyntaxError("empty source: missing qreg", 1)
-    circuit.validate()
     return circuit
 
 

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .errors import ConversionError, RepeatedParameter
-from .params import ParamExpr, Phase
+from .params import Phase
 
 
 class EdgeKind(Enum):
@@ -165,9 +165,6 @@ class Diagram:
     def add_to_phase(self, v: int, k: int) -> None:
         self._vertices[v].phase = self._vertices[v].phase.add_clifford(k)
 
-    def add_expr_to_phase(self, v: int, expr: ParamExpr) -> None:
-        self.set_phase(v, self.phase(v).add_expr(expr))
-
     def remove_edge(self, a: int, b: int) -> None:
         del self._adj[a][b]
         del self._adj[b][a]
@@ -230,13 +227,10 @@ class Diagram:
             comps.append(comp)
         return comps
 
-    def param_exprs(self) -> Dict[int, ParamExpr]:
-        """Parametrised spiders and their expressions, keyed by spider id."""
-        out = {}
-        for v, data in self._vertices.items():
-            if data.kind is VKind.SPIDER and not data.phase.is_clifford():
-                out[v] = data.phase.expr
-        return out
+    def param_exprs(self) -> Dict[int, Phase]:
+        """Parametrised spiders and their phases, keyed by spider id."""
+        return {v: data.phase for v, data in self._vertices.items()
+                if data.kind is VKind.SPIDER and not data.phase.is_clifford()}
 
     def __repr__(self) -> str:
         return (f"Diagram({len(self.spiders())} spiders, {len(self.boundaries())} boundaries, "
@@ -454,11 +448,7 @@ def to_graph_like(raw: SpiderNetwork) -> Diagram:
     for v in parent:
         root = find(v)
         if root != v:
-            ph = phases[v]
-            if ph.terms:
-                phases[root] = phases[root].add_expr(ph.expr)
-            else:
-                phases[root] = phases[root].add_clifford(ph.clifford)
+            phases[root] = phases[root] + phases[v]
 
     # Resolve wires between classes: a Hadamard self-loop adds pi, a plain
     # self-loop or a repeated plain wire vanishes, Hadamard wires between the

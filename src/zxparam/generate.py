@@ -8,7 +8,7 @@ from typing import List, Tuple
 
 from .circuits import Circuit, Gate, GateKind
 from .diagram import Diagram, EdgeKind, VKind, validate
-from .params import ParamExpr, Phase
+from .params import Phase
 
 CLIFFORD_1Q = [GateKind.H, GateKind.S, GateKind.SDG, GateKind.Z, GateKind.X, GateKind.RZ_CLIFFORD]
 CLIFFORD_2Q = [GateKind.CZ, GateKind.CX]
@@ -74,10 +74,11 @@ def random_graph_like_state(rng: Random, n_outputs: int, n_internal: int,
 
 
 def attach_gadget(rng: Random, d: Diagram, neighbourhood: List[int], parity: int,
-                  expr: ParamExpr) -> Tuple[int, int]:
-    """Attach a phase gadget with the given axis parity over ``neighbourhood``."""
+                  phase: Phase) -> Tuple[int, int]:
+    """Attach a phase gadget with the given axis parity over ``neighbourhood``
+    and ``phase`` on its leaf."""
     axis = d.add_spider(Phase(2 * parity))
-    leaf = d.add_spider(Phase.from_expr(expr))
+    leaf = d.add_spider(phase)
     d.add_edge(axis, leaf, EdgeKind.HADAMARD)
     for w in neighbourhood:
         d.add_edge(axis, w, EdgeKind.HADAMARD)

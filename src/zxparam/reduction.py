@@ -176,7 +176,7 @@ def extract_reduction(events: Sequence[RewriteEvent], original_params: Sequence[
         params_in=tuple(original_params),
         new_param_names=tuple(f"u{i}" for i in range(len(row_data))),
         rows=tuple(e.terms for e in row_data),
-        constants=tuple(e.clifford_const for e in row_data),
+        constants=tuple(e.clifford for e in row_data),
         eliminated=tuple(sorted(eliminated, key=lambda p: order[p])),
     )
 
@@ -197,8 +197,7 @@ def phase_teleport(c: Circuit, seed: Optional[int] = None) -> TeleportResult:
     original circuit evaluated at ``a`` is proportional to the output
     evaluated at ``P a``.
     """
-    c.validate()
-    diagram = circuit_to_diagram(c)
+    diagram = circuit_to_diagram(c)  # validates c
     terminal, events = simplify(diagram, seed=seed)
     diagram_map = extract_reduction(events, c.params, terminal)
 

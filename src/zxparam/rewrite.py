@@ -17,9 +17,9 @@ from enum import Enum
 from random import Random
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .diagram import Diagram, EdgeKind, GadgetView, VKind, axis_parity, find_gadgets
+from .diagram import Diagram, EdgeKind, GadgetView, VKind, axis_parity
 from .errors import FixpointNotReached, NotApplicable
-from .params import ParamExpr, Phase
+from .params import Phase
 
 
 class Rule(Enum):
@@ -48,7 +48,7 @@ class RewriteEvent:
     param_merge: Optional[ParamMerge] = None
     moved: Tuple[Tuple[str, int], ...] = ()  # parameter id -> new owning spider
     eliminated: Tuple[str, ...] = ()  # parameters dropped with a scalar component
-    dropped: Optional[ParamExpr] = None  # phase e^{i expr} discarded by this rewrite
+    dropped: Optional[Phase] = None  # phase e^{i expr} discarded by this rewrite
 
 
 def _require(condition: bool, message: str) -> None:
@@ -151,10 +151,10 @@ def _buffer_boundary_wires(d: Diagram, b: int) -> List[int]:
 def _extract_phase_to_gadget(d: Diagram, w: int) -> Tuple[int, int]:
     """Unfuse the phase of ``w`` onto a fresh degree-1 spider behind a fresh
     phase-0 hub; tensor-exact.  Returns (hub, phase spider)."""
-    expr = d.phase(w).expr
+    phase = d.phase(w)
     d.set_phase(w, Phase())
     hub = d.add_spider(Phase())
-    leaf = d.add_spider(Phase.from_expr(expr))
+    leaf = d.add_spider(phase)
     d.add_edge(w, hub, EdgeKind.HADAMARD)
     d.add_edge(hub, leaf, EdgeKind.HADAMARD)
     return hub, leaf
@@ -231,12 +231,12 @@ def gadget_fusion(d: Diagram, g1: GadgetView, g2: GadgetView) -> RewriteEvent:
     _require(g1.neighbourhood == g2.neighbourhood, "gadget neighbourhoods differ")
     survivor, absorbed = (g1, g2) if g1.axis_spider < g2.axis_spider else (g2, g1)
     same_parity = axis_parity(d, survivor) == axis_parity(d, absorbed)
-    expr = d.phase(absorbed.phase_spider).expr
+    expr = d.phase(absorbed.phase_spider)
     signed = expr if same_parity else expr.negated()
     sign = 1 if same_parity else -1
     d.remove_vertex(absorbed.phase_spider)
     d.remove_vertex(absorbed.axis_spider)
-    d.add_expr_to_phase(survivor.phase_spider, signed)
+    d.set_phase(survivor.phase_spider, d.phase(survivor.phase_spider) + signed)
     merge = None
     if expr.param_ids:
         merge = ParamMerge(tuple((name, sign) for name in expr.param_ids),
@@ -258,12 +258,12 @@ def gadget_id_fuse(d: Diagram, g: GadgetView) -> RewriteEvent:
     _require(len(g.neighbourhood) == 1, f"gadget has {len(g.neighbourhood)} neighbours")
     (w,) = g.neighbourhood
     parity = axis_parity(d, g)
-    expr = d.phase(g.phase_spider).expr
+    expr = d.phase(g.phase_spider)
     signed = expr if parity == 0 else expr.negated()
     sign = 1 if parity == 0 else -1
     d.remove_vertex(g.phase_spider)
     d.remove_vertex(g.axis_spider)
-    d.add_expr_to_phase(w, signed)
+    d.set_phase(w, d.phase(w) + signed)
     merge = None
     if expr.param_ids:
         merge = ParamMerge(tuple((name, sign) for name in expr.param_ids), w)
@@ -591,41 +591,10 @@ def simplify(d: Diagram, seed: Optional[int] = None) -> Tuple[Diagram, List[Rewr
     fusion, scalar removal, boundary decoration cleanup); within a rule the
     candidate with the smallest vertex ids is chosen, or a seeded random
     candidate when ``seed`` is given.  The terminal diagram satisfies the
-    pseudo-normal form conditions checked by ``terminal_violations``.
+    pseudo-normal form conditions checked by ``verify.terminal_violations``.
     Raises FixpointNotReached if the safety cap on the number of rewrites
     is hit.
     """
     d = d.copy()
     limit = 1000 + 60 * (len(d.spiders()) + 2) ** 2
     return d, Rewriter(d, SIMPLIFY_STAGES, seed).run(limit)
-
-
-# -- terminal form ------------------------------------------------------------
-
-def terminal_violations(d: Diagram) -> List[str]:
-    """Structural conditions of the pseudo-normal form; empty iff terminal."""
-    problems = []
-    axes = {g.axis_spider for g in find_gadgets(d)}
-    plugs = {g.phase_spider for g in find_gadgets(d)}
-    for v in d.spiders():
-        ph = d.phase(v)
-        if d.is_internal(v) and ph.is_clifford() and v not in axes and v not in plugs:
-            problems.append(f"internal Clifford spider {v} outside gadget axes")
-        if d.is_boundary_spider(v) and ph.is_clifford():
-            for o in d.boundary_wires(v):
-                if d.edge_kind(v, o) is EdgeKind.HADAMARD and ph.clifford in (1, 3):
-                    problems.append(f"boundary spider {v} has decoration S^{ph.clifford}H")
-    for g in find_gadgets(d):
-        if not d.phase(g.phase_spider).is_clifford() and len(g.neighbourhood) < 2:
-            problems.append(f"gadget at axis {g.axis_spider} has {len(g.neighbourhood)} neighbours")
-    seen: Dict[FrozenSet[int], int] = {}
-    for g in find_gadgets(d):
-        if d.phase(g.phase_spider).is_clifford():
-            continue
-        if g.neighbourhood in seen:
-            problems.append(f"gadgets at axes {seen[g.neighbourhood]} and {g.axis_spider} share a neighbourhood")
-        seen[g.neighbourhood] = g.axis_spider
-    for comp in d.connected_components():
-        if not any(d.vertex(v).is_boundary for v in comp):
-            problems.append(f"scalar component {sorted(comp)} remains")
-    return problems

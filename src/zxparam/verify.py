@@ -1,6 +1,6 @@
 """Independent oracles: finite-value reduction checking, AP forms, the
-weight-two stabiliser certificate, the optimality certificate, and a
-brute-force minimal-parameter-count search.
+terminal-form check, the weight-two stabiliser certificate, the optimality
+certificate, and a brute-force minimal-parameter-count search.
 
 Everything here answers "is the optimiser right?" without reusing the
 optimiser's code paths: circuits are evaluated by the gate-by-gate
@@ -26,7 +26,7 @@ from typing import Dict, FrozenSet, Iterator, List, Mapping, Sequence, Set, Tupl
 import numpy as np
 
 from .circuits import MAX_PROBE_QUBITS, Circuit, Gate, GateKind, circuit_unitary
-from .diagram import Diagram, EdgeKind, VKind, find_gadgets
+from .diagram import Diagram, EdgeKind, GadgetView, VKind, find_gadgets
 from .errors import (DimensionMismatch, NotClifford, NotTerminalForm, TooLarge, TooManyParams, ZeroState)
 
 from .reduction import ReductionMap
@@ -262,12 +262,15 @@ def ap_form(d: Diagram) -> APForm:
 
 # -- stabiliser certificates ---------------------------------------------------
 
-def _gslc_shape_violations(d: Diagram) -> List[str]:
-    """Violations of the plugged-GSLC shape (redexes are allowed here)."""
+def _parametrised_gadgets(d: Diagram) -> List[GadgetView]:
+    return [g for g in find_gadgets(d) if not d.phase(g.phase_spider).is_clifford()]
+
+
+def _shape_violations(d: Diagram, gadgets: Sequence[GadgetView]) -> List[str]:
+    """Violations of the plugged-GSLC shape (redexes are allowed here), given
+    the parametrised gadgets of ``d``."""
     problems = []
-    gadgets = [g for g in find_gadgets(d) if not d.phase(g.phase_spider).is_clifford()]
     axes = {g.axis_spider for g in gadgets}
-    plugs = {g.phase_spider for g in gadgets}
     for v in d.spiders():
         ph = d.phase(v)
         if d.is_internal(v) and ph.is_clifford() and v not in axes:
@@ -280,6 +283,42 @@ def _gslc_shape_violations(d: Diagram) -> List[str]:
     return problems
 
 
+def _require_shape(d: Diagram, gadgets: Sequence[GadgetView]) -> None:
+    shape = _shape_violations(d, gadgets)
+    if shape:
+        raise NotTerminalForm("; ".join(shape))
+
+
+def _gadget_failures(gadgets: Sequence[GadgetView]) -> List[str]:
+    """Conditions (a) and (b): every gadget touches at least two vertices,
+    and no two gadgets share a neighbourhood."""
+    failures = []
+    for g in gadgets:
+        if len(g.neighbourhood) < 2:
+            failures.append(f"(a) gadget at axis {g.axis_spider} has {len(g.neighbourhood)} neighbours")
+    seen: Dict[FrozenSet[int], int] = {}
+    for g in gadgets:
+        if g.neighbourhood in seen:
+            failures.append(f"(b) gadgets at axes {seen[g.neighbourhood]} and {g.axis_spider} "
+                            f"share a neighbourhood")
+        else:
+            seen[g.neighbourhood] = g.axis_spider
+    return failures
+
+
+def terminal_violations(d: Diagram) -> List[str]:
+    """Structural conditions of the pseudo-normal form; empty iff terminal.
+
+    The plugged-GSLC shape, conditions (a) and (b) of the optimality
+    certificate, and no scalar component."""
+    gadgets = _parametrised_gadgets(d)
+    problems = _shape_violations(d, gadgets) + _gadget_failures(gadgets)
+    for comp in d.connected_components():
+        if not any(d.vertex(v).is_boundary for v in comp):
+            problems.append(f"scalar component {sorted(comp)} remains")
+    return problems
+
+
 @dataclass(frozen=True)
 class ParamLeg:
     spider: int  # the spider carrying the expression
@@ -287,14 +326,14 @@ class ParamLeg:
     decoration: str  # "I" or "H"
 
 
-def _param_legs(d: Diagram) -> List[ParamLeg]:
-    gadgets = {g.phase_spider: g for g in find_gadgets(d)}
+def _param_legs(d: Diagram, gadgets: Sequence[GadgetView]) -> List[ParamLeg]:
+    by_plug = {g.phase_spider: g for g in gadgets}
     legs = []
     for v in sorted(d.spiders()):
         if d.phase(v).is_clifford():
             continue
-        if v in gadgets:
-            legs.append(ParamLeg(v, gadgets[v].axis_spider, "H"))
+        if v in by_plug:
+            legs.append(ParamLeg(v, by_plug[v].axis_spider, "H"))
         else:
             legs.append(ParamLeg(v, v, "I"))
     return legs
@@ -310,11 +349,17 @@ def zz_certificate(d: Diagram) -> List[Tuple[Tuple[int, int], str]]:
     remains; the sign parity of a hypothetical fusion is immaterial because
     an odd pair reduces to the even case by absorbing a Pauli X.
     """
-    shape = _gslc_shape_violations(d)
-    if shape:
-        raise NotTerminalForm("; ".join(shape))
-    legs = _param_legs(d)
-    plug_ids = {g.phase_spider for g in find_gadgets(d)}
+    gadgets = _parametrised_gadgets(d)
+    _require_shape(d, gadgets)
+    return _zz_pairs(d, gadgets, _param_legs(d, gadgets))
+
+
+def _zz_pairs(d: Diagram, gadgets: Sequence[GadgetView], legs: Sequence[ParamLeg]
+              ) -> List[Tuple[Tuple[int, int], str]]:
+    """``zz_certificate`` on a diagram of the plugged-GSLC shape, given its
+    parametrised gadgets (in that shape every gadget is parametrised) and
+    its parameter legs."""
+    plug_ids = {g.phase_spider for g in gadgets}
 
     def graph_nbhd(v: int) -> FrozenSet[int]:
         return frozenset(n for n in d.neighbors(v)
@@ -355,28 +400,17 @@ def optimality_certificate(d: Diagram) -> CertificateReport:
     weight-2 Z x Z stabiliser connects two parameter legs, and no
     parametrised spider is isolated.
     """
-    shape = _gslc_shape_violations(d)
-    if shape:
-        raise NotTerminalForm("; ".join(shape))
-    failures = []
-    gadgets = [g for g in find_gadgets(d) if not d.phase(g.phase_spider).is_clifford()]
-    for g in gadgets:
-        if len(g.neighbourhood) < 2:
-            failures.append(f"(a) gadget at axis {g.axis_spider} has {len(g.neighbourhood)} neighbours")
-    seen: Dict[FrozenSet[int], int] = {}
-    for g in gadgets:
-        if g.neighbourhood in seen:
-            failures.append(f"(b) gadgets at axes {seen[g.neighbourhood]} and {g.axis_spider} "
-                            f"share a neighbourhood")
-        else:
-            seen[g.neighbourhood] = g.axis_spider
-    for pair, condition in zz_certificate(d):
+    gadgets = _parametrised_gadgets(d)
+    _require_shape(d, gadgets)
+    failures = _gadget_failures(gadgets)
+    legs = _param_legs(d, gadgets)
+    for pair, condition in _zz_pairs(d, gadgets, legs):
         failures.append(f"(c) legs {pair} admit a ZZ stabiliser, condition ({condition})")
     for v in d.spiders():
         if not d.phase(v).is_clifford() and d.degree(v) == 0:
             failures.append(f"(d) parametrised spider {v} is isolated")
     return CertificateReport(passed=not failures, failures=failures,
-                             n_parameters=len(_param_legs(d)), n_gadgets=len(gadgets))
+                             n_parameters=len(legs), n_gadgets=len(gadgets))
 
 
 # -- brute-force minimality oracle ---------------------------------------------

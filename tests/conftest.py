@@ -1,28 +1,13 @@
-"""Shared helpers: parameter samples and the rule soundness check."""
+"""Shared helpers: the rule soundness check."""
 
-import math
-from random import Random
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict
 
 import numpy as np
 
 from zxparam.diagram import Diagram
 from zxparam.rewrite import RewriteEvent
 from zxparam.tensor import proportionality_ratio, tensor_eval
-
-
-def param_samples(params: Sequence[str], n_random: int = 2, seed: int = 7) -> List[Dict[str, float]]:
-    """All-zeros, each parameter alone at pi, plus random vectors: at least
-    two values per parameter."""
-    samples = [{p: 0.0 for p in params}]
-    for p in params:
-        s = {q: 0.0 for q in params}
-        s[p] = math.pi
-        samples.append(s)
-    rng = Random(seed)
-    for _ in range(n_random):
-        samples.append({p: rng.uniform(0, 2 * math.pi) for p in params})
-    return samples
+from zxparam.verify import structured_samples
 
 
 def dropped_factor(event: RewriteEvent, assignment: Dict[str, float]) -> complex:
@@ -52,7 +37,7 @@ def assert_rule_sound(diagram: Diagram, apply_rule: Callable[[Diagram], RewriteE
     after = diagram.copy()
     event = apply_rule(after)
     evaluated = []
-    for sample in param_samples(params):
+    for sample in structured_samples(params, n_random=2, seed=7):
         tb = tensor_eval(before, sample).amplitudes
         ta = tensor_eval(after, sample).amplitudes * dropped_factor(event, sample)
         evaluated.append((tb, ta))

@@ -7,7 +7,7 @@ from zxparam.diagram import (Diagram, EdgeKind, NKind, SpiderNetwork, VKind,
                              find_gadgets, to_graph_like, validate)
 from zxparam.errors import RepeatedParameter
 from zxparam.generate import attach_gadget, random_graph_like_state
-from zxparam.params import ParamExpr, Phase
+from zxparam.params import Phase
 from zxparam.tensor import proportionality_ratio, tensor_eval
 
 
@@ -180,7 +180,7 @@ def test_find_gadgets_hand_built():
     outs = [d.add_boundary(VKind.OUTPUT, q) for q in range(2)]
     v1 = d.add_spider(Phase(0)); v2 = d.add_spider(Phase(0))
     d.add_edge(v1, outs[0], EdgeKind.PLAIN); d.add_edge(v2, outs[1], EdgeKind.PLAIN)
-    axis, leaf = attach_gadget(Random(0), d, [v1, v2], 0, ParamExpr.of("a"))
+    axis, leaf = attach_gadget(Random(0), d, [v1, v2], 0, Phase.of("a"))
     (g,) = find_gadgets(d)
     assert g.axis_spider == axis and g.phase_spider == leaf
     assert g.neighbourhood == frozenset({v1, v2})

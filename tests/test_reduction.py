@@ -3,8 +3,8 @@ from random import Random
 import numpy as np
 import pytest
 
-from zxparam.circuits import GateKind, circuit_to_diagram, parse_circuit
-from zxparam.errors import InconsistentProvenance
+from zxparam.circuits import Circuit, Gate, GateKind, circuit_to_diagram, parse_circuit
+from zxparam.errors import InconsistentProvenance, RepeatedParameter
 from zxparam.generate import random_circuit
 from zxparam.reduction import ReductionMap, extract_reduction, phase_teleport
 from zxparam.rewrite import RewriteEvent, Rule, simplify
@@ -41,7 +41,7 @@ def test_extract_reduction_replays_against_terminal():
         exprs = {frozenset(e.terms): e for e in terminal.param_exprs().values()}
         for terms, const in zip(m.rows, m.constants):
             expr = exprs[frozenset(terms)]
-            assert expr.clifford_const == const
+            assert expr.clifford == const
         # parsimonious columns: each original parameter at most once
         assert np.all(np.abs(m.p_matrix).sum(axis=0) <= 1)
 
@@ -119,6 +119,19 @@ def test_phase_teleport_idempotent_count():
         once = phase_teleport(c)
         twice = phase_teleport(once.circuit)
         assert len(twice.circuit.params) == len(once.circuit.params)
+
+
+@pytest.mark.parametrize("gates, error", [
+    ([Gate(GateKind.RZ_PARAM, (0,), param="t0"), Gate(GateKind.RZ_PARAM, (1,), param="t0")],
+     RepeatedParameter),
+    ([Gate(GateKind.H, (0,)), Gate(GateKind.RZ_PARAM, (2,), param="t0")], ValueError),
+    ([Gate(GateKind.CZ, (1, 1)), Gate(GateKind.RZ_PARAM, (0,), param="t0")], ValueError),
+], ids=["repeated-parameter", "qubit-out-of-range", "same-qubit-cz"])
+def test_phase_teleport_rejects_invalid_circuits(gates, error):
+    # a hand-built circuit skips the parser's checks; phase_teleport must
+    # still refuse it rather than optimise it
+    with pytest.raises(error):
+        phase_teleport(Circuit(2, gates))
 
 
 def test_phase_teleport_count_matches_terminal_diagram():

@@ -11,12 +11,13 @@ from zxparam.diagram import Diagram, EdgeKind, VKind
 from zxparam.errors import (DimensionMismatch, NotClifford, NotTerminalForm, TooLarge, TooManyParams,
                             ZeroState)
 from zxparam.generate import attach_gadget, random_circuit
-from zxparam.params import ParamExpr, Phase
+from zxparam.params import Phase
 from zxparam.reduction import ReductionMap, phase_teleport
 from zxparam.rewrite import simplify
 from zxparam.tensor import proportionality_ratio, tensor_eval
 from zxparam.verify import (BLOCK_BYTES, ap_form, brute_force_min, check_reduction,
-                            optimality_certificate, probe_state, structured_samples, zz_certificate)
+                            optimality_certificate, probe_state, structured_samples, terminal_violations,
+                            zz_certificate)
 
 FUSION = "qreg 1\nrz(t0) 0\nrz(t1) 0"
 
@@ -222,7 +223,7 @@ def build_i_h_pair():
     out = d.add_boundary(VKind.OUTPUT, 0)
     w = d.add_spider(Phase(0, (("a", 1),)))
     d.add_edge(w, out, EdgeKind.PLAIN)
-    axis, leaf = attach_gadget(Random(0), d, [w], 0, ParamExpr.of("b"))
+    axis, leaf = attach_gadget(Random(0), d, [w], 0, Phase.of("b"))
     return d, w, leaf
 
 
@@ -239,8 +240,8 @@ def test_zz_certificate_condition_ii():
         s = d.add_spider(Phase(0))
         d.add_edge(s, out, EdgeKind.PLAIN)
         targets.append(s)
-    a1, p1 = attach_gadget(Random(0), d, targets, 0, ParamExpr.of("a"))
-    a2, p2 = attach_gadget(Random(0), d, targets, 1, ParamExpr.of("b"))
+    a1, p1 = attach_gadget(Random(0), d, targets, 0, Phase.of("a"))
+    a2, p2 = attach_gadget(Random(0), d, targets, 1, Phase.of("b"))
     assert zz_certificate(d) == [((p1, p2), "ii")]
 
 
@@ -272,6 +273,29 @@ def test_optimality_certificate_passes_on_simplify_outputs():
         assert report.passed, report.failures
 
 
+def test_terminal_checks_find_gadgets_once(monkeypatch):
+    # a terminal diagram of the 6-qubit benchmark rung, with gadgets
+    c = random_circuit(Random("1/r6q60g/0"), 6, 60, 12)
+    term, _ = simplify(circuit_to_diagram(c), seed=0)
+    calls = []
+    real = zxparam.verify.find_gadgets
+
+    def counting(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(zxparam.verify, "find_gadgets", counting)
+    report = optimality_certificate(term)
+    assert report.passed and report.n_gadgets > 0
+    assert len(calls) == 1
+    calls.clear()
+    assert terminal_violations(term) == []
+    assert len(calls) == 1
+    calls.clear()
+    zz_certificate(term)
+    assert len(calls) == 1
+
+
 def test_optimality_certificate_flags_identical_neighbourhoods():
     d = Diagram()
     targets = []
@@ -280,8 +304,8 @@ def test_optimality_certificate_flags_identical_neighbourhoods():
         s = d.add_spider(Phase(0))
         d.add_edge(s, out, EdgeKind.PLAIN)
         targets.append(s)
-    attach_gadget(Random(0), d, targets, 0, ParamExpr.of("a"))
-    attach_gadget(Random(0), d, targets, 0, ParamExpr.of("b"))
+    attach_gadget(Random(0), d, targets, 0, Phase.of("a"))
+    attach_gadget(Random(0), d, targets, 0, Phase.of("b"))
     report = optimality_certificate(d)
     assert not report.passed
     assert any(f.startswith("(b)") for f in report.failures)
