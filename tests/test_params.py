@@ -41,6 +41,9 @@ def test_addition_cancels_terms():
     e = Phase.of("a") + Phase.of("a", -1)
     assert e.is_clifford()
     assert e.clifford == 0
+
+
+def test_phase_add_expr_demotes_on_cancellation():
     # a cancelled parametrised phase demotes to the interned Clifford phase
     q = Phase(1, (("t0", 1),)) + Phase.of("t0", -1, 1)
     assert q.is_clifford()
