@@ -1,7 +1,8 @@
 """Batch command line: optimize, verify and oracle subcommands.
 
-Exit codes: 0 success, 1 parse/usage errors (including oracle refusals, a
-bad seed or tolerance, and files that cannot be read or written), 2 internal
+Exit codes: 0 success, 1 parse/usage errors (including a qreg wider than
+circuits.MAX_QUBITS, oracle refusals, a bad seed or tolerance, and files that
+cannot be read or written), 2 internal
 invariant violation, 3 verification failure, 4 the brute-force
 oracle beat the optimiser (impossible unless the optimiser is buggy).
 """

@@ -12,7 +12,6 @@ provenance tracking across rewrites can rely on identity.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
@@ -343,15 +342,18 @@ class NKind(Enum):
 class SpiderNetwork:
     """An arbitrary network of Z/X spiders, Hadamard boxes and boundary nodes.
 
-    Edges form a multigraph and may connect any two nodes; this is the raw
-    form a circuit translates into before conversion to a graph-like diagram.
+    Wires form a multigraph and may connect any two nodes; each wire is plain
+    or carries a Hadamard.  This is the raw form a diagram takes before
+    conversion to a graph-like diagram.  A circuit translates into Z spiders
+    and boundaries only (``circuits.circuit_to_network``); H-boxes and X
+    spiders serve general networks and the X-spider inputs of a state.
     """
 
     def __init__(self):
         self.kinds: Dict[int, NKind] = {}
         self.phases: Dict[int, Phase] = {}
         self.positions: Dict[int, int] = {}
-        self.edges: List[Tuple[int, int]] = []
+        self.edges: List[Tuple[int, int, bool]] = []  # (node, node, Hadamard)
         self._next = 0
 
     def node(self, kind: NKind, phase: Phase = Phase(), position: int | None = None) -> int:
@@ -363,8 +365,8 @@ class SpiderNetwork:
             self.positions[v] = position
         return v
 
-    def wire(self, a: int, b: int) -> None:
-        self.edges.append((a, b))
+    def wire(self, a: int, b: int, hadamard: bool = False) -> None:
+        self.edges.append((a, b, hadamard))
 
 
 def to_graph_like(raw: SpiderNetwork) -> Diagram:
@@ -376,12 +378,13 @@ def to_graph_like(raw: SpiderNetwork) -> Diagram:
     (a Hadamard self-loop leaves a pi phase, parallel Hadamard edges cancel).
     The result is tensor-equal to the input up to a nonzero constant scalar.
 
-    One pass over the wires: each node keeps the list of its incident edges
-    for H-box absorption and colour change, Z-spiders joined by plain edges
+    One pass over the wires: each H-box and X node keeps the list of its
+    incident wires for H-box absorption and colour change (a network of Z
+    spiders and boundaries skips both), Z-spiders joined by plain wires
     merge in a union-find (the class phase is the sum of its members), and
-    the Hadamard edges between two classes reduce to their parity.  Plain
-    edges merge in the order the wires were added and the class keeps the id
-    of the first endpoint, so vertex ids follow the order of the network.
+    the Hadamard wires between two classes reduce to their parity.  Plain
+    wires merge in the order they were added and the class keeps the id of
+    the first endpoint, so vertex ids follow the order of the network.
 
     Raises RepeatedParameter if one parameter id occurs on two spiders, and
     ConversionError if the network has no graph-like form (an H-box without
@@ -389,48 +392,54 @@ def to_graph_like(raw: SpiderNetwork) -> Diagram:
     """
     seen_params: Dict[str, int] = {}
     for v, ph in raw.phases.items():
-        for name in ph.param_ids:
+        for name, _ in ph.terms:
             if name in seen_params:
                 raise RepeatedParameter(f"parameter {name!r} occurs on nodes {seen_params[name]} and {v}")
             seen_params[name] = v
 
     kinds = dict(raw.kinds)
     phases = dict(raw.phases)
-    # [node, node, Hadamard parity] in the order the wires were added; an
+    # (node, node, Hadamard parity) in the order the wires were added; an
     # absorbed H-box leaves None and appends its replacement wire.
-    edges: List[Optional[List[int]]] = []
-    incident: Dict[int, List[int]] = defaultdict(list)  # node -> edge indices, a self-loop once
+    edges: List[Optional[Tuple[int, int, int]]] = list(raw.edges)
+    z_kind, x_kind, hbox_kind = NKind.Z, NKind.X, NKind.HBOX  # an Enum member read is slow on 3.11
+    special = [v for v, kind in kinds.items() if kind is hbox_kind or kind is x_kind]
+    if special:
+        incident: Dict[int, List[int]] = {v: [] for v in special}  # edge indices, a self-loop once
 
-    def add(a: int, b: int, parity: int) -> None:
-        incident[a].append(len(edges))
-        if b != a:
-            incident[b].append(len(edges))
-        edges.append([a, b, parity])
+        def attach(i: int, a: int, b: int) -> None:
+            if a in incident:
+                incident[a].append(i)
+            if b != a and b in incident:
+                incident[b].append(i)
 
-    for a, b in raw.edges:
-        add(a, b, 0)
+        for i, (a, b, _) in enumerate(raw.edges):
+            attach(i, a, b)
 
-    for v, kind in raw.kinds.items():
-        if kind is not NKind.HBOX:
-            continue
-        live = [i for i in incident.pop(v, ()) if edges[i] is not None]
-        if len(live) != 2:
-            raise ConversionError(f"Hadamard box {v} must have exactly 2 wires, has {len(live)}")
-        e1, e2 = edges[live[0]], edges[live[1]]
-        edges[live[0]] = edges[live[1]] = None
-        add(e1[0] if e1[1] == v else e1[1], e2[0] if e2[1] == v else e2[1], (e1[2] + e2[2] + 1) % 2)
-        del kinds[v]
-        del phases[v]
+        for v in special:
+            if kinds[v] is not hbox_kind:
+                continue
+            live = [i for i in incident.pop(v) if edges[i] is not None]
+            if len(live) != 2:
+                raise ConversionError(f"Hadamard box {v} must have exactly 2 wires, has {len(live)}")
+            e1, e2 = edges[live[0]], edges[live[1]]
+            edges[live[0]] = edges[live[1]] = None
+            a, b = e1[0] if e1[1] == v else e1[1], e2[0] if e2[1] == v else e2[1]
+            attach(len(edges), a, b)
+            edges.append((a, b, (e1[2] + e2[2] + 1) % 2))
+            del kinds[v]
+            del phases[v]
 
-    for v, kind in kinds.items():
-        if kind is NKind.X:
-            for i in incident[v]:
-                e = edges[i]
-                if e is not None:
-                    e[2] ^= (e[0] == v) ^ (e[1] == v)  # a self-loop toggles twice
-            kinds[v] = NKind.Z
+        for v in special:
+            if kinds.get(v) is x_kind:
+                for i in incident[v]:
+                    e = edges[i]
+                    if e is not None:
+                        # a self-loop toggles twice
+                        edges[i] = (e[0], e[1], e[2] ^ (e[0] == v) ^ (e[1] == v))
+                kinds[v] = z_kind
 
-    parent = {v: v for v, kind in kinds.items() if kind is NKind.Z}
+    parent = {v: v for v, kind in kinds.items() if kind is z_kind}
 
     def find(v: int) -> int:
         root = v
@@ -445,8 +454,9 @@ def to_graph_like(raw: SpiderNetwork) -> Diagram:
             a, b = find(e[0]), find(e[1])
             if a != b:
                 parent[b] = a
+    rep: Dict[int, int] = {}  # Z node -> the representative of its class
     for v in parent:
-        root = find(v)
+        root = rep[v] = find(v)
         if root != v:
             phases[root] = phases[root] + phases[v]
 
@@ -461,9 +471,8 @@ def to_graph_like(raw: SpiderNetwork) -> Diagram:
     for i, e in enumerate(edges):
         if e is None:
             continue
-        a = find(e[0]) if e[0] in parent else e[0]
-        b = find(e[1]) if e[1] in parent else e[1]
-        if a not in parent and b not in parent:
+        a, b = rep.get(e[0], e[0]), rep.get(e[1], e[1])
+        if a not in rep and b not in rep:
             resolved.append((i, a, b))
             continue
         if a == b:
@@ -484,21 +493,23 @@ def to_graph_like(raw: SpiderNetwork) -> Diagram:
 
     d = Diagram()
     id_map: Dict[int, int] = {}
+    input_kind, output_kind = NKind.INPUT, NKind.OUTPUT
     for v, kind in kinds.items():
-        if kind is NKind.Z:
-            if parent[v] == v:
+        if kind is z_kind:
+            if rep[v] == v:
                 id_map[v] = d.add_spider(phases[v])
-        elif kind is NKind.INPUT:
+        elif kind is input_kind:
             id_map[v] = d.add_boundary(VKind.INPUT, raw.positions.get(v, 0))
-        elif kind is NKind.OUTPUT:
+        elif kind is output_kind:
             id_map[v] = d.add_boundary(VKind.OUTPUT, raw.positions.get(v, 0))
         else:
             raise ConversionError(f"unresolved node kind {kind}")
+    edge_kinds = (EdgeKind.PLAIN, EdgeKind.HADAMARD)  # by parity
     for i, a, b in resolved:
         da, db = id_map[a], id_map[b]
         if da == db or d.has_edge(da, db):
             raise ConversionError(f"unresolved {'self-loop' if da == db else 'parallel edge'} {da}-{db}")
-        d.add_edge(da, db, EdgeKind.HADAMARD if edges[i][2] else EdgeKind.PLAIN)
+        d.add_edge(da, db, edge_kinds[edges[i][2]])
 
     report = validate(d)
     if not report.ok:

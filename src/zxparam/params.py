@@ -64,6 +64,8 @@ class Phase:
         coefficient +-2."""
         if not other.terms:
             return self.add_clifford(other.clifford)
+        if not self.terms:
+            return other.add_clifford(self.clifford)
         merged = self.term_map
         for name, coeff in other.terms:
             total = merged.pop(name, 0) + coeff

@@ -35,10 +35,11 @@ class ReductionMap:
     eliminated: Tuple[str, ...] = ()
 
     def __post_init__(self):
+        self._column = {p: j for j, p in enumerate(self.params_in)}
         for name, terms in zip(self.new_param_names, self.rows):
             seen = set()
             for param, sign in terms:
-                if param not in self.params_in:
+                if param not in self._column:
                     raise ValueError(f"row {name} references unknown parameter {param!r}")
                 if param in seen or sign not in (-1, 1):
                     raise ValueError(f"bad term ({param}, {sign}) in row {name}")
@@ -56,10 +57,9 @@ class ReductionMap:
     @property
     def p_matrix(self) -> np.ndarray:
         m = np.zeros((len(self.rows), len(self.params_in)), dtype=int)
-        col = {p: j for j, p in enumerate(self.params_in)}
         for i, terms in enumerate(self.rows):
             for param, sign in terms:
-                m[i, col[param]] = sign
+                m[i, self._column[param]] = sign
         return m
 
     def apply(self, assignment: Mapping[str, float]) -> Dict[str, float]:
@@ -71,8 +71,7 @@ class ReductionMap:
 
     def row_string(self, i: int) -> str:
         parts = []
-        order = {p: j for j, p in enumerate(self.params_in)}
-        for param, sign in sorted(self.rows[i], key=lambda t: order[t[0]]):
+        for param, sign in sorted(self.rows[i], key=lambda t: self._column[t[0]]):
             if not parts:
                 parts.append(param if sign > 0 else f"-{param}")
             else:
@@ -82,7 +81,7 @@ class ReductionMap:
         return f"{self.new_param_names[i]} = " + " ".join(parts)
 
     def to_dict(self) -> dict:
-        order = {p: j for j, p in enumerate(self.params_in)}
+        order = self._column
         return {
             "params_in": list(self.params_in),
             "params_out": list(self.new_param_names),

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zxparam.circuits import (MAX_PROBE_QUBITS, MAX_UNITARY_QUBITS, Circuit, Gate, GateKind, circuit_to_diagram,
-                              circuit_unitary, emit_circuit, flatten_unitary, parse_circuit)
+from zxparam.circuits import (MAX_PROBE_QUBITS, MAX_QUBITS, MAX_UNITARY_QUBITS, Circuit, Gate, GateKind,
+                              circuit_to_diagram, circuit_unitary, emit_circuit, flatten_unitary,
+                              parse_circuit)
 from zxparam.errors import CircuitSyntaxError, NonCliffordConstant, RepeatedParameter, TooLarge
 from zxparam.generate import random_circuit
 from zxparam.tensor import proportionality_ratio, tensor_eval
@@ -43,6 +44,14 @@ def test_parse_errors_carry_line_numbers():
         parse_circuit("qreg 1\ncz 0 0")
     with pytest.raises(CircuitSyntaxError):
         parse_circuit("qreg 1\nh 3")
+    for token in ("\u00b2", "0" * 5000 + "1"):  # a digit int() does not read, more digits than it reads
+        with pytest.raises(CircuitSyntaxError):
+            parse_circuit(f"qreg 1\nh {token}")
+    assert parse_circuit("qreg 2\nh 0001").gates[0].qubits == (1,)
+    with pytest.raises(CircuitSyntaxError) as err:
+        parse_circuit(f"# wide\nqreg {MAX_QUBITS + 1}\n")
+    assert err.value.line == 2
+    assert parse_circuit(f"qreg {MAX_QUBITS}\nh {MAX_QUBITS - 1}").n_qubits == MAX_QUBITS
 
 
 def test_parse_rejects_repeated_parameter():

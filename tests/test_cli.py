@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 import zxparam.circuits
-from zxparam.circuits import emit_circuit, parse_circuit
+from zxparam.circuits import MAX_QUBITS, emit_circuit, parse_circuit
 from zxparam.cli import main
 from zxparam.diagram import NKind, SpiderNetwork
 from zxparam.generate import random_circuit
@@ -246,6 +246,18 @@ def test_oracle_too_many_qubits_exits_1(tmp_path, capsys):
         assert main(["oracle", str(src)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{n} qubits" in err
+
+
+@pytest.mark.parametrize("command", ["optimize", "verify", "oracle"])
+@pytest.mark.parametrize("width", [str(MAX_QUBITS + 1), "9" * 5000])  # int() refuses 5000 digits
+def test_qreg_above_max_qubits_exits_1(tmp_path, capsys, command, width):
+    src = write(tmp_path, "wide.zxc", f"qreg {width}\nh 0\nrz(t0) 0\n")
+    argv = [command, str(src)]
+    if command == "verify":
+        argv += [str(src), str(write(tmp_path, "id.json", ReductionMap.identity(["t0"]).to_text()))]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"line 1, column 5: qreg exceeds the limit of {MAX_QUBITS} qubits" in err
 
 
 def test_verify_past_the_dense_limit(tmp_path, capsys):

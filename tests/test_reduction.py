@@ -208,7 +208,14 @@ def test_reduction_map_serialization_round_trip():
 
 
 def test_reduction_map_invariants():
-    with pytest.raises(ValueError):  # zero row
+    with pytest.raises(ValueError, match=r"^row u0 is empty \(zero rows are not allowed\)$"):
         ReductionMap(("t0",), ("u0",), ((),), (0,))
-    with pytest.raises(ValueError):  # non-parsimonious column
+    with pytest.raises(ValueError, match=r"^column 't0' has two nonzero entries \(u0 and u1\); "
+                                         r"map is not parsimonious$"):
         ReductionMap(("t0",), ("u0", "u1"), ((("t0", 1),), (("t0", 1),)), (0, 0))
+    with pytest.raises(ValueError, match=r"^row u0 references unknown parameter 't1'$"):
+        ReductionMap(("t0",), ("u0",), ((("t1", 1),),), (0,))
+    with pytest.raises(ValueError, match=r"^bad term \(t0, 2\) in row u0$"):
+        ReductionMap(("t0",), ("u0",), ((("t0", 2),),), (0,))
+    m = ReductionMap(("t0", "t1", "t2"), ("u0",), ((("t2", -1), ("t0", 1)),), (0,))
+    assert m.row_string(0) == "u0 = t0 - t2"  # terms in the order of params_in
