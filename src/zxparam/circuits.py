@@ -38,7 +38,6 @@ class GateKind(Enum):
     RZ_PARAM = "rz_param"
 
 
-TWO_QUBIT = {GateKind.CZ, GateKind.CX}
 # Reading a member off an Enum class, or hashing one, is a Python-level call
 # on CPython 3.11 (~150 ns); the per-gate loops compare against these names.
 _H, _S, _SDG, _Z, _X = GateKind.H, GateKind.S, GateKind.SDG, GateKind.Z, GateKind.X
@@ -68,17 +67,17 @@ class Circuit:
     @property
     def params(self) -> List[str]:
         """Parameter ids in order of first appearance."""
-        return list(dict.fromkeys(g.param for g in self.gates if g.kind is GateKind.RZ_PARAM))
+        return list(dict.fromkeys(g.param for g in self.gates if g.kind is _RZ_PARAM))
 
     def validate(self) -> None:
-        n, rz_param = self.n_qubits, GateKind.RZ_PARAM
+        n, rz_param = self.n_qubits, _RZ_PARAM
         seen = set()
         for g in self.gates:
             qubits = g.qubits
             for q in qubits:
                 if not 0 <= q < n:
                     raise ValueError(f"qubit index out of range in {g}")
-            # Gate admits two qubits exactly for the TWO_QUBIT kinds
+            # Gate admits two qubits exactly for CZ and CX
             if len(qubits) == 2 and qubits[0] == qubits[1]:
                 raise ValueError(f"two-qubit gate on a single qubit: {g}")
             if g.kind is rz_param:
@@ -199,14 +198,15 @@ def emit_circuit(c: Circuit) -> str:
     """Canonical source text; parse_circuit(emit_circuit(c)) == c."""
     lines = [f"qreg {c.n_qubits}"]
     for g in c.gates:
-        if g.kind is GateKind.RZ_PARAM:
+        kind = g.kind
+        if kind is _RZ_PARAM:
             lines.append(f"rz({g.param}) {g.qubits[0]}")
-        elif g.kind is GateKind.RZ_CLIFFORD:
+        elif kind is _RZ_CLIFFORD:
             lines.append(f"rz({g.k}pi/2) {g.qubits[0]}")
-        elif g.kind in TWO_QUBIT:
-            lines.append(f"{g.kind.value} {g.qubits[0]} {g.qubits[1]}")
+        elif kind is _CX or kind is _CZ:  # _value_ is the name, without the value property
+            lines.append(f"{kind._value_} {g.qubits[0]} {g.qubits[1]}")
         else:
-            lines.append(f"{g.kind.value} {g.qubits[0]}")
+            lines.append(f"{kind._value_} {g.qubits[0]}")
     return "\n".join(lines) + "\n"
 
 
@@ -216,7 +216,6 @@ MAX_UNITARY_QUBITS = 10  # one 10-qubit unitary is 16 MB
 MAX_PROBE_QUBITS = 16  # one 16-qubit probe state is 1 MB
 _QUARTER_TURNS = (1, 1j, -1, -1j)  # exp(i k pi/2), exact
 _SQRT_HALF = 1 / math.sqrt(2)
-_PHASE_K = {GateKind.S: 1, GateKind.SDG: 3, GateKind.Z: 2}
 
 
 def _halves(u: np.ndarray, q: int, control: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
@@ -267,25 +266,32 @@ def circuit_unitary(c: Circuit, assignment: Mapping[str, float] | Sequence[Mappi
               for p in params}
     u = np.tile(columns, (len(assignments), 1, 1))
     for g in c.gates:
-        if g.kind in TWO_QUBIT:
+        kind = g.kind
+        if kind is _CX or kind is _CZ:
             zero, one = _halves(u, g.qubits[1], control=g.qubits[0])
         else:
             zero, one = _halves(u, g.qubits[0])
-        if g.kind is GateKind.H:
+        if kind is _H:
             diff = zero - one
             zero += one
             zero *= _SQRT_HALF
             np.multiply(diff, _SQRT_HALF, out=one)
-        elif g.kind is GateKind.X or g.kind is GateKind.CX:
+        elif kind is _X or kind is _CX:
             tmp = zero.copy()
             zero[...] = one
             one[...] = tmp
-        elif g.kind is GateKind.CZ:
+        elif kind is _CZ:
             one *= -1
-        elif g.kind is GateKind.RZ_PARAM:
+        elif kind is _RZ_PARAM:
             one *= phases[g.param]
-        elif g.kind is GateKind.RZ_CLIFFORD or g.kind in _PHASE_K:
-            one *= _QUARTER_TURNS[_PHASE_K.get(g.kind, g.k)]
+        elif kind is _RZ_CLIFFORD:
+            one *= _QUARTER_TURNS[g.k]
+        elif kind is _S:
+            one *= 1j
+        elif kind is _SDG:
+            one *= -1j
+        elif kind is _Z:
+            one *= -1
         else:
             raise ValueError(f"unhandled gate {g}")
     return u[0] if single else u

@@ -1,8 +1,8 @@
 """Batch command line: optimize, verify and oracle subcommands.
 
 Exit codes: 0 success, 1 parse/usage errors (including a qreg wider than
-circuits.MAX_QUBITS, oracle refusals, a bad seed or tolerance, and files that
-cannot be read or written), 2 internal
+circuits.MAX_QUBITS, oracle refusals, a bad seed, tolerance or
+--oracle-max-params, and files that cannot be read or written), 2 internal
 invariant violation, 3 verification failure, 4 the brute-force
 oracle beat the optimiser (impossible unless the optimiser is buggy).
 """
@@ -24,7 +24,7 @@ from .errors import DimensionMismatch, TooLarge, TooManyParams, ZXParamError
 from .reduction import ReductionMap, phase_teleport
 from .rewrite import simplify
 from .circuits import circuit_to_diagram
-from .verify import brute_force_min, check_reduction, optimality_certificate
+from .verify import MAX_ORACLE_PARAMS, brute_force_min, check_reduction, optimality_certificate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -52,6 +52,9 @@ class RunConfig:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.samples < 2:
             raise ValueError("samples must be at least 2")
+        if not 0 <= self.oracle_max_params <= MAX_ORACLE_PARAMS:
+            raise ValueError(f"oracle-max-params must be between 0 and {MAX_ORACLE_PARAMS}, "
+                             f"got {self.oracle_max_params}")
 
 
 class FileAccessError(Exception):

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .errors import ConversionError, RepeatedParameter
-from .params import Phase
+from .params import CLIFFORD_PHASES, Phase
 
 
 class EdgeKind(Enum):
@@ -31,6 +31,12 @@ class VKind(Enum):
     SPIDER = "spider"
 
 
+# Reading a member off an Enum class is a Python-level call on CPython 3.11
+# (~150 ns); the kernels compare against these names.
+_SPIDER, _HADAMARD = VKind.SPIDER, EdgeKind.HADAMARD
+_ZERO = CLIFFORD_PHASES[0]
+
+
 @dataclass
 class Vertex:
     kind: VKind
@@ -39,7 +45,7 @@ class Vertex:
 
     @property
     def is_boundary(self) -> bool:
-        return self.kind is not VKind.SPIDER
+        return self.kind is not _SPIDER
 
 
 class Diagram:
@@ -59,9 +65,9 @@ class Diagram:
         self._next_id += 1
         return v
 
-    def add_spider(self, phase: Phase = Phase()) -> int:
+    def add_spider(self, phase: Phase = _ZERO) -> int:
         v = self._new_id()
-        self._vertices[v] = Vertex(VKind.SPIDER, phase)
+        self._vertices[v] = Vertex(_SPIDER, phase)
         self._adj[v] = {}
         self._boundary_count[v] = 0
         for name, _ in phase.terms:
@@ -69,10 +75,10 @@ class Diagram:
         return v
 
     def add_boundary(self, kind: VKind, position: int) -> int:
-        if kind is VKind.SPIDER:
+        if kind is _SPIDER:
             raise ValueError("boundary vertex must be INPUT or OUTPUT")
         v = self._new_id()
-        self._vertices[v] = Vertex(kind, Phase(), position)
+        self._vertices[v] = Vertex(kind, _ZERO, position)
         self._adj[v] = {}
         self._boundary_count[v] = 0
         return v
@@ -84,9 +90,9 @@ class Diagram:
             raise ValueError(f"parallel edge {a}-{b}")
         self._adj[a][b] = kind
         self._adj[b][a] = kind
-        if self._vertices[b].kind is not VKind.SPIDER:
+        if self._vertices[b].kind is not _SPIDER:
             self._boundary_count[a] += 1
-        if self._vertices[a].kind is not VKind.SPIDER:
+        if self._vertices[a].kind is not _SPIDER:
             self._boundary_count[b] += 1
 
     def _register(self, name: str, v: int) -> None:
@@ -103,10 +109,12 @@ class Diagram:
         return iter(self._vertices)
 
     def spiders(self) -> List[int]:
-        return [v for v, d in self._vertices.items() if d.kind is VKind.SPIDER]
+        spider = _SPIDER
+        return [v for v, d in self._vertices.items() if d.kind is spider]
 
     def boundaries(self) -> List[int]:
-        return [v for v, d in self._vertices.items() if d.kind is not VKind.SPIDER]
+        spider = _SPIDER
+        return [v for v, d in self._vertices.items() if d.kind is not spider]
 
     def inputs(self) -> List[int]:
         ins = [v for v, d in self._vertices.items() if d.kind is VKind.INPUT]
@@ -139,10 +147,10 @@ class Diagram:
 
     def is_internal(self, v: int) -> bool:
         """A spider none of whose neighbours is a boundary node."""
-        return self._vertices[v].kind is VKind.SPIDER and not self._boundary_count[v]
+        return self._vertices[v].kind is _SPIDER and not self._boundary_count[v]
 
     def is_boundary_spider(self, v: int) -> bool:
-        return self._vertices[v].kind is VKind.SPIDER and self._boundary_count[v] > 0
+        return self._vertices[v].kind is _SPIDER and self._boundary_count[v] > 0
 
     def boundary_wires(self, v: int) -> List[int]:
         """Boundary nodes attached to spider ``v``."""
@@ -161,24 +169,23 @@ class Diagram:
         for name, _ in phase.terms:
             self._register(name, v)
 
-    def add_to_phase(self, v: int, k: int) -> None:
-        self._vertices[v].phase = self._vertices[v].phase.add_clifford(k)
-
     def remove_edge(self, a: int, b: int) -> None:
         del self._adj[a][b]
         del self._adj[b][a]
-        if self._vertices[b].kind is not VKind.SPIDER:
+        if self._vertices[b].kind is not _SPIDER:
             self._boundary_count[a] -= 1
-        if self._vertices[a].kind is not VKind.SPIDER:
+        if self._vertices[a].kind is not _SPIDER:
             self._boundary_count[b] -= 1
 
     def complement(self, a: int, others: Iterable[int]) -> None:
         """Toggle the Hadamard edge between spider ``a`` and each spider of
         ``others``, in order.  Edges between two spiders never change a
-        boundary-neighbour count, so only the adjacency maps are updated."""
+        boundary-neighbour count, so only the adjacency maps are updated.
+        The pivot and local-complementation kernels of ``rewrite`` run the
+        same loop inline."""
         adj = self._adj
         adj_a = adj[a]
-        hadamard = EdgeKind.HADAMARD
+        hadamard = _HADAMARD
         for b in others:
             if b in adj_a:
                 del adj_a[b]
@@ -188,14 +195,22 @@ class Diagram:
                 adj[b][a] = hadamard
 
     def remove_vertex(self, v: int) -> None:
-        for n in list(self._adj[v]):
-            self.remove_edge(v, n)
-        for name, _ in self._vertices[v].phase.terms:
+        """Remove ``v`` and its edges in one pass over its adjacency.  Only
+        a boundary node's neighbours lose a boundary neighbour."""
+        adj = self._adj
+        data = self._vertices.pop(v)
+        del self._boundary_count[v]
+        if data.kind is _SPIDER:
+            for n in adj.pop(v):
+                del adj[n][v]
+        else:
+            boundary_count = self._boundary_count
+            for n in adj.pop(v):
+                del adj[n][v]
+                boundary_count[n] -= 1
+        for name, _ in data.phase.terms:
             if self.param_registry.get(name) == v:
                 del self.param_registry[name]
-        del self._adj[v]
-        del self._boundary_count[v]
-        del self._vertices[v]
 
     def copy(self) -> "Diagram":
         d = Diagram()
@@ -229,7 +244,7 @@ class Diagram:
     def param_exprs(self) -> Dict[int, Phase]:
         """Parametrised spiders and their phases, keyed by spider id."""
         return {v: data.phase for v, data in self._vertices.items()
-                if data.kind is VKind.SPIDER and not data.phase.is_clifford()}
+                if data.kind is _SPIDER and data.phase.terms}
 
     def __repr__(self) -> str:
         return (f"Diagram({len(self.spiders())} spiders, {len(self.boundaries())} boundaries, "
@@ -264,7 +279,7 @@ def find_gadgets(d: Diagram) -> List[GadgetView]:
         if not ph.is_pauli() or not d.is_internal(v):
             continue
         legs = [n for n in d.neighbors(v)
-                if d.degree(n) == 1 and d.vertex(n).kind is VKind.SPIDER]
+                if d.degree(n) == 1 and d.vertex(n).kind is _SPIDER]
         if len(legs) != 1:
             continue
         leg = legs[0]
@@ -289,34 +304,36 @@ def validate(d: Diagram) -> ValidationReport:
     """Report every violated graph-like invariant; empty report iff well-formed."""
     report = ValidationReport()
     vertices, adj, boundary_count = d._vertices, d._adj, d._boundary_count
-    spider, hadamard = VKind.SPIDER, EdgeKind.HADAMARD
-    for a, nbrs in adj.items():
-        if vertices[a].kind is spider:
-            for b, kind in nbrs.items():
-                if kind is not hadamard and a < b and vertices[b].kind is spider:
-                    report.add(f"plain spider-spider edge {a}-{b}")
+    spider, hadamard = _SPIDER, _HADAMARD
+    plain: List[str] = []  # reported first
     seen: Dict[str, int] = {}
     repeated: List[str] = []
     for v, data in vertices.items():
         nbrs = adj[v]
         if v in nbrs:
             report.add(f"self-loop at vertex {v}")
+        count = 0
         if data.kind is spider:
+            for n, kind in nbrs.items():
+                if vertices[n].kind is not spider:
+                    count += 1
+                elif kind is not hadamard and v < n:
+                    plain.append(f"plain spider-spider edge {v}-{n}")
             for name, _ in data.phase.terms:
                 if name in seen:
                     repeated.append(f"parameter {name!r} on spiders {seen[name]} and {v}")
                 seen[name] = v
         else:
+            for n in nbrs:
+                if vertices[n].kind is not spider:
+                    count += 1
             if len(nbrs) != 1:
                 report.add(f"boundary node {v} has degree {len(nbrs)}")
             if data.phase.terms or data.phase.clifford:
                 report.add(f"boundary node {v} carries a phase")
-        count = 0
-        for n in nbrs:
-            if vertices[n].kind is not spider:
-                count += 1
         if boundary_count.get(v) != count:
             report.add(f"vertex {v} has {count} boundary neighbours, recorded {boundary_count.get(v)}")
+    report.violations[:0] = plain
     report.violations.extend(repeated)
     registry = d.param_registry
     for name, v in seen.items():
@@ -491,25 +508,43 @@ def to_graph_like(raw: SpiderNetwork) -> Diagram:
             resolved.append((i, *pair))
     resolved.sort()
 
+    # The diagram is written directly, as add_spider, add_boundary and
+    # add_edge would build it; validate checks the result.
     d = Diagram()
+    vertices, adj, registry = d._vertices, d._adj, d.param_registry
     id_map: Dict[int, int] = {}
+    boundaries: List[int] = []
     input_kind, output_kind = NKind.INPUT, NKind.OUTPUT
     for v, kind in kinds.items():
+        new = len(id_map)
         if kind is z_kind:
-            if rep[v] == v:
-                id_map[v] = d.add_spider(phases[v])
+            if rep[v] != v:
+                continue
+            vertices[new] = Vertex(_SPIDER, phases[v])
+            for name, _ in phases[v].terms:
+                registry[name] = new  # one owner each, checked above
         elif kind is input_kind:
-            id_map[v] = d.add_boundary(VKind.INPUT, raw.positions.get(v, 0))
+            vertices[new] = Vertex(VKind.INPUT, _ZERO, raw.positions.get(v, 0))
+            boundaries.append(new)
         elif kind is output_kind:
-            id_map[v] = d.add_boundary(VKind.OUTPUT, raw.positions.get(v, 0))
+            vertices[new] = Vertex(VKind.OUTPUT, _ZERO, raw.positions.get(v, 0))
+            boundaries.append(new)
         else:
             raise ConversionError(f"unresolved node kind {kind}")
+        id_map[v] = new
+        adj[new] = {}
+    d._next_id = len(id_map)
     edge_kinds = (EdgeKind.PLAIN, EdgeKind.HADAMARD)  # by parity
     for i, a, b in resolved:
         da, db = id_map[a], id_map[b]
-        if da == db or d.has_edge(da, db):
+        adj_a = adj[da]
+        if da == db or db in adj_a:
             raise ConversionError(f"unresolved {'self-loop' if da == db else 'parallel edge'} {da}-{db}")
-        d.add_edge(da, db, edge_kinds[edges[i][2]])
+        adj_a[db] = adj[db][da] = edge_kinds[edges[i][2]]
+    boundary_count = d._boundary_count = dict.fromkeys(adj, 0)
+    for b in boundaries:
+        for n in adj[b]:
+            boundary_count[n] += 1
 
     report = validate(d)
     if not report.ok:

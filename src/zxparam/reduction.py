@@ -21,7 +21,7 @@ from .circuits import Circuit, Gate, GateKind, circuit_to_diagram
 from .diagram import Diagram
 from .errors import InconsistentProvenance
 from .params import HALF_PI
-from .rewrite import RewriteEvent, simplify
+from .rewrite import RewriteEvent, _simplify
 
 
 @dataclass
@@ -180,6 +180,14 @@ def extract_reduction(events: Sequence[RewriteEvent], original_params: Sequence[
     )
 
 
+def simplify(d: Diagram, seed: Optional[int] = None) -> Tuple[Diagram, List[RewriteEvent]]:
+    """``rewrite.simplify`` without its copy of ``d``: ``phase_teleport``
+    owns the diagram it builds, so that diagram is rewritten to its terminal
+    form.  Tracing tools time this name as the simplify span, and either
+    binding gives the same terminal diagram and events."""
+    return _simplify(d, seed)
+
+
 @dataclass
 class TeleportResult:
     circuit: Circuit
@@ -200,7 +208,8 @@ def phase_teleport(c: Circuit, seed: Optional[int] = None) -> TeleportResult:
     terminal, events = simplify(diagram, seed=seed)
     diagram_map = extract_reduction(events, c.params, terminal)
 
-    gate_index = {g.param: i for i, g in enumerate(c.gates) if g.kind is GateKind.RZ_PARAM}
+    rz_param = GateKind.RZ_PARAM  # an Enum member read is slow on 3.11
+    gate_index = {g.param: i for i, g in enumerate(c.gates) if g.kind is rz_param}
     groups = []
     for terms in diagram_map.rows:
         rep = min((p for p, _ in terms), key=lambda p: gate_index[p])
@@ -217,10 +226,10 @@ def phase_teleport(c: Circuit, seed: Optional[int] = None) -> TeleportResult:
 
     gates: List[Gate] = []
     for g in c.gates:
-        if g.kind is not GateKind.RZ_PARAM:
+        if g.kind is not rz_param:
             gates.append(g)
         elif g.param in new_name:
-            gates.append(Gate(GateKind.RZ_PARAM, g.qubits, param=new_name[g.param]))
+            gates.append(Gate(rz_param, g.qubits, param=new_name[g.param]))
         # other parametrised gates are set to zero and dropped
     out = Circuit(c.n_qubits, gates)
     out.validate()

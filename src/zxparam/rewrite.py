@@ -19,7 +19,12 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tup
 
 from .diagram import Diagram, EdgeKind, GadgetView, VKind, axis_parity
 from .errors import FixpointNotReached, NotApplicable
-from .params import Phase
+from .params import CLIFFORD_PHASES, Phase
+
+# Enum member reads are Python-level calls on CPython 3.11; the kernels and
+# the driver compare against these names.
+_SPIDER, _HADAMARD, _PLAIN = VKind.SPIDER, EdgeKind.HADAMARD, EdgeKind.PLAIN
+_ZERO = CLIFFORD_PHASES[0]  # shared by every hub and buffer spider
 
 
 class Rule(Enum):
@@ -57,15 +62,25 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _is_internal_pauli(d: Diagram, v: int) -> bool:
-    if v not in d._vertices or d.vertex(v).kind is not VKind.SPIDER:
+    data = d._vertices.get(v)
+    if data is None or data.kind is not _SPIDER or d._boundary_count[v]:
         return False
-    ph = d.phase(v)
-    return d.is_internal(v) and ph.is_pauli()
+    ph = data.phase
+    return not ph.terms and not ph.clifford & 1
 
 
 def _degree_one_plugs(d: Diagram, v: int) -> List[int]:
-    return [n for n in d.neighbors(v)
-            if d.degree(n) == 1 and d.vertex(n).kind is VKind.SPIDER]
+    vertices, adj = d._vertices, d._adj
+    return [n for n in adj[v] if len(adj[n]) == 1 and vertices[n].kind is _SPIDER]
+
+
+def _shift(data, k: int) -> None:
+    """Add ``k`` quarter turns to a vertex's phase in place."""
+    ph = data.phase
+    if ph.terms:
+        data.phase = ph.add_clifford(k)
+    else:
+        data.phase = CLIFFORD_PHASES[(ph.clifford + k) % 4]
 
 
 def _is_clean_axis(d: Diagram, v: int) -> bool:
@@ -89,12 +104,19 @@ def _complement_out(d: Diagram, v: int) -> Tuple[int, ...]:
     """Remove the +-pi/2 spider ``v``: shift each neighbour's phase by the
     opposite quarter turn and complement the neighbourhood.  Returns the
     former neighbours, sorted."""
-    k = d.phase(v).clifford
-    nbrs = sorted(d.neighbors(v))
+    vertices, adj = d._vertices, d._adj
+    k = -vertices[v].phase.clifford
+    nbrs = sorted(adj[v])
     d.remove_vertex(v)
     for i, a in enumerate(nbrs):
-        d.add_to_phase(a, -k)
-        d.complement(a, nbrs[i + 1:])
+        _shift(vertices[a], k)
+        adj_a = adj[a]
+        for b in nbrs[i + 1:]:  # Diagram.complement(a, nbrs[i + 1:]), in place
+            if b in adj_a:
+                del adj_a[b]
+                del adj[b][a]
+            else:
+                adj_a[b] = adj[b][a] = _HADAMARD
     return tuple(nbrs)
 
 
@@ -103,25 +125,38 @@ def _complement_out(d: Diagram, v: int) -> Tuple[int, ...]:
 def _pivot_core(d: Diagram, u: int, v: int) -> Tuple[int, ...]:
     """Remove the adjacent Pauli pair (u, v); complement edges between the
     three neighbourhood classes and propagate the pi phases."""
-    pu, pv = d.phase(u).clifford, d.phase(v).clifford
-    nu = set(d.neighbors(u)) - {v}
-    nv = set(d.neighbors(v)) - {u}
+    vertices, adj = d._vertices, d._adj
+    pu, pv = vertices[u].phase.clifford, vertices[v].phase.clifford
+    # the sets are built as before the kernels were inlined: their iteration
+    # order decides the adjacency insertion order
+    nu = set(list(adj[u])) - {v}
+    nv = set(list(adj[v])) - {u}
     common = nu & nv
     only_u = nu - common
     only_v = nv - common
     d.remove_vertex(u)
     d.remove_vertex(v)
-    for a in only_u:
-        d.complement(a, only_v)
-        d.complement(a, common)
-    for a in only_v:
-        d.complement(a, common)
-    for w in only_u:
-        d.add_to_phase(w, pv)
-    for w in only_v:
-        d.add_to_phase(w, pu)
-    for w in common:
-        d.add_to_phase(w, 2 + pu + pv)
+    # Diagram.complement(a, only_v) and (a, common) for a in only_u, then
+    # (a, common) for a in only_v, in place
+    for group, others in ((only_u, [*only_v, *common]), (only_v, common)):
+        for a in group:
+            adj_a = adj[a]
+            for b in others:
+                if b in adj_a:
+                    del adj_a[b]
+                    del adj[b][a]
+                else:
+                    adj_a[b] = adj[b][a] = _HADAMARD
+    if pv:
+        for w in only_u:
+            _shift(vertices[w], pv)
+    if pu:
+        for w in only_v:
+            _shift(vertices[w], pu)
+    k = (2 + pu + pv) % 4
+    if k:
+        for w in common:
+            _shift(vertices[w], k)
     return tuple(sorted(only_u | only_v | common))
 
 
@@ -141,9 +176,9 @@ def _buffer_boundary_wires(d: Diagram, b: int) -> List[int]:
     for o in d.boundary_wires(b):
         kind = d.edge_kind(b, o)
         d.remove_edge(b, o)
-        z = d.add_spider(Phase())
-        d.add_edge(b, z, EdgeKind.HADAMARD)
-        d.add_edge(z, o, EdgeKind.HADAMARD if kind is EdgeKind.PLAIN else EdgeKind.PLAIN)
+        z = d.add_spider(_ZERO)
+        d.add_edge(b, z, _HADAMARD)
+        d.add_edge(z, o, _HADAMARD if kind is _PLAIN else _PLAIN)
         added.append(z)
     return added
 
@@ -152,11 +187,11 @@ def _extract_phase_to_gadget(d: Diagram, w: int) -> Tuple[int, int]:
     """Unfuse the phase of ``w`` onto a fresh degree-1 spider behind a fresh
     phase-0 hub; tensor-exact.  Returns (hub, phase spider)."""
     phase = d.phase(w)
-    d.set_phase(w, Phase())
-    hub = d.add_spider(Phase())
+    d.set_phase(w, _ZERO)
+    hub = d.add_spider(_ZERO)
     leaf = d.add_spider(phase)
-    d.add_edge(w, hub, EdgeKind.HADAMARD)
-    d.add_edge(hub, leaf, EdgeKind.HADAMARD)
+    d.add_edge(w, hub, _HADAMARD)
+    d.add_edge(hub, leaf, _HADAMARD)
     return hub, leaf
 
 
@@ -314,6 +349,16 @@ def _needs_boundary_cleanup(d: Diagram, b: int) -> bool:
 
 # -- driver -------------------------------------------------------------------
 
+# The driver's per-vertex code.  The SIG_ bits are the vertex's signature:
+# what the candidates anchored at a neighbour read off it.  The CLASS_ bits
+# say which of the driver's vertex sets holds it (at most one).
+SIG_DEGREE_ONE, SIG_WIRED, SIG_PARAM = 1, 2, 4
+CLASS_LOCAL_COMP, CLASS_PAULI, CLASS_HADAMARD_WIRED = 8, 16, 32
+_SIGNATURE = SIG_DEGREE_ONE | SIG_WIRED | SIG_PARAM
+_CLASSES = CLASS_LOCAL_COMP | CLASS_PAULI | CLASS_HADAMARD_WIRED
+_NO_PARTNERS: FrozenSet[int] = frozenset()
+
+
 def _pick(candidates, rng: Optional[Random]):
     if not candidates:
         return None
@@ -331,12 +376,17 @@ class Rewriter:
     candidates, or ``rng.choice`` of them sorted when a seed is given.
     After a rewrite only what it changed is re-checked: the matched, removed
     and touched vertices and the former neighbours of the matched ones, which
-    are every vertex whose phase, degree or adjacency changed.  The gadget
-    and gadget/boundary pivot candidates of a vertex also read its
-    neighbours' degree class (0, 1, more), boundary adjacency and parameter.
-    The driver keeps these three as a signature per vertex; when a
-    re-checked vertex's signature changed, its internal 0/pi neighbours are
-    re-checked too.
+    are every vertex whose phase, degree or adjacency changed.
+
+    Each spider has a code, one small int: its signature (degree one,
+    boundary adjacency, parameter), which is what the candidates anchored at
+    a neighbour read off it, and its class (local complementation, internal
+    0/pi, Hadamard boundary wire).
+    A re-checked vertex moves between the class sets only when its class
+    changed; when its signature changed, its internal 0/pi neighbours are
+    re-checked too.  Re-checking an internal 0/pi spider walks its
+    neighbours once and applies only the difference from the previous walk
+    to its pivot partners, its gadget/boundary pivot pairs and its gadget.
     """
 
     def __init__(self, d: Diagram, stages: Sequence[Callable[["Rewriter"], Optional[List[RewriteEvent]]]],
@@ -354,9 +404,11 @@ class Rewriter:
         self.unary: Set[int] = set()  # axes of gadgets with one neighbour
         self.shared: Set[FrozenSet[int]] = set()  # neighbourhoods of two gadgets or more
         self.hadamard_wired: Set[int] = set()  # boundary spiders with a Hadamard boundary wire
-        self._pivot_partners: Dict[int, Set[int]] = {}
+        self.codes: Dict[int, int] = {}  # spider -> SIG_ and CLASS_ bits
+        self._class_sets = {CLASS_LOCAL_COMP: self.local_comp, CLASS_PAULI: self.pauli,
+                            CLASS_HADAMARD_WIRED: self.hadamard_wired}
+        self._pivot_partners: Dict[int, Set[int]] = {}  # never holds an empty set
         self._pairs_at: Dict[int, Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]] = {}
-        self._signatures: Dict[int, Optional[Tuple[int, bool, bool]]] = {}  # None for boundary nodes
         self.recheck(set(d.vertices()))
 
     def run(self, limit: int, what: str = "simplify") -> List[RewriteEvent]:
@@ -399,115 +451,160 @@ class Rewriter:
         re-checked too."""
         d = self.d
         vertices, adj, boundary_count = d._vertices, d._adj, d._boundary_count
-        local_comp, pauli, hadamard_wired = self.local_comp, self.pauli, self.hadamard_wired
-        signatures = self._signatures
-        spider, hadamard = VKind.SPIDER, EdgeKind.HADAMARD
+        codes, class_sets = self.codes, self._class_sets
+        spider, hadamard = _SPIDER, _HADAMARD
+        # Candidates are anchored only at internal 0/pi spiders, so every
+        # vertex that is one now or was one before the rewrite is re-checked.
+        anchors: List[int] = []
         around: Set[int] = set()
         for v in changed:
+            old = codes.get(v)  # None for a boundary node or a new spider
             data = vertices.get(v)
             if data is None or data.kind is not spider:
-                local_comp.discard(v)
-                pauli.discard(v)
-                hadamard_wired.discard(v)
-                if data is None:
-                    signatures.pop(v, None)
-                    continue
-                signature = None
-            else:
-                nbrs = adj[v]
-                wired = boundary_count[v] > 0
-                terms = data.phase.terms
-                if wired:
-                    local_comp.discard(v)
-                    pauli.discard(v)
+                if old is not None:  # a removed spider
+                    del codes[v]
+                    if old & _CLASSES:
+                        class_sets[old & _CLASSES].discard(v)
+                        if old & CLASS_PAULI:
+                            anchors.append(v)
+                continue
+            nbrs = adj[v]
+            ph = data.phase
+            if boundary_count[v]:
+                code = SIG_WIRED | SIG_PARAM if ph.terms else SIG_WIRED
+                if old is not None and old & SIG_WIRED:
+                    # rules add boundary wires only to new spiders and remove
+                    # them all at once, so a spider that stays wired keeps them
+                    code |= old & CLASS_HADAMARD_WIRED
+                else:
                     for n, kind in nbrs.items():
                         if kind is hadamard and vertices[n].kind is not spider:
-                            hadamard_wired.add(v)
+                            code |= CLASS_HADAMARD_WIRED
                             break
-                    else:
-                        hadamard_wired.discard(v)
+            elif ph.terms:
+                code = SIG_PARAM
+            elif ph.clifford & 1:
+                code = CLASS_LOCAL_COMP
+            else:
+                code = CLASS_PAULI
+            if len(nbrs) == 1:
+                code |= SIG_DEGREE_ONE
+            if code & CLASS_PAULI:
+                anchors.append(v)
+            if code == old:
+                continue
+            codes[v] = code
+            if old is None:
+                # every neighbour of a new spider gained an edge, so it is
+                # in ``changed`` already
+                if code & _CLASSES:
+                    class_sets[code & _CLASSES].add(v)
+                continue
+            if (code ^ old) & _CLASSES:
+                if old & _CLASSES:
+                    class_sets[old & _CLASSES].discard(v)
+                    if old & CLASS_PAULI:
+                        anchors.append(v)
+                if code & _CLASSES:
+                    class_sets[code & _CLASSES].add(v)
+            if (code ^ old) & _SIGNATURE:
+                around.update(nbrs)
+        pauli, partners_of, pairs_at, gadgets = self.pauli, self._pivot_partners, self._pairs_at, self.gadgets
+        if around:
+            around.difference_update(changed)
+            anchors.extend(around & pauli)
+        # Re-check the candidates anchored at each of ``anchors``: its pivot
+        # pairs, the gadget with axis u and its gadget/boundary pivots.  All
+        # of them need u to be an internal 0/pi spider; one walk over its
+        # neighbours finds them, and only what differs from the previous
+        # walk is applied.
+        pivot, gadget_pivot, boundary_pivot = self.pivot, self.gadget_pivot, self.boundary_pivot
+        for u in anchors:
+            if u in pauli:
+                adj_u = adj[u]
+                partners: Set[int] = set()
+                legs: List[int] = []
+                gadget_pairs: List[Tuple[int, int]] = []
+                boundary_pairs: List[Tuple[int, int]] = []
+                for w in adj_u:  # u is internal, so every neighbour is a spider
+                    code = codes[w]
+                    if code & CLASS_PAULI:
+                        partners.add(w)
+                    if code & _SIGNATURE:
+                        if code & SIG_DEGREE_ONE:
+                            legs.append(w)
+                        elif code & SIG_WIRED:
+                            boundary_pairs.append((u, w))
+                        else:
+                            gadget_pairs.append((u, w))
+                if len(legs) == 1 or not (gadget_pairs or boundary_pairs):
+                    pairs = None
                 else:
-                    hadamard_wired.discard(v)
-                    if terms:
-                        local_comp.discard(v)
-                        pauli.discard(v)
-                    elif data.phase.clifford & 1:
-                        local_comp.add(v)
-                        pauli.discard(v)
+                    pairs = (gadget_pairs, boundary_pairs)
+            else:
+                partners, legs, pairs = _NO_PARTNERS, (), None
+            old_partners = partners_of.get(u, _NO_PARTNERS)
+            if partners != old_partners:
+                for p in old_partners - partners:
+                    pivot.discard((u, p) if u < p else (p, u))
+                    others = partners_of[p]
+                    others.discard(u)
+                    if not others:
+                        del partners_of[p]
+                for p in partners - old_partners:
+                    pivot.add((u, p) if u < p else (p, u))
+                    others = partners_of.get(p)
+                    if others is None:
+                        partners_of[p] = {u}
                     else:
-                        pauli.add(v)
-                        local_comp.discard(v)
-                # what the candidates of a neighbour read off v
-                degree = len(nbrs)
-                signature = (degree if degree < 2 else 2, wired, bool(terms))
-            if signatures.get(v, "new") != signature:
-                signatures[v] = signature
-                around.update(adj[v])
-        partners_of, pairs_at, gadgets = self._pivot_partners, self._pairs_at, self.gadgets
-        for v in changed:
-            if v in pauli or v in partners_of or v in pairs_at or v in gadgets:
-                self._recheck_at(v)
-        around.difference_update(changed)
-        for u in around & pauli:
-            self._recheck_at(u)
+                        others.add(u)
+                if partners:
+                    partners_of[u] = partners
+                else:
+                    del partners_of[u]
+            old_pairs = pairs_at.get(u)
+            if pairs != old_pairs:
+                if old_pairs is not None:
+                    gadget_pivot.difference_update(old_pairs[0])
+                    boundary_pivot.difference_update(old_pairs[1])
+                if pairs is None:
+                    del pairs_at[u]
+                else:
+                    pairs_at[u] = pairs
+                    gadget_pivot.update(gadget_pairs)
+                    boundary_pivot.update(boundary_pairs)
+            old_gadget = gadgets.get(u)
+            if len(legs) == 1:
+                leg = legs[0]
+                if old_gadget is not None:
+                    nbhd = old_gadget.neighbourhood
+                    if (old_gadget.phase_spider == leg and len(adj_u) == len(nbhd) + 1
+                            and adj_u.keys() >= nbhd):
+                        continue
+                    self._drop_gadget(old_gadget)
+                self._add_gadget(GadgetView(u, leg, frozenset([n for n in adj_u if n != leg])))
+            elif old_gadget is not None:
+                self._drop_gadget(old_gadget)
 
-    def _recheck_at(self, u: int) -> None:
-        """The candidates anchored at ``u``: its pivot pairs, the gadget with
-        axis ``u`` and its gadget/boundary pivots.  All of them need ``u`` to
-        be an internal 0/pi spider; one walk over its neighbours finds them."""
-        partners_of = self._pivot_partners
-        for p in partners_of.pop(u, ()):
-            self.pivot.discard((u, p) if u < p else (p, u))
-            partners_of[p].discard(u)
-        old_pairs = self._pairs_at.pop(u, None)
-        if old_pairs is not None:
-            self.gadget_pivot.difference_update(old_pairs[0])
-            self.boundary_pivot.difference_update(old_pairs[1])
-        old = self.gadgets.pop(u, None)
-        if old is not None:
-            axes = self.by_neighbourhood[old.neighbourhood]
-            axes.discard(u)
-            if len(axes) < 2:
-                self.shared.discard(old.neighbourhood)
-                if not axes:
-                    del self.by_neighbourhood[old.neighbourhood]
-            self.unary.discard(u)
-        pauli = self.pauli
-        if u not in pauli:
-            return
-        d = self.d
-        vertices, adj, boundary_count = d._vertices, d._adj, d._boundary_count
-        partners: Set[int] = set()
-        legs: List[int] = []
-        gadget_pairs: List[Tuple[int, int]] = []
-        boundary_pairs: List[Tuple[int, int]] = []
-        for w in adj[u]:  # u is internal, so every neighbour is a spider
-            if w in pauli:
-                partners.add(w)
-            if len(adj[w]) == 1:
-                legs.append(w)
-            elif boundary_count[w]:
-                boundary_pairs.append((u, w))
-            elif vertices[w].phase.terms:
-                gadget_pairs.append((u, w))
-        if partners:
-            partners_of[u] = partners
-            for p in partners:
-                self.pivot.add((u, p) if u < p else (p, u))
-                partners_of.setdefault(p, set()).add(u)
-        if len(legs) == 1:
-            g = GadgetView(u, legs[0], frozenset(n for n in adj[u] if n != legs[0]))
-            self.gadgets[u] = g
-            axes = self.by_neighbourhood.setdefault(g.neighbourhood, set())
-            axes.add(u)
-            if len(axes) >= 2:
-                self.shared.add(g.neighbourhood)
-            if len(g.neighbourhood) == 1:
-                self.unary.add(u)
-        elif gadget_pairs or boundary_pairs:
-            self._pairs_at[u] = (gadget_pairs, boundary_pairs)
-            self.gadget_pivot.update(gadget_pairs)
-            self.boundary_pivot.update(boundary_pairs)
+    def _add_gadget(self, g: GadgetView) -> None:
+        self.gadgets[g.axis_spider] = g
+        axes = self.by_neighbourhood.setdefault(g.neighbourhood, set())
+        axes.add(g.axis_spider)
+        if len(axes) >= 2:
+            self.shared.add(g.neighbourhood)
+        if len(g.neighbourhood) == 1:
+            self.unary.add(g.axis_spider)
+
+    def _drop_gadget(self, g: GadgetView) -> None:
+        u = g.axis_spider
+        del self.gadgets[u]
+        axes = self.by_neighbourhood[g.neighbourhood]
+        axes.discard(u)
+        if len(axes) < 2:
+            self.shared.discard(g.neighbourhood)
+            if not axes:
+                del self.by_neighbourhood[g.neighbourhood]
+        self.unary.discard(u)
 
 
 def _local_comp_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
@@ -593,8 +690,12 @@ def simplify(d: Diagram, seed: Optional[int] = None) -> Tuple[Diagram, List[Rewr
     candidate when ``seed`` is given.  The terminal diagram satisfies the
     pseudo-normal form conditions checked by ``verify.terminal_violations``.
     Raises FixpointNotReached if the safety cap on the number of rewrites
-    is hit.
+    is hit.  ``d`` itself is left as it is.
     """
-    d = d.copy()
+    return _simplify(d.copy(), seed)
+
+
+def _simplify(d: Diagram, seed: Optional[int]) -> Tuple[Diagram, List[RewriteEvent]]:
+    """``simplify`` rewriting ``d`` itself, for a caller that owns it."""
     limit = 1000 + 60 * (len(d.spiders()) + 2) ** 2
     return d, Rewriter(d, SIMPLIFY_STAGES, seed).run(limit)

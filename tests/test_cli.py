@@ -10,6 +10,7 @@ from zxparam.diagram import NKind, SpiderNetwork
 from zxparam.generate import random_circuit
 from zxparam.reduction import ReductionMap
 from zxparam.rewrite import Rewriter
+from zxparam.verify import MAX_ORACLE_PARAMS
 
 FUSION = "qreg 1\nrz(t0) 0\nrz(t1) 0\n"
 CLIFFORD_ONLY = "qreg 2\nh 0\ncx 0 1\ns 1\n"
@@ -100,6 +101,18 @@ def test_oracle_too_many_params_exits_1(tmp_path):
     src = write(tmp_path, "in.zxc", f"qreg 1\n{gates}\n")
     assert main(["oracle", str(src)]) == 1  # above default --oracle-max-params 4
     assert main(["oracle", str(src), "--oracle-max-params", "5"]) == 0
+
+
+@pytest.mark.parametrize("bad", ["-3", "-1", "6", "8"])
+def test_oracle_max_params_outside_limit_exits_1(tmp_path, capsys, bad):
+    # above MAX_ORACLE_PARAMS the search runs for minutes, so it is refused
+    # before any work, on the circuit that would otherwise be searched
+    gates = "\n".join(f"rz(t{i}) 0" for i in range(8))
+    src = write(tmp_path, "in.zxc", f"qreg 1\n{gates}\n")
+    assert main(["oracle", str(src), "--oracle-max-params", bad]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("bad configuration")
+    assert f"between 0 and {MAX_ORACLE_PARAMS}, got {bad}" in err
 
 
 def test_reports_byte_identical_across_runs(tmp_path):

@@ -11,9 +11,11 @@ from zxparam.diagram import Diagram, EdgeKind, VKind, find_gadgets, validate
 from zxparam.errors import NotApplicable
 from zxparam.generate import attach_gadget, random_circuit, random_graph_like_state
 from zxparam.params import Phase
-from zxparam.rewrite import (AP_FORM_STAGES, SIMPLIFY_STAGES, Rewriter, Rule, boundary_pivot,
-                             gadget_fusion, gadget_id_fuse, gadget_pivot, local_complement_simp,
-                             pivot_simp, remove_scalar_spiders, simplify)
+from zxparam.rewrite import (AP_FORM_STAGES, CLASS_HADAMARD_WIRED, CLASS_LOCAL_COMP, CLASS_PAULI,
+                             SIG_DEGREE_ONE, SIG_PARAM, SIG_WIRED, SIMPLIFY_STAGES, Rewriter, Rule,
+                             _complement_out, _pivot_core, boundary_pivot, gadget_fusion,
+                             gadget_id_fuse, gadget_pivot, local_complement_simp, pivot_simp,
+                             remove_scalar_spiders, simplify)
 from zxparam.verify import structured_samples, terminal_violations
 
 
@@ -390,10 +392,13 @@ def rescan(d: Diagram) -> dict:
     by_neighbourhood = {}
     for g in gadgets.values():
         by_neighbourhood.setdefault(g.neighbourhood, set()).add(g.axis_spider)
+    local_comp = {v for v in spiders if internal(v) and d.phase(v).is_clifford()
+                  and d.phase(v).clifford in (1, 3)}
+    pauli = {v for v in spiders if internal_pauli(v)}
+    hadamard_wired = {b for b in spiders if any(d.edge_kind(b, o) is EdgeKind.HADAMARD for o in wires(b))}
     return {
-        "local_comp": {v for v in spiders if internal(v) and d.phase(v).is_clifford()
-                       and d.phase(v).clifford in (1, 3)},
-        "pauli": {v for v in spiders if internal_pauli(v)},
+        "local_comp": local_comp,
+        "pauli": pauli,
         "pivot": {(min(a, b), max(a, b)) for a, b, _ in d.edges()
                   if internal_pauli(a) and internal_pauli(b)},
         "gadget_pivot": {(u, w) for u in spiders if internal_pauli(u) and not clean_axis(u)
@@ -406,8 +411,13 @@ def rescan(d: Diagram) -> dict:
         "by_neighbourhood": by_neighbourhood,
         "unary": {a for a, g in gadgets.items() if len(g.neighbourhood) == 1},
         "shared": {n for n, axes in by_neighbourhood.items() if len(axes) > 1},
-        "hadamard_wired": {b for b in spiders if any(d.edge_kind(b, o) is EdgeKind.HADAMARD
-                                                     for o in wires(b))},
+        "hadamard_wired": hadamard_wired,
+        # per spider: its signature, then its class
+        "codes": {v: (SIG_DEGREE_ONE if d.degree(v) == 1 else 0) | (SIG_WIRED if wires(v) else 0)
+                  | (0 if d.phase(v).is_clifford() else SIG_PARAM)
+                  | (CLASS_LOCAL_COMP if v in local_comp else 0) | (CLASS_PAULI if v in pauli else 0)
+                  | (CLASS_HADAMARD_WIRED if v in hadamard_wired else 0)
+                  for v in spiders},
     }
 
 
@@ -444,3 +454,89 @@ def test_driver_indexes_equal_full_rescan(seed):
     state = circuit_state_diagram(random_circuit(Random(seed), 4, 30, 0))
     steps += assert_driver_matches_rescan(Rewriter(state, AP_FORM_STAGES))
     assert steps > 40
+
+
+def toggle_one_by_one(d, a, others):
+    """Reference for the in-place toggles: one edge update at a time."""
+    for b in others:
+        if d.has_edge(a, b):
+            d.remove_edge(a, b)
+        else:
+            d.add_edge(a, b, EdgeKind.HADAMARD)
+
+
+def remove_one_by_one(d, v):
+    for n in d.neighbors(v):
+        d.remove_edge(v, n)
+    d.remove_vertex(v)
+
+
+def shift_phase(d, v, k):
+    d.set_phase(v, d.phase(v).add_clifford(k))
+
+
+def pivot_core_one_by_one(d, u, v):
+    """Reference for rewrite._pivot_core: the same classes, iterated in the
+    same order, with edge-by-edge updates."""
+    pu, pv = d.phase(u).clifford, d.phase(v).clifford
+    nu = set(d.neighbors(u)) - {v}
+    nv = set(d.neighbors(v)) - {u}
+    common = nu & nv
+    only_u = nu - common
+    only_v = nv - common
+    remove_one_by_one(d, u)
+    remove_one_by_one(d, v)
+    for a in only_u:
+        toggle_one_by_one(d, a, only_v)
+        toggle_one_by_one(d, a, common)
+    for a in only_v:
+        toggle_one_by_one(d, a, common)
+    for group, k in ((only_u, pv), (only_v, pu), (common, 2 + pu + pv)):
+        for w in group:
+            shift_phase(d, w, k)
+    return tuple(sorted(only_u | only_v | common))
+
+
+def complement_out_one_by_one(d, v):
+    """Reference for rewrite._complement_out."""
+    k = d.phase(v).clifford
+    nbrs = sorted(d.neighbors(v))
+    remove_one_by_one(d, v)
+    for i, a in enumerate(nbrs):
+        shift_phase(d, a, -k)
+        toggle_one_by_one(d, a, nbrs[i + 1:])
+    return tuple(nbrs)
+
+
+def same_diagram(d, reference):
+    # insertion order too: buffering and extraction read adjacency in order
+    assert {v: list(n.items()) for v, n in d._adj.items()} == \
+        {v: list(n.items()) for v, n in reference._adj.items()}
+    assert {v: (x.kind, x.phase, x.position) for v, x in d._vertices.items()} == \
+        {v: (x.kind, x.phase, x.position) for v, x in reference._vertices.items()}
+    assert d._boundary_count == reference._boundary_count
+    assert d.param_registry == reference.param_registry
+    assert validate(d).ok, validate(d).violations
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_in_place_kernels_equal_pairwise_toggles(seed):
+    rng = Random(seed)
+    d = random_graph_like_state(Random(f"kernels/{seed}"), rng.randint(1, 4), rng.randint(4, 16),
+                                rng.randint(0, 4), edge_p=rng.uniform(0.2, 0.8))
+    reference = d.copy()
+    applied = 0
+    for _ in range(6):
+        internal = [v for v in d.spiders() if d.is_internal(v)]
+        pairs = [(u, v) for u in internal for v in d.neighbors(u) if u < v and d.is_internal(v)]
+        if pairs and rng.random() < 0.6:
+            u, v = rng.choice(pairs)
+            assert _pivot_core(d, u, v) == pivot_core_one_by_one(reference, u, v)
+        elif internal:
+            v = rng.choice(internal)
+            assert _complement_out(d, v) == complement_out_one_by_one(reference, v)
+        else:
+            break
+        applied += 1
+        same_diagram(d, reference)
+    assert applied
