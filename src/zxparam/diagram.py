@@ -305,35 +305,33 @@ def validate(d: Diagram) -> ValidationReport:
     report = ValidationReport()
     vertices, adj, boundary_count = d._vertices, d._adj, d._boundary_count
     spider, hadamard = _SPIDER, _HADAMARD
-    plain: List[str] = []  # reported first
+    for a, nbrs in adj.items():
+        if vertices[a].kind is spider:
+            for b, kind in nbrs.items():
+                if kind is not hadamard and a < b and vertices[b].kind is spider:
+                    report.add(f"plain spider-spider edge {a}-{b}")
     seen: Dict[str, int] = {}
     repeated: List[str] = []
     for v, data in vertices.items():
         nbrs = adj[v]
         if v in nbrs:
             report.add(f"self-loop at vertex {v}")
-        count = 0
         if data.kind is spider:
-            for n, kind in nbrs.items():
-                if vertices[n].kind is not spider:
-                    count += 1
-                elif kind is not hadamard and v < n:
-                    plain.append(f"plain spider-spider edge {v}-{n}")
             for name, _ in data.phase.terms:
                 if name in seen:
                     repeated.append(f"parameter {name!r} on spiders {seen[name]} and {v}")
                 seen[name] = v
         else:
-            for n in nbrs:
-                if vertices[n].kind is not spider:
-                    count += 1
             if len(nbrs) != 1:
                 report.add(f"boundary node {v} has degree {len(nbrs)}")
             if data.phase.terms or data.phase.clifford:
                 report.add(f"boundary node {v} carries a phase")
+        count = 0
+        for n in nbrs:
+            if vertices[n].kind is not spider:
+                count += 1
         if boundary_count.get(v) != count:
             report.add(f"vertex {v} has {count} boundary neighbours, recorded {boundary_count.get(v)}")
-    report.violations[:0] = plain
     report.violations.extend(repeated)
     registry = d.param_registry
     for name, v in seen.items():

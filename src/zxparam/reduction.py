@@ -183,8 +183,9 @@ def extract_reduction(events: Sequence[RewriteEvent], original_params: Sequence[
 def simplify(d: Diagram, seed: Optional[int] = None) -> Tuple[Diagram, List[RewriteEvent]]:
     """``rewrite.simplify`` without its copy of ``d``: ``phase_teleport``
     owns the diagram it builds, so that diagram is rewritten to its terminal
-    form.  Tracing tools time this name as the simplify span, and either
-    binding gives the same terminal diagram and events."""
+    form.  ``perfbench/spans.py`` times the calls made through this name and
+    runs ``rewrite.simplify`` in their place, which returns the same terminal
+    diagram and events."""
     return _simplify(d, seed)
 
 

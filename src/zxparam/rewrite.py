@@ -127,8 +127,9 @@ def _pivot_core(d: Diagram, u: int, v: int) -> Tuple[int, ...]:
     three neighbourhood classes and propagate the pi phases."""
     vertices, adj = d._vertices, d._adj
     pu, pv = vertices[u].phase.clifford, vertices[v].phase.clifford
-    # the sets are built as before the kernels were inlined: their iteration
-    # order decides the adjacency insertion order
+    # The iteration order of these sets decides the adjacency insertion
+    # order; a set built from a list sizes its table unlike one built from
+    # a dict, so they are built from lists.
     nu = set(list(adj[u])) - {v}
     nv = set(list(adj[v])) - {u}
     common = nu & nv
@@ -509,15 +510,19 @@ class Rewriter:
                     class_sets[code & _CLASSES].add(v)
             if (code ^ old) & _SIGNATURE:
                 around.update(nbrs)
-        pauli, partners_of, pairs_at, gadgets = self.pauli, self._pivot_partners, self._pairs_at, self.gadgets
         if around:
             around.difference_update(changed)
-            anchors.extend(around & pauli)
-        # Re-check the candidates anchored at each of ``anchors``: its pivot
-        # pairs, the gadget with axis u and its gadget/boundary pivots.  All
-        # of them need u to be an internal 0/pi spider; one walk over its
-        # neighbours finds them, and only what differs from the previous
-        # walk is applied.
+            anchors.extend(around & self.pauli)
+        self._recheck_anchored(anchors)
+
+    def _recheck_anchored(self, anchors: List[int]) -> None:
+        """The candidates anchored at each ``u`` of ``anchors``: its pivot
+        pairs, the gadget with axis ``u`` and its gadget/boundary pivots.  All
+        of them need ``u`` to be an internal 0/pi spider; one walk over its
+        neighbours finds them, and only what differs from the previous walk
+        is applied."""
+        adj, codes = self.d._adj, self.codes
+        pauli, partners_of, pairs_at, gadgets = self.pauli, self._pivot_partners, self._pairs_at, self.gadgets
         pivot, gadget_pivot, boundary_pivot = self.pivot, self.gadget_pivot, self.boundary_pivot
         for u in anchors:
             if u in pauli:
@@ -582,7 +587,7 @@ class Rewriter:
                             and adj_u.keys() >= nbhd):
                         continue
                     self._drop_gadget(old_gadget)
-                self._add_gadget(GadgetView(u, leg, frozenset([n for n in adj_u if n != leg])))
+                self._add_gadget(GadgetView(u, leg, frozenset(adj_u.keys() - {leg})))
             elif old_gadget is not None:
                 self._drop_gadget(old_gadget)
 
