@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_rule_sound
+from test_diagram import toggle_one_by_one
 from test_golden import phase_poly_circuit
 from zxparam.circuits import circuit_state_diagram, circuit_to_diagram, parse_circuit
 from zxparam.diagram import Diagram, EdgeKind, VKind, find_gadgets, validate
@@ -454,15 +455,6 @@ def test_driver_indexes_equal_full_rescan(seed):
     state = circuit_state_diagram(random_circuit(Random(seed), 4, 30, 0))
     steps += assert_driver_matches_rescan(Rewriter(state, AP_FORM_STAGES))
     assert steps > 40
-
-
-def toggle_one_by_one(d, a, others):
-    """Reference for the in-place toggles: one edge update at a time."""
-    for b in others:
-        if d.has_edge(a, b):
-            d.remove_edge(a, b)
-        else:
-            d.add_edge(a, b, EdgeKind.HADAMARD)
 
 
 def remove_one_by_one(d, v):
