@@ -181,8 +181,7 @@ class Diagram:
         """Toggle the Hadamard edge between spider ``a`` and each spider of
         ``others``, in order.  Edges between two spiders never change a
         boundary-neighbour count, so only the adjacency maps are updated.
-        The pivot and local-complementation kernels of ``rewrite`` run the
-        same loop inline."""
+        The pivot and local-complementation kernels of ``rewrite`` call it."""
         adj = self._adj
         adj_a = adj[a]
         hadamard = _HADAMARD

@@ -181,11 +181,14 @@ def extract_reduction(events: Sequence[RewriteEvent], original_params: Sequence[
 
 
 def simplify(d: Diagram, seed: Optional[int] = None) -> Tuple[Diagram, List[RewriteEvent]]:
-    """``rewrite.simplify`` without its copy of ``d``: ``phase_teleport``
-    owns the diagram it builds, so that diagram is rewritten to its terminal
-    form.  ``perfbench/spans.py`` times the calls made through this name and
-    runs ``rewrite.simplify`` in their place, which returns the same terminal
-    diagram and events."""
+    """``rewrite.simplify`` without its copy of ``d``: it rewrites ``d``
+    itself to its terminal form and returns it.  It exists for
+    ``phase_teleport``, which owns the diagram it builds; every other
+    caller should use ``rewrite.simplify``, which leaves its argument as it
+    is.  ``perfbench/spans.py`` times the calls made through this name and
+    runs ``rewrite.simplify`` in their place, which returns the same
+    terminal diagram and events but also copies ``d``, so traced simplify
+    times include a copy that an untraced run does not make."""
     return _simplify(d, seed)
 
 

@@ -74,15 +74,6 @@ def _degree_one_plugs(d: Diagram, v: int) -> List[int]:
     return [n for n in adj[v] if len(adj[n]) == 1 and vertices[n].kind is _SPIDER]
 
 
-def _shift(data, k: int) -> None:
-    """Add ``k`` quarter turns to a vertex's phase in place."""
-    ph = data.phase
-    if ph.terms:
-        data.phase = ph.add_clifford(k)
-    else:
-        data.phase = CLIFFORD_PHASES[(ph.clifford + k) % 4]
-
-
 def _is_clean_axis(d: Diagram, v: int) -> bool:
     return _is_internal_pauli(d, v) and len(_degree_one_plugs(d, v)) == 1
 
@@ -104,19 +95,14 @@ def _complement_out(d: Diagram, v: int) -> Tuple[int, ...]:
     """Remove the +-pi/2 spider ``v``: shift each neighbour's phase by the
     opposite quarter turn and complement the neighbourhood.  Returns the
     former neighbours, sorted."""
-    vertices, adj = d._vertices, d._adj
+    vertices = d._vertices
     k = -vertices[v].phase.clifford
-    nbrs = sorted(adj[v])
+    nbrs = sorted(d._adj[v])
     d.remove_vertex(v)
     for i, a in enumerate(nbrs):
-        _shift(vertices[a], k)
-        adj_a = adj[a]
-        for b in nbrs[i + 1:]:  # Diagram.complement(a, nbrs[i + 1:]), in place
-            if b in adj_a:
-                del adj_a[b]
-                del adj[b][a]
-            else:
-                adj_a[b] = adj[b][a] = _HADAMARD
+        data = vertices[a]
+        data.phase = data.phase.add_clifford(k)
+        d.complement(a, nbrs[i + 1:])
     return tuple(nbrs)
 
 
@@ -137,27 +123,25 @@ def _pivot_core(d: Diagram, u: int, v: int) -> Tuple[int, ...]:
     only_v = nv - common
     d.remove_vertex(u)
     d.remove_vertex(v)
-    # Diagram.complement(a, only_v) and (a, common) for a in only_u, then
-    # (a, common) for a in only_v, in place
-    for group, others in ((only_u, [*only_v, *common]), (only_v, common)):
-        for a in group:
-            adj_a = adj[a]
-            for b in others:
-                if b in adj_a:
-                    del adj_a[b]
-                    del adj[b][a]
-                else:
-                    adj_a[b] = adj[b][a] = _HADAMARD
+    # each a of only_u toggles its edges to only_v and then to common
+    others = [*only_v, *common]
+    for a in only_u:
+        d.complement(a, others)
+    for a in only_v:
+        d.complement(a, common)
     if pv:
         for w in only_u:
-            _shift(vertices[w], pv)
+            data = vertices[w]
+            data.phase = data.phase.add_clifford(pv)
     if pu:
         for w in only_v:
-            _shift(vertices[w], pu)
+            data = vertices[w]
+            data.phase = data.phase.add_clifford(pu)
     k = (2 + pu + pv) % 4
     if k:
         for w in common:
-            _shift(vertices[w], k)
+            data = vertices[w]
+            data.phase = data.phase.add_clifford(k)
     return tuple(sorted(only_u | only_v | common))
 
 
@@ -473,15 +457,10 @@ class Rewriter:
             ph = data.phase
             if boundary_count[v]:
                 code = SIG_WIRED | SIG_PARAM if ph.terms else SIG_WIRED
-                if old is not None and old & SIG_WIRED:
-                    # rules add boundary wires only to new spiders and remove
-                    # them all at once, so a spider that stays wired keeps them
-                    code |= old & CLASS_HADAMARD_WIRED
-                else:
-                    for n, kind in nbrs.items():
-                        if kind is hadamard and vertices[n].kind is not spider:
-                            code |= CLASS_HADAMARD_WIRED
-                            break
+                for n, kind in nbrs.items():
+                    if kind is hadamard and vertices[n].kind is not spider:
+                        code |= CLASS_HADAMARD_WIRED
+                        break
             elif ph.terms:
                 code = SIG_PARAM
             elif ph.clifford & 1:
