@@ -1,7 +1,7 @@
 """Batch command line: optimize, verify and oracle subcommands.
 
 Exit codes: 0 success, 1 parse/usage errors (including a qreg wider than
-circuits.MAX_QUBITS, oracle refusals, a bad seed, tolerance or
+circuits.MAX_QUBITS, oracle refusals, a bad seed, tolerance, --samples or
 --oracle-max-params, and files that cannot be read or written), 2 internal
 invariant violation, 3 verification failure, 4 the brute-force
 oracle beat the optimiser (impossible unless the optimiser is buggy).
@@ -24,7 +24,7 @@ from .errors import DimensionMismatch, TooLarge, TooManyParams, ZXParamError
 from .reduction import ReductionMap, phase_teleport
 from .rewrite import simplify
 from .circuits import circuit_to_diagram
-from .verify import MAX_ORACLE_PARAMS, brute_force_min, check_reduction, optimality_certificate
+from .verify import MAX_ORACLE_PARAMS, MAX_SAMPLES, brute_force_min, check_reduction, optimality_certificate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,8 +50,8 @@ class RunConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
-        if self.samples < 2:
-            raise ValueError("samples must be at least 2")
+        if not 2 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(f"samples must be between 2 and {MAX_SAMPLES}, got {self.samples}")
         if not 0 <= self.oracle_max_params <= MAX_ORACLE_PARAMS:
             raise ValueError(f"oracle-max-params must be between 0 and {MAX_ORACLE_PARAMS}, "
                              f"got {self.oracle_max_params}")
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="deterministic seed (default: ZXPARAM_SEED or 0)")
         p.add_argument("--samples", type=int, default=5,
-                       help="random samples on top of the structured set")
+                       help=f"random samples on top of the structured set (2 to {MAX_SAMPLES})")
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--report", type=Path, default=None)
         p.add_argument("--oracle-max-params", type=int, default=4)

@@ -24,6 +24,17 @@ from .params import HALF_PI
 from .rewrite import RewriteEvent, _simplify
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _checked(value: object, kind: type, name: str):
+    """``value`` if it has the JSON type ``kind`` (a boolean is not an
+    integer); otherwise a ValueError naming the map field ``name``."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{name} must be {_JSON_TYPES[kind]}, got {json.dumps(value)[:40]}")
+    return value
+
+
 @dataclass
 class ReductionMap:
     """The affine map from original parameters to surviving ones."""
@@ -100,13 +111,31 @@ class ReductionMap:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"
 
     @staticmethod
-    def from_dict(data: dict) -> "ReductionMap":
+    def from_dict(data: object) -> "ReductionMap":
+        """The map written by ``to_dict``.  Raises ValueError naming the first
+        field that is missing or of the wrong JSON type."""
+        data = _checked(data, dict, "the map")
+        params_in = _checked(data.get("params_in"), list, "params_in")
+        rows = _checked(data.get("rows"), list, "rows")
+        names, terms, constants = [], [], []
+        for i, row in enumerate(rows):
+            row = _checked(row, dict, f"rows[{i}]")
+            names.append(_checked(row.get("name"), str, f"rows[{i}].name"))
+            pairs = []
+            for j, pair in enumerate(_checked(row.get("terms"), list, f"rows[{i}].terms")):
+                where = f"rows[{i}].terms[{j}]"
+                if not (isinstance(pair, list) and len(pair) == 2):
+                    raise ValueError(f"{where} must be a [name, sign] pair, got {json.dumps(pair)[:40]}")
+                pairs.append((_checked(pair[0], str, f"{where}[0]"), _checked(pair[1], int, f"{where}[1]")))
+            terms.append(tuple(pairs))
+            constants.append(_checked(row.get("const_pi_over_2"), int, f"rows[{i}].const_pi_over_2"))
+        eliminated = _checked(data.get("eliminated", []), list, "eliminated")
         return ReductionMap(
-            params_in=tuple(data["params_in"]),
-            new_param_names=tuple(r["name"] for r in data["rows"]),
-            rows=tuple(tuple((p, int(s)) for p, s in r["terms"]) for r in data["rows"]),
-            constants=tuple(int(r["const_pi_over_2"]) for r in data["rows"]),
-            eliminated=tuple(data.get("eliminated", ())),
+            params_in=tuple(_checked(p, str, f"params_in[{j}]") for j, p in enumerate(params_in)),
+            new_param_names=tuple(names),
+            rows=tuple(terms),
+            constants=tuple(constants),
+            eliminated=tuple(_checked(p, str, f"eliminated[{j}]") for j, p in enumerate(eliminated)),
         )
 
     @staticmethod

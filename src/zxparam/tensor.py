@@ -177,30 +177,45 @@ class ProportionalityReport:
 TIE_RTOL = 1e-12
 
 
-def proportionality_ratio(t1: np.ndarray, t2: np.ndarray, tol: float) -> Tuple[bool, complex, float]:
+def proportionality_ratio(t1: np.ndarray, t2: np.ndarray, tol: float):
     """Is ``t1 = lam * t2`` for a nonzero ``lam``?  Returns (holds, lam, deviation).
 
-    ``lam`` is read at the first entry of ``t2`` whose magnitude is within
-    TIE_RTOL of the largest, so rounding noise between tied magnitudes does
-    not move it.  It is ``a conj(b) / |b|^2`` in real arithmetic, which is
-    exactly 1 (or -1, i, -i) when ``a = b`` (or ``-b``, ``ib``, ``-ib``);
-    numpy's complex division is not, and ``x / x`` would leave a deviation
-    of order 1e-17 between identical evaluations."""
+    Given two (S, N) stacks, each row of ``t1`` is compared with the same row
+    of ``t2`` and the three results are length-S arrays; a vector is the
+    one-row stack and gives scalars.  ``lam`` is read at the first entry of
+    ``t2`` whose magnitude is within TIE_RTOL of the largest, so rounding
+    noise between tied magnitudes does not move it.  It is
+    ``a conj(b) / |b|^2`` in real arithmetic, which is exactly 1 (or -1, i,
+    -i) when ``a = b`` (or ``-b``, ``ib``, ``-ib``); numpy's complex division
+    is not, and ``x / x`` would leave a deviation of order 1e-17 between
+    identical evaluations."""
+    single = np.ndim(t1) == 1
+    t1, t2 = np.atleast_2d(t1), np.atleast_2d(t2)
+    rows = np.arange(len(t1))
     mag2 = np.abs(t2)
-    n1 = np.max(np.abs(t1))
-    n2 = np.max(mag2)
-    if n1 == 0 and n2 == 0:
-        return True, 1.0 + 0j, 0.0
-    if n1 == 0 or n2 == 0:
-        return False, 0j, 1.0
-    idx = int(np.argmax(mag2 >= n2 * (1 - TIE_RTOL)))
-    a, b = complex(t1[idx]) / float(n2), complex(t2[idx]) / float(n2)  # |b| ~ 1: no underflow
-    norm = b.real * b.real + b.imag * b.imag
-    lam = complex((a.real * b.real + a.imag * b.imag) / norm, (a.imag * b.real - a.real * b.imag) / norm)
-    if lam == 0:
-        return False, lam, 1.0
-    deviation = float(np.max(np.abs(t1 - lam * t2)) / max(n1, float(np.abs(lam)) * n2))
-    return deviation <= tol, lam, deviation
+    n1 = np.abs(t1).max(axis=1)
+    n2 = mag2.max(axis=1)
+    idx = np.argmax(mag2 >= (n2 * (1 - TIE_RTOL))[:, None], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b = t1[rows, idx], t2[rows, idx]
+        a_re, a_im = a.real / n2, a.imag / n2  # |b| ~ 1: no underflow
+        b_re, b_im = b.real / n2, b.imag / n2
+        norm = b_re * b_re + b_im * b_im
+        lam = np.empty(len(t1), dtype=complex)
+        lam.real = (a_re * b_re + a_im * b_im) / norm
+        lam.imag = (a_im * b_re - a_re * b_im) / norm
+        deviation = np.abs(t1 - lam[:, None] * t2).max(axis=1) / np.maximum(n1, np.abs(lam) * n2)
+    empty = (n1 == 0) | (n2 == 0)
+    both = (n1 == 0) & (n2 == 0)
+    lam[empty] = 0
+    lam[both] = 1
+    deviation[empty | (lam == 0)] = 1.0
+    deviation[both] = 0.0
+    holds = (deviation <= tol) & (lam != 0)
+    holds[both] = True
+    if single:
+        return bool(holds[0]), complex(lam[0]), float(deviation[0])
+    return holds, lam, deviation
 
 
 def check_proportional(t1: TensorState, t2: TensorState, tol: float = 1e-9) -> ProportionalityReport:

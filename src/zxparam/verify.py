@@ -11,8 +11,9 @@ Circuits are compared at ``structured_samples`` on one seeded random input,
 ``probe_state``, rather than as 2^n x 2^n matrices: the images of the probe
 are proportional exactly when the unitaries are, almost surely, and cost
 O(g 2^n) instead of O(g 4^n).  One helper, ``sampled_unitaries``, computes
-them for as many samples as fit in BLOCK_BYTES (at least one) per pass over
-the gates; a consumer that stops early skips the later blocks.
+them as stacks of as many samples as fit in BLOCK_BYTES (at least one), one
+pass over the gates per stack, and ``proportionality_ratio`` compares a whole
+stack in one call; a consumer that stops early skips the later blocks.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
 
 import numpy as np
 
-from .circuits import MAX_PROBE_QUBITS, Circuit, Gate, GateKind, circuit_unitary
+from .circuits import MAX_PROBE_QUBITS, Circuit, circuit_unitary
 from .diagram import Diagram, EdgeKind, GadgetView, VKind, find_gadgets
 from .errors import (DimensionMismatch, NotClifford, NotTerminalForm, TooLarge, TooManyParams, ZeroState)
 
@@ -70,16 +71,29 @@ def probe_state(n_qubits: int, seed: int = 0) -> np.ndarray:
 # A block amortises each gate's Python overhead over its samples; 256 KB keeps
 # peak memory within a few percent of evaluating one sample at a time.
 BLOCK_BYTES = 256 * 1024
+# The most random samples a command line run takes on top of the structured
+# set.  brute_force_min keeps one probe image per sample, so at 16 qubits
+# (1 MB an image) 200 samples hold about 0.2 GB.
+MAX_SAMPLES = 200
 
 
-def sampled_unitaries(c: Circuit, samples: Sequence[Mapping[str, float]], probe: np.ndarray
+def sampled_unitaries(c: Circuit, samples: Iterable[Mapping[str, float]], probe: np.ndarray
                       ) -> Iterator[np.ndarray]:
-    """The image of ``probe`` under the unitary of ``c`` at each sample, in
-    order, computed a block of samples at a time (as many as fit in
-    BLOCK_BYTES, at least one)."""
+    """The images of ``probe`` under the unitary of ``c`` at each sample, in
+    order, as stacks of as many samples as fit in BLOCK_BYTES (at least one).
+    ``samples`` is read lazily, one block ahead of the stack yielded."""
     block = max(1, BLOCK_BYTES // (16 * probe.size))
-    for start in range(0, len(samples), block):
-        yield from circuit_unitary(c, samples[start:start + block], states=probe)
+    samples = iter(samples)
+    while True:
+        chunk = list(itertools.islice(samples, block))
+        if not chunk:
+            return
+        yield circuit_unitary(c, chunk, states=probe)
+
+
+def _rows(stack: np.ndarray) -> np.ndarray:
+    """A stack of images as one flat row per sample."""
+    return stack.reshape(len(stack), -1)
 
 
 def check_reduction(c1: Circuit, c2: Circuit, reduction: ReductionMap,
@@ -97,18 +111,18 @@ def check_reduction(c1: Circuit, c2: Circuit, reduction: ReductionMap,
         raise DimensionMismatch(f"map inputs {reduction.params_in} do not match circuit params {c1.params}")
     if sorted(reduction.new_param_names) != sorted(c2.params):
         raise DimensionMismatch(f"map outputs {reduction.new_param_names} do not match circuit params {c2.params}")
+    holds: List[bool] = []
     ratios: List[complex] = []
     deviations: List[float] = []
-    holds = True
     samples = structured_samples(c1.params, n_samples, seed)
     mapped = [reduction.apply(sample) for sample in samples]
     probe = probe_state(c1.n_qubits, seed)
-    for v1, v2 in zip(sampled_unitaries(c1, samples, probe), sampled_unitaries(c2, mapped, probe)):
-        ok, lam, dev = proportionality_ratio(v1.reshape(-1), v2.reshape(-1), tol)
-        ratios.append(lam)
-        deviations.append(dev)
-        holds = holds and ok
-    return ProportionalityReport(holds=holds, ratios=ratios, max_deviation=max(deviations, default=0.0),
+    for b1, b2 in zip(sampled_unitaries(c1, samples, probe), sampled_unitaries(c2, mapped, probe)):
+        ok, lam, dev = proportionality_ratio(_rows(b1), _rows(b2), tol)
+        holds.extend(ok.tolist())
+        ratios.extend(lam.tolist())
+        deviations.extend(dev.tolist())
+    return ProportionalityReport(holds=all(holds), ratios=ratios, max_deviation=max(deviations, default=0.0),
                                  deviations=deviations)
 
 
@@ -452,15 +466,21 @@ def _partitions_into(items: Sequence[str], n_parts: int):
     yield from rec(0, [])
 
 
-def _zeroed_circuit(c: Circuit, keep: Mapping[str, str]) -> Circuit:
-    """Keep only the parametrised gates in ``keep`` (renamed); drop the rest."""
-    gates = []
-    for g in c.gates:
-        if g.kind is not GateKind.RZ_PARAM:
-            gates.append(g)
-        elif g.param in keep:
-            gates.append(Gate(GateKind.RZ_PARAM, g.qubits, param=keep[g.param]))
-    return Circuit(c.n_qubits, gates)
+def _in_place_maps(params: Sequence[str]) -> Iterator[ReductionMap]:
+    """Every in-place parsimonious map of ``params``, fewest groups first:
+    each partition into groups, each choice of representative (kept at +1,
+    under its own name) and each sign pattern for the others."""
+    for l in range(1, len(params) + 1):
+        for blocks in _partitions_into(params, l):
+            blocks = sorted(blocks, key=lambda b: params.index(b[0]))
+            for reps in itertools.product(*[range(len(b)) for b in blocks]):
+                others = [p for b, r in zip(blocks, reps) for i, p in enumerate(b) if i != r]
+                for bits in itertools.product((1, -1), repeat=len(others)):
+                    signs = dict(zip(others, bits))
+                    names = tuple(b[r] for b, r in zip(blocks, reps))
+                    rows = tuple(tuple([(rep, 1)] + [(p, signs[p]) for p in b if p != rep])
+                                 for b, rep in zip(blocks, names))
+                    yield ReductionMap(tuple(params), names, rows, tuple(0 for _ in rows))
 
 
 def brute_force_min(c: Circuit, tol: float = 1e-9, max_params: int = MAX_ORACLE_PARAMS,
@@ -473,6 +493,12 @@ def brute_force_min(c: Circuit, tol: float = 1e-9, max_params: int = MAX_ORACLE_
     candidate at the structured-plus-random sample set.  In-place maps are
     complete for minimality, and constants are provably unnecessary, so the
     returned count is the true optimum.
+
+    A candidate is evaluated on ``c`` itself: each representative at its
+    group's value and every other parameter at 0, where its gate is the
+    identity.  All (candidate, sample) assignments stream through one
+    ``sampled_unitaries``, and the rest of a candidate is skipped once one of
+    its samples fails.
     """
     c.validate()
     params = c.params
@@ -484,46 +510,36 @@ def brute_force_min(c: Circuit, tol: float = 1e-9, max_params: int = MAX_ORACLE_
 
     samples = structured_samples(params, n_samples, seed)
     probe = probe_state(c.n_qubits, seed)
-    originals = list(sampled_unitaries(c, samples, probe))
+    originals = np.concatenate([_rows(b) for b in sampled_unitaries(c, samples, probe)])
 
-    trivial = []
-    base = originals[0]
-    for j, p in enumerate(params):
-        ok, _, _ = proportionality_ratio(originals[1 + j].reshape(-1), base.reshape(-1), tol)
-        if ok:
-            trivial.append(p)
+    alone = originals[1:1 + k]
+    ok, _, _ = proportionality_ratio(alone, np.broadcast_to(originals[0], alone.shape), tol)
+    trivial = tuple(p for p, t in zip(params, ok) if t)
     if trivial:
-        logger.warning("parameters %s are trivial: {0,pi} evaluations are proportional", trivial)
+        logger.warning("parameters %s are trivial: {0,pi} evaluations are proportional", list(trivial))
 
-    def candidate_passes(reduction: ReductionMap, candidate: Circuit) -> bool:
-        mapped = [reduction.apply(sample) for sample in samples]
-        for v1, v2 in zip(originals, sampled_unitaries(candidate, mapped, probe)):
-            ok, _, _ = proportionality_ratio(v1.reshape(-1), v2.reshape(-1), tol)
-            if not ok:
-                return False
-        return True
+    streamed: List[Tuple[int, ReductionMap, int]] = []  # (candidate, its map, sample index) per assignment
+    rejected: Set[int] = set()
 
-    for l in range(1, k + 1):
-        for blocks in _partitions_into(params, l):
-            blocks = sorted(blocks, key=lambda b: params.index(b[0]))
-            rep_choices = itertools.product(*[range(len(b)) for b in blocks])
-            for reps in rep_choices:
-                others = [[p for i, p in enumerate(b) if i != r] for b, r in zip(blocks, reps)]
-                flat_others = [p for grp in others for p in grp]
-                for bits in itertools.product((1, -1), repeat=len(flat_others)):
-                    signs = dict(zip(flat_others, bits))
-                    rows = []
-                    names = []
-                    keep = {}
-                    for b, r in zip(blocks, reps):
-                        rep = b[r]
-                        name = rep
-                        names.append(name)
-                        keep[rep] = name
-                        rows.append(tuple([(rep, 1)] + [(p, signs[p]) for p in b if p != rep]))
-                    reduction = ReductionMap(tuple(params), tuple(names), tuple(rows),
-                                             tuple(0 for _ in rows))
-                    candidate = _zeroed_circuit(c, keep)
-                    if candidate_passes(reduction, candidate):
-                        return BruteForceResult(l, reduction, tuple(trivial))
+    def assignments() -> Iterator[Dict[str, float]]:
+        for m, reduction in enumerate(_in_place_maps(params)):
+            for i, sample in enumerate(samples):
+                if m in rejected:
+                    break
+                values = reduction.apply(sample)
+                streamed.append((m, reduction, i))
+                yield {p: values.get(p, 0.0) for p in params}
+
+    done = 0
+    for block in sampled_unitaries(c, assignments(), probe):
+        owners = streamed[done:done + len(block)]
+        done += len(block)
+        ok, _, _ = proportionality_ratio(originals[[i for _, _, i in owners]], _rows(block), tol)
+        for (m, reduction, i), passed in zip(owners, ok):
+            if m in rejected:
+                continue
+            if not passed:
+                rejected.add(m)
+            elif i == len(samples) - 1:
+                return BruteForceResult(len(reduction.rows), reduction, trivial)
     raise AssertionError("identity reduction must pass; unreachable")

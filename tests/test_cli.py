@@ -10,7 +10,7 @@ from zxparam.diagram import NKind, SpiderNetwork
 from zxparam.generate import random_circuit
 from zxparam.reduction import ReductionMap
 from zxparam.rewrite import Rewriter
-from zxparam.verify import MAX_ORACLE_PARAMS
+from zxparam.verify import MAX_ORACLE_PARAMS, MAX_SAMPLES
 
 FUSION = "qreg 1\nrz(t0) 0\nrz(t1) 0\n"
 CLIFFORD_ONLY = "qreg 2\nh 0\ncx 0 1\ns 1\n"
@@ -153,6 +153,31 @@ def test_bad_seed_or_tolerance_exits_1(tmp_path, capsys, command, bad):
     assert main(cli_args(tmp_path, command) + bad) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("bad configuration")
+
+
+@pytest.mark.parametrize("command", ["optimize", "verify", "oracle"])
+def test_samples_above_the_cap_exit_1(tmp_path, capsys, command):
+    # every sample costs time, and the oracle keeps one image per sample
+    assert main(cli_args(tmp_path, command) + ["--samples", str(MAX_SAMPLES)]) == 0
+    capsys.readouterr()
+    for bad in (MAX_SAMPLES + 1, 100_000_000):
+        assert main(cli_args(tmp_path, command) + ["--samples", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("bad configuration")
+        assert f"between 2 and {MAX_SAMPLES}, got {bad}" in err
+
+
+@pytest.mark.parametrize("text, field", [
+    ("[]", "the map"), ('"x"', "the map"), ('{"params_in": 5, "rows": []}', "params_in"),
+    ('{"params_in": ["t0", "t1"], "rows": null}', "rows"),
+    ('{"params_in": ["t0", "t1"], "rows": [{"name": "u0", "terms": 7, "const_pi_over_2": 0}]}',
+     "rows[0].terms")], ids=["list", "string", "params_in", "rows", "terms"])
+def test_verify_malformed_map_exits_1(tmp_path, capsys, text, field):
+    args = cli_args(tmp_path, "verify")
+    args[-1] = str(write(tmp_path, "bad.json", text))
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"verify: cannot load inputs: {field} must be ")
 
 
 @pytest.mark.parametrize("command", ["optimize", "verify", "oracle"])

@@ -104,3 +104,51 @@ def test_tensor_matches_unitary_on_parametrised_circuit():
             tensor_eval(d, {"a": alpha}).amplitudes,
             flatten_unitary(circuit_unitary(c, {"a": alpha}), 1), 1e-9)
         assert ok
+
+
+def same_bits(x, y) -> bool:
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def test_stacked_ratio_equals_vector_calls_bit_for_bit():
+    rng = np.random.default_rng(11)
+    n = 16
+    t2 = rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n))
+    t1 = np.exp(1j * rng.uniform(0, 2 * math.pi, (40, 1))) * t2
+    t1[::3] += 1e-3 * rng.standard_normal((14, n))  # a third of the rows fail
+    special = [
+        (np.zeros(n, complex), np.zeros(n, complex)),  # both zero: holds with lam 1
+        (np.zeros(n, complex), t2[0]),  # one side zero
+        (t2[1], np.zeros(n, complex)),
+    ]
+    tied = np.full(n, 1.0 + 0j)
+    tied[3] = np.nextafter(1.0, 2.0)  # the largest magnitude by one ulp
+    tied1 = 2.5 * tied
+    tied1[3] = 7.0
+    special.append((tied1, tied))
+    for scalar in (-1, 1j, -1j):  # negated, or +-i times each other
+        special.append((scalar * t2[2], t2[2]))
+    rows1 = np.vstack([t1] + [a for a, _ in special])
+    rows2 = np.vstack([t2] + [b for _, b in special])
+    holds, lam, dev = proportionality_ratio(rows1, rows2, 1e-9)
+    assert holds.shape == lam.shape == dev.shape == (len(rows1),)
+    for i in range(len(rows1)):
+        ok_i, lam_i, dev_i = proportionality_ratio(rows1[i], rows2[i], 1e-9)
+        assert isinstance(ok_i, bool) and isinstance(lam_i, complex) and isinstance(dev_i, float)
+        assert ok_i == holds[i] and same_bits(lam_i, lam[i]) and same_bits(dev_i, dev[i]), i
+    base = len(t1)
+    assert holds[base] and lam[base] == 1 and dev[base] == 0.0
+    assert not holds[base + 1] and not holds[base + 2] and lam[base + 1] == 0 and dev[base + 2] == 1.0
+    assert abs(lam[base + 3] - 2.5) < 1e-12  # read at index 0, not at the one-ulp maximum
+    assert list(lam[base + 4:]) == [-1, 1j, -1j] and all(dev[base + 4:] == 0.0)
+    assert not all(holds[:base]) and any(holds[:base])
+
+
+def test_stacked_ratio_takes_a_broadcast_reference():
+    rng = np.random.default_rng(12)
+    base = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    stack = np.vstack([base * 1j, base + 1, -base])
+    holds, lam, dev = proportionality_ratio(stack, np.broadcast_to(base, stack.shape), 1e-9)
+    assert holds.tolist() == [True, False, True] and lam[0] == 1j and lam[2] == -1
+    for i in range(3):
+        assert same_bits(proportionality_ratio(stack[i], base, 1e-9)[2], dev[i])

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from random import Random
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 import zxparam.verify
-from zxparam.circuits import MAX_PROBE_QUBITS, circuit_state_diagram, circuit_to_diagram, circuit_unitary, parse_circuit
+from zxparam.circuits import (MAX_PROBE_QUBITS, Circuit, Gate, GateKind, circuit_state_diagram, circuit_to_diagram,
+                               circuit_unitary, parse_circuit)
 from zxparam.diagram import Diagram, EdgeKind, VKind
 from zxparam.errors import (DimensionMismatch, NotClifford, NotTerminalForm, TooLarge, TooManyParams,
                             ZeroState)
@@ -15,7 +17,7 @@ from zxparam.params import Phase
 from zxparam.reduction import ReductionMap, phase_teleport
 from zxparam.rewrite import simplify
 from zxparam.tensor import proportionality_ratio, tensor_eval
-from zxparam.verify import (BLOCK_BYTES, ap_form, brute_force_min, check_reduction,
+from zxparam.verify import (BLOCK_BYTES, BruteForceResult, ap_form, brute_force_min, check_reduction,
                             optimality_certificate, probe_state, structured_samples, terminal_violations,
                             zz_certificate)
 
@@ -150,6 +152,84 @@ def test_brute_force_probe_matches_dense_oracle(monkeypatch):
     dense = [brute_force_min(c) for c in circuits]
     assert probed == dense
     assert [r.count for r in probed][:4] == [1, 2, 1, 0]
+
+
+def reference_brute_force(c, max_params=5, tol=1e-9):
+    """``brute_force_min`` one candidate and one sample at a time, each
+    candidate as a circuit without the gates of its non-representatives,
+    and each candidate's first failing sample (None for the winner)."""
+    params = c.params
+    if not params:
+        return BruteForceResult(0, ReductionMap((), (), (), ())), []
+    samples = structured_samples(params, 5)
+    probe = probe_state(c.n_qubits)
+    image = lambda circuit, sample: circuit_unitary(circuit, sample, states=probe).reshape(-1)
+    originals = [image(c, sample) for sample in samples]
+    trivial = tuple(p for j, p in enumerate(params)
+                    if proportionality_ratio(originals[1 + j], originals[0], tol)[0])
+    first_failures = []
+    for l in range(1, len(params) + 1):
+        for blocks in zxparam.verify._partitions_into(params, l):
+            blocks = sorted(blocks, key=lambda b: params.index(b[0]))
+            for reps in itertools.product(*[range(len(b)) for b in blocks]):
+                names = [b[r] for b, r in zip(blocks, reps)]
+                others = [p for b, r in zip(blocks, reps) for i, p in enumerate(b) if i != r]
+                for bits in itertools.product((1, -1), repeat=len(others)):
+                    signs = dict(zip(others, bits))
+                    rows = tuple(tuple([(rep, 1)] + [(p, signs[p]) for p in b if p != rep])
+                                 for b, rep in zip(blocks, names))
+                    reduction = ReductionMap(tuple(params), tuple(names), rows, (0,) * l)
+                    zeroed = Circuit(c.n_qubits, [g for g in c.gates
+                                                  if g.kind is not GateKind.RZ_PARAM or g.param in names])
+                    failing = next((i for i, sample in enumerate(samples) if not proportionality_ratio(
+                        originals[i], image(zeroed, reduction.apply(sample)), tol)[0]), None)
+                    first_failures.append(failing)
+                    if failing is None:
+                        return BruteForceResult(l, reduction, trivial), first_failures
+    raise AssertionError("the identity map always passes")
+
+
+def agreement_circuits():
+    """The circuits of test_brute_force_agrees_with_optimizer."""
+    rng = Random(81)
+    return [random_circuit(Random(i + 250), rng.randint(2, 5), rng.randint(4, 16), rng.randint(1, 4))
+            for i in range(15)]
+
+
+def test_brute_force_equals_per_candidate_reference():
+    five = random_circuit(Random(4), 2, 12, 5)
+    circuits = [parse_circuit(src) for src in ORACLE_INSTANCES] + agreement_circuits() + [five]
+    results = [brute_force_min(c) for c in circuits]
+    assert results == [reference_brute_force(c)[0] for c in circuits]
+    assert [r.count for r in results[:4]] == [1, 2, 1, 0] and results[-1].count == 4
+
+
+@pytest.mark.parametrize("n_qubits, per_block", [(14, 1), (12, 4)])
+def test_brute_force_stops_a_failing_candidate_after_its_first_failing_block(monkeypatch, n_qubits, per_block):
+    assert BLOCK_BYTES // (16 * 2 ** n_qubits) == per_block
+    c = random_circuit(Random(990 + n_qubits), n_qubits, 30, 3)
+    expected, first_failures = reference_brute_force(c)
+    sizes = []
+    real = zxparam.verify.circuit_unitary
+
+    def recording(circuit, assignments, states=None):
+        sizes.append(len(assignments))
+        return real(circuit, assignments, states=states)
+
+    monkeypatch.setattr(zxparam.verify, "circuit_unitary", recording)
+    assert brute_force_min(c) == expected
+    # the candidates stream back to back; a failing one ends with the block of its first failure
+    n_samples = len(structured_samples(c.params, 5))
+    streamed = 0
+    for failing in first_failures[:-1]:
+        block_end = (streamed + failing) // per_block * per_block + per_block
+        streamed += min(n_samples, block_end - streamed)
+    streamed += n_samples  # the winner, whose block the next candidate fills up, if there is one
+    if len(first_failures) < 25:  # the candidates of three parameters
+        streamed = -(-streamed // per_block) * per_block
+    assert any(f > 1 for f in first_failures[:-1])
+    assert max(sizes) <= per_block
+    assert sum(sizes) == n_samples + streamed
 
 
 def test_probe_state_is_seeded_and_bounded():
@@ -361,9 +441,7 @@ def test_brute_force_too_many_params():
 
 
 def test_brute_force_agrees_with_optimizer():
-    rng = Random(81)
-    for i in range(15):
-        c = random_circuit(Random(i + 250), rng.randint(2, 5), rng.randint(4, 16), rng.randint(1, 4))
+    for c in agreement_circuits():
         res = phase_teleport(c)
         assert brute_force_min(c).count == len(res.circuit.params)
 
