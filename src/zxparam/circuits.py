@@ -235,16 +235,18 @@ def _halves(u: np.ndarray, q: int, control: Optional[int] = None) -> Tuple[np.nd
     return v[:, :, 0], v[:, :, 1]
 
 
-def circuit_unitary(c: Circuit, assignment: Mapping[str, float] | Sequence[Mapping[str, float]] | None = None,
+def circuit_unitary(c: Circuit,
+                    assignment: Mapping[str, float] | Sequence[Mapping[str, float]] | np.ndarray | None = None,
                     states: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact 2^n x 2^n unitary of the circuit at one assignment (a mapping or
-    None), or the (S, 2^n, 2^n) stack at a sequence of S assignments, built in
-    one pass over the gates that updates all S in place.  Given ``states``, a
-    (2^n, k) array, the unitary is applied to its columns instead: the result
-    is (2^n, k), or (S, 2^n, k), at O(g 2^n k) rather than O(g 4^n).  Qubit 0
-    is the most significant bit; independent of the diagram machinery.
-    Raises TooLarge above MAX_UNITARY_QUBITS qubits, or MAX_PROBE_QUBITS with
-    ``states``."""
+    None), or the (S, 2^n, 2^n) stack at S assignments, given as a sequence
+    of mappings or as an (S, k) array of angles whose columns follow
+    ``c.params``; the stack is built in one pass over the gates that updates
+    all S in place.  Given ``states``, a (2^n, k) array, the unitary is
+    applied to its columns instead: the result is (2^n, k), or (S, 2^n, k),
+    at O(g 2^n k) rather than O(g 4^n).  Qubit 0 is the most significant
+    bit; independent of the diagram machinery.  Raises TooLarge above
+    MAX_UNITARY_QUBITS qubits, or MAX_PROBE_QUBITS with ``states``."""
     n = c.n_qubits
     if states is None:
         if n > MAX_UNITARY_QUBITS:
@@ -256,15 +258,28 @@ def circuit_unitary(c: Circuit, assignment: Mapping[str, float] | Sequence[Mappi
         columns = np.asarray(states, dtype=complex)
         if columns.ndim != 2 or columns.shape[0] != 2 ** n:
             raise ValueError(f"states of shape {columns.shape} do not have 2^{n} rows")
-    single = assignment is None or isinstance(assignment, Mapping)
-    assignments = [assignment or {}] if single else list(assignment)
     params = c.params
-    missing = {p for a in assignments for p in params if p not in a}
-    if missing:
-        raise KeyError(f"no value for parameters {sorted(missing)}")
-    phases = {p: np.exp(1j * np.array([a[p] for a in assignments], dtype=float))[:, None, None]
-              for p in params}
-    u = np.tile(columns, (len(assignments), 1, 1))
+    single = assignment is None or isinstance(assignment, Mapping)
+    if isinstance(assignment, np.ndarray):
+        values = assignment
+        if values.ndim != 2 or values.shape[1] != len(params):
+            raise ValueError(f"angles of shape {values.shape} do not have {len(params)} columns")
+    else:
+        assignments = [assignment or {}] if single else list(assignment)
+        try:
+            values = np.array([[a[p] for p in params] for a in assignments], dtype=float)
+        except KeyError:
+            missing = {p for a in assignments for p in params if p not in a}
+            raise KeyError(f"no value for parameters {sorted(missing)}") from None
+        values = values.reshape(len(assignments), len(params))
+    # one (S, 1, 1) phase vector per parameter; exp(0j) is exactly 1, and
+    # most angles of the structured samples are 0, so only the rest go to exp
+    angles = np.ascontiguousarray(values.T, dtype=float)
+    phases = np.ones(angles.shape, dtype=complex)
+    turned = np.flatnonzero(angles)
+    phases.flat[turned] = np.exp(1j * angles.flat[turned])
+    phases = dict(zip(params, phases[:, :, None, None]))
+    u = np.tile(columns, (len(values), 1, 1))
     for g in c.gates:
         kind = g.kind
         if kind is _CX or kind is _CZ:

@@ -74,10 +74,35 @@ class ReductionMap:
         return m
 
     def apply(self, assignment: Mapping[str, float]) -> Dict[str, float]:
-        """Evaluate the new parameters at original parameter values (radians)."""
+        """Evaluate the new parameters at original parameter values (radians).
+        Each row adds its terms in row order, then ``const·π/2``."""
         out = {}
         for name, terms, const in zip(self.new_param_names, self.rows, self.constants):
-            out[name] = const * HALF_PI + sum(sign * assignment[p] for p, sign in terms)
+            total = 0.0
+            for p, sign in terms:
+                total += sign * assignment[p]
+            out[name] = total + const * HALF_PI
+        return out
+
+    def apply_array(self, values: np.ndarray, order: Optional[Sequence[str]] = None) -> np.ndarray:
+        """``apply`` at every row of ``values``, an (S, len(params_in)) array in
+        ``params_in`` order: the (S, m) array of new parameter values, with
+        its columns in ``order`` (default ``new_param_names``).  The terms of
+        each row are added in the same order as by ``apply``, one term
+        position at a time, so every float equals ``apply``'s bit for bit."""
+        position = {name: i for i, name in enumerate(self.new_param_names)}
+        rows = range(len(self.rows)) if order is None else [position[name] for name in order]
+        out = np.zeros((len(values), len(rows)))
+        steps: List[List[Tuple[int, int, int]]] = []  # per term position: (out column, in column, sign)
+        for j, r in enumerate(rows):
+            for t, (param, sign) in enumerate(self.rows[r]):
+                if t == len(steps):
+                    steps.append([])
+                steps[t].append((j, self._column[param], sign))
+        for step in steps:
+            out_cols, in_cols, signs = map(list, zip(*step))
+            out[:, out_cols] += values[:, in_cols] * np.array(signs, dtype=float)
+        out += np.array([self.constants[r] for r in rows], dtype=float) * HALF_PI
         return out
 
     def row_string(self, i: int) -> str:

@@ -7,13 +7,21 @@ optimiser's code paths: circuits are evaluated by the gate-by-gate
 simulator ``circuit_unitary``, stabiliser facts are read off the graph
 directly, and the brute force enumerates all in-place parsimonious maps.
 
-Circuits are compared at ``structured_samples`` on one seeded random input,
+Circuits are compared at the sample points on one seeded random input,
 ``probe_state``, rather than as 2^n x 2^n matrices: the images of the probe
 are proportional exactly when the unitaries are, almost surely, and cost
-O(g 2^n) instead of O(g 4^n).  One helper, ``sampled_unitaries``, computes
-them as stacks of as many samples as fit in BLOCK_BYTES (at least one), one
-pass over the gates per stack, and ``proportionality_ratio`` compares a whole
-stack in one call; a consumer that stops early skips the later blocks.
+O(g 2^n) instead of O(g 4^n).  The sample points are one (S, k) angle array,
+``sample_array``, in parameter order (``structured_samples`` is its rows as
+dicts); ``ReductionMap.apply_array`` maps it onto the optimised circuit's
+parameters, and ``circuit_unitary`` reads its phases off the columns.  The
+images are computed as stacks of as many samples as fit in BLOCK_BYTES (at
+least one), one pass over the gates per stack, and ``proportionality_ratio``
+compares a whole stack in one call; ``brute_force_min`` builds each stack of
+(candidate, sample) assignments as rows of one array and stops streaming a
+candidate after the stack of its first failing sample.
+
+``zxparam verify`` reads ``optimality_certificate`` only after a passing
+ratio check, or for its ``--report`` payload, so it computes it only then.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -39,19 +47,21 @@ logger = logging.getLogger(__name__)
 
 # -- finite-value reduction checking ------------------------------------------
 
-def structured_samples(params: Sequence[str], n_random: int, seed: int = 0) -> List[Dict[str, float]]:
-    """The all-zeros point, each parameter alone at pi, plus uniform-random
-    vectors.  Two values per parameter suffice for exact equality of
+def sample_array(n_params: int, n_random: int, seed: int = 0) -> np.ndarray:
+    """The sample points as one (1 + k + n_random, k) array of angles, its
+    columns in parameter order: the all-zeros point, each parameter alone at
+    pi, then uniform-random rows from ``default_rng(seed)``, drawn row by
+    row.  Two values per parameter suffice for exact equality of
     parametrised Clifford maps; the random points stress the scalar."""
-    samples: List[Dict[str, float]] = [{p: 0.0 for p in params}]
-    for p in params:
-        s = {q: 0.0 for q in params}
-        s[p] = math.pi
-        samples.append(s)
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
-        samples.append({p: float(rng.uniform(0, 2 * math.pi)) for p in params})
+    samples = np.zeros((1 + n_params + n_random, n_params))
+    samples[1 + np.arange(n_params), np.arange(n_params)] = math.pi
+    samples[1 + n_params:] = np.random.default_rng(seed).uniform(0, 2 * math.pi, (n_random, n_params))
     return samples
+
+
+def structured_samples(params: Sequence[str], n_random: int, seed: int = 0) -> List[Dict[str, float]]:
+    """The rows of ``sample_array`` as one dict per sample, keyed by ``params``."""
+    return [dict(zip(params, row)) for row in sample_array(len(params), n_random, seed).tolist()]
 
 
 def probe_state(n_qubits: int, seed: int = 0) -> np.ndarray:
@@ -77,18 +87,18 @@ BLOCK_BYTES = 256 * 1024
 MAX_SAMPLES = 200
 
 
-def sampled_unitaries(c: Circuit, samples: Iterable[Mapping[str, float]], probe: np.ndarray
-                      ) -> Iterator[np.ndarray]:
-    """The images of ``probe`` under the unitary of ``c`` at each sample, in
-    order, as stacks of as many samples as fit in BLOCK_BYTES (at least one).
-    ``samples`` is read lazily, one block ahead of the stack yielded."""
-    block = max(1, BLOCK_BYTES // (16 * probe.size))
-    samples = iter(samples)
-    while True:
-        chunk = list(itertools.islice(samples, block))
-        if not chunk:
-            return
-        yield circuit_unitary(c, chunk, states=probe)
+def _block_size(probe: np.ndarray) -> int:
+    """How many images of ``probe`` fit in BLOCK_BYTES, and at least one."""
+    return max(1, BLOCK_BYTES // (16 * probe.size))
+
+
+def sampled_unitaries(c: Circuit, samples: np.ndarray, probe: np.ndarray) -> Iterator[np.ndarray]:
+    """The images of ``probe`` under the unitary of ``c`` at each row of
+    ``samples`` (angles in ``c.params`` order), in order, as stacks of as
+    many samples as fit in BLOCK_BYTES (at least one)."""
+    block = _block_size(probe)
+    for start in range(0, len(samples), block):
+        yield circuit_unitary(c, samples[start:start + block], states=probe)
 
 
 def _rows(stack: np.ndarray) -> np.ndarray:
@@ -114,8 +124,8 @@ def check_reduction(c1: Circuit, c2: Circuit, reduction: ReductionMap,
     holds: List[bool] = []
     ratios: List[complex] = []
     deviations: List[float] = []
-    samples = structured_samples(c1.params, n_samples, seed)
-    mapped = [reduction.apply(sample) for sample in samples]
+    samples = sample_array(len(c1.params), n_samples, seed)
+    mapped = reduction.apply_array(samples, c2.params)
     probe = probe_state(c1.n_qubits, seed)
     for b1, b2 in zip(sampled_unitaries(c1, samples, probe), sampled_unitaries(c2, mapped, probe)):
         ok, lam, dev = proportionality_ratio(_rows(b1), _rows(b2), tol)
@@ -466,21 +476,26 @@ def _partitions_into(items: Sequence[str], n_parts: int):
     yield from rec(0, [])
 
 
-def _in_place_maps(params: Sequence[str]) -> Iterator[ReductionMap]:
-    """Every in-place parsimonious map of ``params``, fewest groups first:
-    each partition into groups, each choice of representative (kept at +1,
-    under its own name) and each sign pattern for the others."""
+def _in_place_groupings(params: Sequence[str]) -> Iterator[Tuple[List[Tuple[str, List[str]]], List[Tuple[int, ...]]]]:
+    """Every partition of ``params`` into groups with every choice of
+    representatives, fewest groups first, as (groups, signs): each group is
+    its representative and its other parameters, and ``signs`` lists every
+    sign pattern of all the others, group after group."""
     for l in range(1, len(params) + 1):
         for blocks in _partitions_into(params, l):
             blocks = sorted(blocks, key=lambda b: params.index(b[0]))
             for reps in itertools.product(*[range(len(b)) for b in blocks]):
-                others = [p for b, r in zip(blocks, reps) for i, p in enumerate(b) if i != r]
-                for bits in itertools.product((1, -1), repeat=len(others)):
-                    signs = dict(zip(others, bits))
-                    names = tuple(b[r] for b, r in zip(blocks, reps))
-                    rows = tuple(tuple([(rep, 1)] + [(p, signs[p]) for p in b if p != rep])
-                                 for b, rep in zip(blocks, names))
-                    yield ReductionMap(tuple(params), names, rows, tuple(0 for _ in rows))
+                groups = [(b[r], [p for i, p in enumerate(b) if i != r]) for b, r in zip(blocks, reps)]
+                yield groups, list(itertools.product((1, -1), repeat=sum(len(o) for _, o in groups)))
+
+
+def _in_place_map(params: Sequence[str], groups: Sequence[Tuple[str, Sequence[str]]],
+                  signs: Sequence[int]) -> ReductionMap:
+    """The in-place parsimonious map that keeps each representative at +1,
+    under its own name, and gives the other parameters ``signs`` in turn."""
+    signs = iter(signs)
+    rows = tuple(((rep, 1),) + tuple((p, next(signs)) for p in others) for rep, others in groups)
+    return ReductionMap(tuple(params), tuple(rep for rep, _ in groups), rows, (0,) * len(groups))
 
 
 def brute_force_min(c: Circuit, tol: float = 1e-9, max_params: int = MAX_ORACLE_PARAMS,
@@ -496,9 +511,10 @@ def brute_force_min(c: Circuit, tol: float = 1e-9, max_params: int = MAX_ORACLE_
 
     A candidate is evaluated on ``c`` itself: each representative at its
     group's value and every other parameter at 0, where its gate is the
-    identity.  All (candidate, sample) assignments stream through one
-    ``sampled_unitaries``, and the rest of a candidate is skipped once one of
-    its samples fails.
+    identity.  The (candidate, sample) assignments stream in enumeration
+    order, as the rows of one angle array per block of as many as fit in
+    BLOCK_BYTES, and the rest of a candidate is left out of the stream once
+    one of its samples fails.
     """
     c.validate()
     params = c.params
@@ -508,7 +524,8 @@ def brute_force_min(c: Circuit, tol: float = 1e-9, max_params: int = MAX_ORACLE_
     if k == 0:
         return BruteForceResult(0, ReductionMap((), (), (), ()))
 
-    samples = structured_samples(params, n_samples, seed)
+    samples = sample_array(k, n_samples, seed)
+    n = len(samples)
     probe = probe_state(c.n_qubits, seed)
     originals = np.concatenate([_rows(b) for b in sampled_unitaries(c, samples, probe)])
 
@@ -518,28 +535,54 @@ def brute_force_min(c: Circuit, tol: float = 1e-9, max_params: int = MAX_ORACLE_
     if trivial:
         logger.warning("parameters %s are trivial: {0,pi} evaluations are proportional", list(trivial))
 
-    streamed: List[Tuple[int, ReductionMap, int]] = []  # (candidate, its map, sample index) per assignment
-    rejected: Set[int] = set()
+    column = {p: j for j, p in enumerate(params)}
 
-    def assignments() -> Iterator[Dict[str, float]]:
-        for m, reduction in enumerate(_in_place_maps(params)):
-            for i, sample in enumerate(samples):
-                if m in rejected:
+    def candidates() -> Iterator[Tuple[tuple, np.ndarray]]:
+        """Each candidate, as its groups and sign pattern, with its (n, k)
+        assignments of ``c``: a representative's value is its group's sum at
+        the sample, added in the order ``ReductionMap.apply`` adds it; every
+        other parameter is 0."""
+        for groups, signs in _in_place_groupings(params):
+            sign = np.array(signs, dtype=float).reshape(len(signs), len(signs[0]))
+            values = np.zeros((len(signs), n, k))  # every sign pattern at once
+            j = 0
+            for rep, others in groups:
+                total = values[:, :, column[rep]]
+                total += samples[:, column[rep]]
+                for p in others:
+                    total += sign[:, j, None] * samples[:, column[p]]
+                    j += 1
+            for pattern, assignments in zip(signs, values):
+                yield (groups, pattern), assignments
+
+    pending = candidates()
+    current, start = None, 0  # the candidate being streamed, and its next sample
+    block = _block_size(probe)
+    while True:
+        owners: List[Tuple[tuple, int, int]] = []  # per candidate in the block: (candidate, first sample, count)
+        parts: List[np.ndarray] = []
+        filled = 0
+        while filled < block:
+            if current is None or start == n:
+                current, start = next(pending, None), 0
+                if current is None:
                     break
-                values = reduction.apply(sample)
-                streamed.append((m, reduction, i))
-                yield {p: values.get(p, 0.0) for p in params}
-
-    done = 0
-    for block in sampled_unitaries(c, assignments(), probe):
-        owners = streamed[done:done + len(block)]
-        done += len(block)
-        ok, _, _ = proportionality_ratio(originals[[i for _, _, i in owners]], _rows(block), tol)
-        for (m, reduction, i), passed in zip(owners, ok):
-            if m in rejected:
-                continue
-            if not passed:
-                rejected.add(m)
-            elif i == len(samples) - 1:
-                return BruteForceResult(len(reduction.rows), reduction, trivial)
-    raise AssertionError("identity reduction must pass; unreachable")
+            candidate, values = current
+            count = min(block - filled, n - start)
+            owners.append((candidate, start, count))
+            parts.append(values[start:start + count])
+            start += count
+            filled += count
+        if not parts:
+            raise AssertionError("identity reduction must pass; unreachable")
+        images = _rows(circuit_unitary(c, np.concatenate(parts), states=probe))
+        expected = originals[np.concatenate([np.arange(i, i + count) for _, i, count in owners])]
+        ok, _, _ = proportionality_ratio(expected, images, tol)
+        done = 0
+        for (groups, pattern), i, count in owners:
+            passed = ok[done:done + count].all()
+            if passed and i + count == n:
+                return BruteForceResult(len(groups), _in_place_map(params, groups, pattern), trivial)
+            done += count
+        if not passed:
+            start = n  # the block's last candidate failed: leave its later samples out

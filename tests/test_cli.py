@@ -7,6 +7,7 @@ import zxparam.circuits
 from zxparam.circuits import MAX_QUBITS, emit_circuit, parse_circuit
 from zxparam.cli import main
 from zxparam.diagram import NKind, SpiderNetwork
+from zxparam.errors import NotTerminalForm
 from zxparam.generate import random_circuit
 from zxparam.reduction import ReductionMap
 from zxparam.rewrite import Rewriter
@@ -340,3 +341,59 @@ def test_conversion_failure_exits_2(tmp_path, monkeypatch, capsys, command):
     monkeypatch.setattr(zxparam.circuits, "circuit_to_network", broken_network)
     assert main(cli_args(tmp_path, command)) == 2
     assert "Hadamard box" in capsys.readouterr().err
+
+
+def wrong_fusion_args(tmp_path):
+    """verify on a map that fuses t0 and t1, which sit on different parities:
+    the ratio check fails from the sample t1 = pi on."""
+    src = write(tmp_path, "in.zxc", "qreg 2\nrz(t0) 0\ncx 0 1\nrz(t1) 1\n")
+    fused = write(tmp_path, "fused.zxc", "qreg 2\nrz(u0) 0\ncx 0 1\n")
+    mapping = ReductionMap(("t0", "t1"), ("u0",), ((("t0", 1), ("t1", 1)),), (0,))
+    return ["verify", str(src), str(fused), str(write(tmp_path, "fused.json", mapping.to_text()))]
+
+
+WRONG_FUSION_LINE = ("verify: FAILED proportionality, max deviation 1.566e+00, "
+                     "first failing sample 2 (deviation 1.566e+00)\n")
+
+
+def test_failed_ratio_check_skips_the_certificate(tmp_path, monkeypatch, capsys):
+    # the certificate is not read after a failed ratio check, so simplify
+    # never runs: not even a simplify that would fail turns exit 3 into 2
+    def refuse(*args, **kwargs):
+        raise NotTerminalForm("simplify must not run")
+
+    monkeypatch.setattr(zxparam.cli, "simplify", refuse)
+    assert main(wrong_fusion_args(tmp_path)) == 3
+    out, err = capsys.readouterr()
+    assert out == WRONG_FUSION_LINE and err == ""
+
+
+def test_failed_ratio_check_reports_the_certificate(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = zxparam.cli.simplify
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(zxparam.cli, "simplify", counting)
+    verify_report = tmp_path / "verify.json"
+    assert main(wrong_fusion_args(tmp_path) + ["--report", str(verify_report)]) == 3
+    assert capsys.readouterr().out == WRONG_FUSION_LINE
+    assert len(calls) == 1
+    payload = json.loads(verify_report.read_text())
+    assert list(payload) == ["proportionality", "certificate"]
+    assert json.dumps(payload["certificate"]) == \
+        '{"passed": true, "failures": [], "n_parameters": 2, "n_gadgets": 0}'
+
+
+def test_failed_ratio_check_with_report_still_exits_2_on_a_failed_simplify(tmp_path, monkeypatch, capsys):
+    # --report needs the certificate, so a simplify failure still decides the exit code
+    def refuse(*args, **kwargs):
+        raise NotTerminalForm("no terminal form")
+
+    monkeypatch.setattr(zxparam.cli, "simplify", refuse)
+    verify_report = tmp_path / "verify.json"
+    assert main(wrong_fusion_args(tmp_path) + ["--report", str(verify_report)]) == 2
+    assert "no terminal form" in capsys.readouterr().err
+    assert not verify_report.exists()

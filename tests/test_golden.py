@@ -1,28 +1,41 @@
-"""Byte-identical optimiser output on a fixed-seed ladder.
+"""Byte-identical command output on fixed-seed circuits.
 
-Each entry pins the SHA-256 of the emitted circuit and of the ``.map.json``
-report that ``zxparam optimize --seed 0`` writes for one circuit.  The
-digests were recorded before the incremental rewrite driver and the
-union-find graph-like conversion replaced the rescanning ones, so any change
-to the rewrite picks, the conversion or the extraction shows up here.
+Each ``GOLDEN`` entry pins the SHA-256 of the emitted circuit and of the
+``.map.json`` report that ``zxparam optimize --seed 0`` writes for one
+circuit.  Those digests were recorded before the incremental rewrite driver
+and the union-find graph-like conversion replaced the rescanning ones, so any
+change to the rewrite picks, the conversion or the extraction shows up here.
 
-Regenerate (only after a deliberate change of the picks):
+Each ``GOLDEN_VERIFY`` entry pins the exit code, stdout and ``--report`` JSON
+of ``zxparam verify`` on one circuit and one map (the optimiser's own, one
+that fuses two different parities, and the identity on the unoptimised
+circuit), run with and without ``--report``; each ``GOLDEN_ORACLE`` entry pins
+the same for ``zxparam oracle``.  They were recorded before the sample dicts
+of ``check_reduction`` and ``brute_force_min`` became one array, and before
+``verify`` skipped the certificate after a failed ratio check.  Reports carry
+floating-point ratios and deviations, so these digests hold for one numpy
+build (recorded with numpy 2.4 on x86-64).
+
+Regenerate (only after a deliberate change of the output):
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 from pathlib import Path
 from random import Random
 from typing import Dict, List, Tuple
 
 import pytest
 
-from zxparam.circuits import Circuit, Gate, GateKind, emit_circuit
+from zxparam.circuits import Circuit, Gate, GateKind, emit_circuit, parse_circuit
 from zxparam.cli import main
 from zxparam.generate import random_circuit
+from zxparam.reduction import ReductionMap, phase_teleport
 
 # (qubits, gates, params, circuits)
 RANDOM_LADDER = [(6, 60, 12, 3), (8, 120, 24, 2), (10, 200, 40, 2), (12, 300, 60, 2)]
@@ -98,14 +111,175 @@ def test_optimize_output_is_byte_identical(tmp_path, capsys, name, circuit):
     assert digest(tmp_path, name, circuit) == GOLDEN[name]
 
 
-if __name__ == "__main__":
-    import contextlib
-    import io
-    import tempfile
+# (qubits, gates, params, circuits): random circuits, then phase polynomials
+# with (qubits, gates, params, Clifford gates on each side, circuits)
+VERIFY_RANDOM = [(2, 12, 0, 1), (3, 20, 4, 2), (4, 30, 6, 2), (6, 60, 10, 2)]
+VERIFY_PHASEPOLY = [(5, 40, 6, 10, 2), (6, 60, 10, 10, 2)]
+ORACLE_RANDOM = [(1, 6, 2, 1), (2, 12, 3, 2), (3, 16, 4, 2), (4, 24, 3, 2)]
+ORACLE_PHASEPOLY = [(3, 20, 4, 4, 2), (4, 24, 4, 6, 2)]
 
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        digests = {name: digest(Path(tmp), name, c) for name, c in CASES}
-    print("GOLDEN: Dict[str, str] = {")
+
+def verify_circuits() -> List[Tuple[str, Circuit]]:
+    out = []
+    for n, g, p, count in VERIFY_RANDOM:
+        for i in range(count):
+            out.append((f"vr{n}q{g}g-{i}", random_circuit(Random(f"golden/vr{n}/{i}"), n, g, p)))
+    for n, g, p, wrap, count in VERIFY_PHASEPOLY:
+        for i in range(count):
+            out.append((f"vp{n}q{g}g-{i}", phase_poly_circuit(Random(f"golden/vp{n}/{i}"), n, g, p, wrap)))
+    return out
+
+
+def verify_maps(c: Circuit) -> List[Tuple[str, Circuit, ReductionMap]]:
+    """(case, optimised circuit, map): the optimiser's output, that output
+    with its first two parameters fused (when it has two), and the identity
+    on ``c`` itself."""
+    res = phase_teleport(c)
+    red = res.reduction
+    cases = [("correct", res.circuit, red)]
+    if len(red.rows) >= 2:
+        rows = (red.rows[0] + red.rows[1],) + red.rows[2:]
+        names = (red.new_param_names[0],) + red.new_param_names[2:]
+        gates = [g for g in res.circuit.gates
+                 if not (g.kind is GateKind.RZ_PARAM and g.param == red.new_param_names[1])]
+        cases.append(("wrong_parity", Circuit(c.n_qubits, gates),
+                      ReductionMap(red.params_in, names, rows, (0,) * len(rows))))
+    cases.append(("identity", c, ReductionMap.identity(c.params)))
+    return cases
+
+
+def run_cli(argv: List[str]) -> bytes:
+    """Exit code and stdout of one command."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return f"{code}\n{out.getvalue()}".encode()
+
+
+def command_digest(directory: Path, argv: List[str]) -> str:
+    """SHA-256 of ``argv`` run without ``--report``, then with it, and of the
+    report that the second run writes."""
+    report = directory / "report.json"
+    report.unlink(missing_ok=True)
+    h = hashlib.sha256()
+    h.update(run_cli(argv))
+    h.update(b"\0")
+    h.update(run_cli(argv + ["--report", str(report)]))
+    h.update(b"\0")
+    h.update(report.read_bytes() if report.exists() else b"no report")
+    return h.hexdigest()
+
+
+def verify_cases() -> List[Tuple[str, Circuit, Circuit, ReductionMap, int]]:
+    """(name, original, optimised, map, seed) for every verify digest."""
+    return [(f"{name}.{case}", c, out, red, i % 2)
+            for i, (name, c) in enumerate(verify_circuits()) for case, out, red in verify_maps(c)]
+
+
+def oracle_cases() -> List[Tuple[str, Circuit, int]]:
+    """(name, circuit, seed) for every oracle digest."""
+    return ([(f"or{n}q{g}g-{i}", random_circuit(Random(f"golden/or{n}/{i}"), n, g, p), i)
+             for n, g, p, count in ORACLE_RANDOM for i in range(count)]
+            + [(f"op{n}q{g}g-{i}", phase_poly_circuit(Random(f"golden/op{n}/{i}"), n, g, p, wrap), i)
+               for n, g, p, wrap, count in ORACLE_PHASEPOLY for i in range(count)]
+            + [("sign-flip", parse_circuit("qreg 1\nrz(t0) 0\nx 0\nrz(t1) 0\nx 0\n"), 0)])
+
+
+def verify_digest(directory: Path, original: Circuit, optimised: Circuit, reduction: ReductionMap,
+                  seed: int) -> str:
+    src, opt, mapping = directory / "in.zxc", directory / "out.zxc", directory / "map.json"
+    src.write_text(emit_circuit(original))
+    opt.write_text(emit_circuit(optimised))
+    mapping.write_text(reduction.to_text())
+    return command_digest(directory, ["verify", str(src), str(opt), str(mapping), "--seed", str(seed)])
+
+
+def oracle_digest(directory: Path, c: Circuit, seed: int) -> str:
+    src = directory / "in.zxc"
+    src.write_text(emit_circuit(c))
+    return command_digest(directory, ["oracle", str(src), "--seed", str(seed)])
+
+
+GOLDEN_VERIFY: Dict[str, str] = {
+    "vr2q12g-0.correct": "b8ab7843ec8a0efe084891bd111ff1eb0edf3a7f143a36ca8a9e039dd3293f2d",
+    "vr2q12g-0.identity": "b8ab7843ec8a0efe084891bd111ff1eb0edf3a7f143a36ca8a9e039dd3293f2d",
+    "vr3q20g-0.correct": "b757807707ed4ba9a5dbd218ad7bcb66fbf70dd3d1a004fb17d4f03f261bc4c5",
+    "vr3q20g-0.wrong_parity": "a8de629b34262ea03cdf613accf85c66476ed458a47748a8d4f46c8a6db4d9e4",
+    "vr3q20g-0.identity": "7dcf5518a05bb070e92269c009a7ff6c3a5b4e8e5e842539f75f7b18d79f1b7d",
+    "vr3q20g-1.correct": "a9a139ec8ce657a360fb7a34bf01ab7759c18ecd481a762e7fe890d45c0c22c7",
+    "vr3q20g-1.wrong_parity": "2046bf3c40c1655e52112f4c32baf90ffeaf27dcccd71f45f612f302a2ac218a",
+    "vr3q20g-1.identity": "a9a139ec8ce657a360fb7a34bf01ab7759c18ecd481a762e7fe890d45c0c22c7",
+    "vr4q30g-0.correct": "3431a700b83743a5e75eccd6cd674a09e634b31cdea1c2d79419d260c541ed6b",
+    "vr4q30g-0.wrong_parity": "bfa32bce1d804be858ba40be8634155be9b7fa381db8b1901ad13a3cfbb469bc",
+    "vr4q30g-0.identity": "65700df65713a0998dfd75b1cfdae28c2f77dcd8b6d62df9efa280590e5b70a4",
+    "vr4q30g-1.correct": "ce01b78b180d40999f4d4f40c141a568838715cf14ae82205e1080be75cfabb8",
+    "vr4q30g-1.wrong_parity": "fb552a53aedfa2195bb3083cf3952b6e27a7711caa620c639b23778959cab09e",
+    "vr4q30g-1.identity": "fbdddb28c04122d32b28530248d2a399427134bb9bfee3fa4a5d2a1a4ecaffcb",
+    "vr6q60g-0.correct": "2458d6a10c132ed75e579146f4111c80bb48a36b6fdcd143c54d67582f12231d",
+    "vr6q60g-0.wrong_parity": "a9cb0b787a582a9b6bc5e7b7bf60d9147639a8702c50805efa26e4cbd25885b4",
+    "vr6q60g-0.identity": "703abf3c049f6fb5defdc59e3a9254abdf6b332bb91fe9e6cb80bb904ac12dd9",
+    "vr6q60g-1.correct": "c359ac580678a793826d71ca312f3deca1750cb9953ce3be41637bcfcfdb060f",
+    "vr6q60g-1.wrong_parity": "436c37773ffcfb352c5aee785c7a6140491ea8063ff73b01bdcd1b8afd2d9c05",
+    "vr6q60g-1.identity": "a4b329b5c389bb5dfa6e7ee7d91aa81d54ee1332cb3c105a0951ac8c69a0433b",
+    "vp5q40g-0.correct": "9b33e4d13da821945b1d619b1c766be3d712bc3e26eb3dc15e508e747437294a",
+    "vp5q40g-0.wrong_parity": "69d5e4eaed2c9dfb66037d47c12da670983fef0d1553d6dbfa41d4c1ce2a8f1b",
+    "vp5q40g-0.identity": "739b67529ab2197823e0d904ecf991871090524d99d7fede4f0f3fd84b3cb351",
+    "vp5q40g-1.correct": "00e6dfd321d09e0c69b79384bba5fad28bcaaa08ee316c408156313b960fbfe4",
+    "vp5q40g-1.wrong_parity": "655276201fc20e22b6650a5cae6baa7f17c6b6a46ae48df1e0a242e4706223b3",
+    "vp5q40g-1.identity": "00e6dfd321d09e0c69b79384bba5fad28bcaaa08ee316c408156313b960fbfe4",
+    "vp6q60g-0.correct": "54e82b7643f8de0616b23703f234484e12eaa1114ed6c0036562c4cca3cd8333",
+    "vp6q60g-0.wrong_parity": "834928cce24cfa4320b842193128b9b631136cfcae1ac40dbcfbe7ff822f728b",
+    "vp6q60g-0.identity": "d5195a402938417d23bbca8ee0f446ff9c0732f6882799b5bbfae8050a483323",
+    "vp6q60g-1.correct": "9a641a55aa96b67d5004ec03cbf26f9aa7ac03462f91e45fc020727571655c79",
+    "vp6q60g-1.wrong_parity": "58f23f738ecd77e72004244b45e13119e0d455420c5adb1cb890f5450be2d616",
+    "vp6q60g-1.identity": "31e20beb3ecf0f34c07ce9117942f698eda23d85bb6ff535aec388f97bbc6cea",
+}
+
+GOLDEN_ORACLE: Dict[str, str] = {
+    "or1q6g-0": "80ac4bf023ac76d3c39d6769de2297d53aeaab198766ca6bb7b1e70663d3ee11",
+    "or2q12g-0": "79f85d39d683b22eeef82de8337c13531ff1cd1595d1875dc41b35475bdd4962",
+    "or2q12g-1": "79f85d39d683b22eeef82de8337c13531ff1cd1595d1875dc41b35475bdd4962",
+    "or3q16g-0": "292b4fbcbce1c00514d76ae7c97b7da4f581f5643cb3ca9b7a1eaee6a96caa34",
+    "or3q16g-1": "4f0a8221ea46f7c40a210110874fddfe85dee08c14e2f2e284691ca119ee0791",
+    "or4q24g-0": "712209204adecf37f2e47e3a50b37cf1ef05971434f24cd26a9686c81756d184",
+    "or4q24g-1": "712209204adecf37f2e47e3a50b37cf1ef05971434f24cd26a9686c81756d184",
+    "op3q20g-0": "292b4fbcbce1c00514d76ae7c97b7da4f581f5643cb3ca9b7a1eaee6a96caa34",
+    "op3q20g-1": "fda893ded3ab53e47d052785161582f0a4dd83d9e89bbcef01373ddf65309e9b",
+    "op4q24g-0": "ed4ed35b03cd12fae0a7d576f5020a5a2ec8fe7295750f581475e13d62d17cb6",
+    "op4q24g-1": "ed4ed35b03cd12fae0a7d576f5020a5a2ec8fe7295750f581475e13d62d17cb6",
+    "sign-flip": "74821f111e17d8c12a44693f84b5cc3a458fc5ec87e7b487cc14f7ab24e175d8",
+}
+
+VERIFY_CASES = verify_cases()
+ORACLE_CASES = oracle_cases()
+
+
+@pytest.mark.parametrize("name,original,optimised,reduction,seed", VERIFY_CASES,
+                         ids=[case[0] for case in VERIFY_CASES])
+def test_verify_output_is_byte_identical(tmp_path, name, original, optimised, reduction, seed):
+    assert verify_digest(tmp_path, original, optimised, reduction, seed) == GOLDEN_VERIFY[name]
+
+
+@pytest.mark.parametrize("name,circuit,seed", ORACLE_CASES, ids=[case[0] for case in ORACLE_CASES])
+def test_oracle_output_is_byte_identical(tmp_path, name, circuit, seed):
+    assert oracle_digest(tmp_path, circuit, seed) == GOLDEN_ORACLE[name]
+
+
+def print_digests(title: str, digests: Dict[str, str]) -> None:
+    print(f"{title}: Dict[str, str] = {{")
     for name, value in digests.items():
         print(f'    "{name}": "{value}",')
     print("}")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        directory = Path(tmp)
+        digests = {name: digest(directory, name, c) for name, c in CASES}
+        verify = {name: verify_digest(directory, *rest) for name, *rest in VERIFY_CASES}
+        oracle = {name: oracle_digest(directory, c, seed) for name, c, seed in ORACLE_CASES}
+    print_digests("GOLDEN", digests)
+    print_digests("GOLDEN_VERIFY", verify)
+    print_digests("GOLDEN_ORACLE", oracle)

@@ -18,8 +18,8 @@ from zxparam.reduction import ReductionMap, phase_teleport
 from zxparam.rewrite import simplify
 from zxparam.tensor import proportionality_ratio, tensor_eval
 from zxparam.verify import (BLOCK_BYTES, BruteForceResult, ap_form, brute_force_min, check_reduction,
-                            optimality_certificate, probe_state, structured_samples, terminal_violations,
-                            zz_certificate)
+                            optimality_certificate, probe_state, sample_array, structured_samples,
+                            terminal_violations, zz_certificate)
 
 FUSION = "qreg 1\nrz(t0) 0\nrz(t1) 0"
 
@@ -467,3 +467,145 @@ def test_structured_samples_cover_two_values_per_parameter():
     assert len(samples) == 1 + 2 + 5
     values_a = {round(s["a"], 6) for s in samples[:3]}
     assert {0.0, round(math.pi, 6)} <= values_a
+
+
+def reference_structured_samples(params, n_random, seed=0):
+    """The sample points built one dict and one draw at a time."""
+    samples = [{p: 0.0 for p in params}]
+    for p in params:
+        s = {q: 0.0 for q in params}
+        s[p] = math.pi
+        samples.append(s)
+    rng = np.random.default_rng(seed)
+    for _ in range(n_random):
+        samples.append({p: float(rng.uniform(0, 2 * math.pi)) for p in params})
+    return samples
+
+
+def same_floats(a, b):
+    """Equal bit for bit, the sign of zero included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("k, n_random, seed", [(0, 5, 0), (1, 2, 3), (3, 5, 0), (7, 200, 11)])
+def test_sample_array_rows_are_the_structured_samples(k, n_random, seed):
+    params = [f"t{j}" for j in range(k)]
+    samples = sample_array(k, n_random, seed)
+    assert samples.shape == (1 + k + n_random, k)
+    reference = reference_structured_samples(params, n_random, seed)
+    assert structured_samples(params, n_random, seed) == reference
+    assert same_floats(samples, [[s[p] for p in params] for s in reference])
+
+
+def random_map(rng, params, names):
+    """A parsimonious map of ``params`` onto ``names`` with random groups,
+    signs and constants."""
+    shuffled = list(params)
+    rng.shuffle(shuffled)
+    cuts = sorted(rng.sample(range(1, len(params)), len(names) - 1))
+    groups = [shuffled[a:b] for a, b in zip([0] + cuts, cuts + [len(params)])]
+    rows = tuple(tuple((p, rng.choice((1, -1))) for p in group) for group in groups)
+    return ReductionMap(tuple(params), tuple(names), rows, tuple(rng.randrange(4) for _ in names))
+
+
+def test_apply_array_equals_apply_bit_for_bit():
+    rng = Random(1101)
+    for trial in range(40):
+        k = rng.randint(1, 9)
+        params = [f"t{j}" for j in range(k)]
+        names = [f"u{j}" for j in range(rng.randint(1, k))]
+        reduction = random_map(rng, params, names)
+        order = list(names)
+        rng.shuffle(order)  # columns in another order than the rows
+        values = np.random.default_rng(trial).uniform(-7, 7, (12, k))
+        values[0] = 0.0
+        values[1] = -0.0
+        values[2, 0] = -0.0
+        values[3] = np.where(np.arange(k) % 2, math.pi, -math.pi)
+        samples = [dict(zip(params, row)) for row in values.tolist()]
+        expected = [[reduction.apply(s)[name] for name in order] for s in samples]
+        assert same_floats(reduction.apply_array(values, order), expected)
+        assert same_floats(reduction.apply_array(values), [[reduction.apply(s)[name] for name in names]
+                                                           for s in samples])
+
+
+def test_apply_array_keeps_a_negative_zero_term_as_apply_does():
+    reduction = ReductionMap(("a", "b"), ("u", "v"), ((("a", -1),), (("b", 1),)), (0, 2))
+    values = np.array([[0.0, -0.0], [-0.0, 0.0]])
+    expected = [[reduction.apply({"a": a, "b": b})[n] for n in ("u", "v")] for a, b in values.tolist()]
+    assert same_floats(reduction.apply_array(values), expected)
+    assert same_floats(reduction.apply_array(values)[:, 0], [0.0, 0.0])  # 0.0 + -0.0 is 0.0
+
+
+def test_circuit_unitary_reads_angle_columns_bit_for_bit():
+    for n in (1, 3, 5):
+        c = random_circuit(Random(1110 + n), n, 30, 6)
+        samples = sample_array(len(c.params), 4, n)
+        probe = probe_state(n)
+        dicts = [dict(zip(c.params, row)) for row in samples.tolist()]
+        assert circuit_unitary(c, samples, states=probe).tobytes() == \
+            circuit_unitary(c, dicts, states=probe).tobytes()
+        assert circuit_unitary(c, samples[2:3]).tobytes() == circuit_unitary(c, dicts[2]).tobytes()
+        with pytest.raises(ValueError):
+            circuit_unitary(c, samples[:, 1:], states=probe)
+
+
+def test_check_reduction_with_map_rows_out_of_circuit_order():
+    # u1's gate comes first in the optimised circuit, but the map lists u0 first
+    c = parse_circuit("qreg 2\nrz(t0) 1\nrz(t1) 0\ncx 0 1\nrz(t2) 0\nrz(t3) 1\n")
+    out = parse_circuit("qreg 2\nrz(u1) 1\nrz(u0) 0\ncx 0 1\n")
+    assert out.params == ["u1", "u0"]
+    m = ReductionMap(tuple(c.params), ("u0", "u1"), ((("t1", 1), ("t2", 1)), (("t0", 1),)), (0, 0))
+    assert same_floats(m.apply_array(sample_array(4, 2), out.params)[:, 0], sample_array(4, 2)[:, 0])
+    report = check_reduction(c, out, m, n_samples=3)
+    # t3 is dropped from the output: the map is wrong from the sample t3 = pi on
+    assert report.deviations[:4] == [0.0] * 4 and report.deviations[4] > 1e-9
+    fixed = parse_circuit("qreg 2\nrz(u1) 1\nrz(u0) 0\ncx 0 1\nrz(u2) 1\n")
+    good = ReductionMap(tuple(c.params), ("u0", "u2", "u1"),
+                        ((("t1", 1), ("t2", 1)), (("t3", 1),), (("t0", 1),)), (0, 0, 0))
+    report = check_reduction(c, fixed, good, n_samples=3)
+    probe = probe_state(2)
+    assert report.holds
+    for sample, lam in zip(structured_samples(c.params, 3), report.ratios):
+        _, lam_ref, _ = proportionality_ratio(circuit_unitary(c, sample, states=probe).reshape(-1),
+                                              circuit_unitary(fixed, good.apply(sample), states=probe).reshape(-1),
+                                              1e-9)
+        assert lam == lam_ref
+
+
+def test_zero_parameter_circuits():
+    c = parse_circuit("qreg 2\nh 0\ncx 0 1\ns 1")
+    empty = ReductionMap((), (), (), ())
+    report = check_reduction(c, c, empty, n_samples=4)
+    assert report.holds and len(report.ratios) == 5 and all(r == 1.0 for r in report.ratios)
+    assert not check_reduction(c, parse_circuit("qreg 2\nh 0\ncx 0 1\nsdg 1"), empty).holds
+    assert brute_force_min(c) == BruteForceResult(0, empty)
+    assert sample_array(0, 4).shape == (5, 0)
+
+
+def test_brute_force_streams_the_dict_assignments_bit_for_bit(monkeypatch):
+    # two qubits: one block holds every (candidate, sample) assignment
+    c = random_circuit(Random(1120), 2, 14, 3)
+    params = c.params
+    streamed = []
+    real = zxparam.verify.circuit_unitary
+
+    def recording(circuit, assignments, states=None):
+        streamed.append(np.array(assignments))
+        return real(circuit, assignments, states=states)
+
+    monkeypatch.setattr(zxparam.verify, "circuit_unitary", recording)
+    result = brute_force_min(c)
+    samples = structured_samples(params, 5)
+    assert same_floats(streamed[0], [[s[p] for p in params] for s in samples])
+    expected = []
+    for groups, signs in zxparam.verify._in_place_groupings(params):
+        for pattern in signs:
+            reduction = zxparam.verify._in_place_map(params, groups, pattern)
+            for sample in samples:
+                values = reduction.apply(sample)
+                expected.append([values.get(p, 0.0) for p in params])
+    assert len(streamed) == 2 and len(expected) == 25 * len(samples)
+    assert same_floats(streamed[1], expected)
+    assert result == reference_brute_force(c)[0]
