@@ -14,7 +14,8 @@ The file records
   reference task (1 ms at reference speed) taken right before each run, so
   that a rung that slowed with the machine can be told from one that did
   not;
-- platform, nproc, and the Python and numpy versions.
+- the environment line that ``perfbench/run.py`` prints first: platform,
+  nproc, the Python and numpy versions, and the seed.
 
 It exits 1, after writing the file, if a workload, a metric or a ladder key
 is missing, or if the benchmark reports a wrong result.  ``--rungs N`` keeps
@@ -25,8 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -34,8 +33,6 @@ import time
 from pathlib import Path
 from random import Random
 from typing import Callable, Dict, List, Tuple
-
-import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -50,20 +47,17 @@ TELEPORT_LADDER = [(20, 1200, 240), (20, 5000, 1000), (40, 10000, 2000), (60, 20
 CHECK_LADDER = [(4, 1000, 500), (4, 2000, 1000), (12, 2000, 400), (16, 300, 60)]
 STAGE_KEYS = {"phase_teleport": ("seconds", "reference_s", "params_out"),
               "check_reduction": ("seconds", "reference_s", "holds")}
+SEED = 1
 
 
-def environment() -> Dict[str, object]:
-    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return {"platform": platform.platform(), "nproc": nproc, "python": platform.python_version(),
-            "numpy": np.__version__}
-
-
-def run_perfbench(seed: int, seconds: float) -> dict:
-    """The combined result line of ``perfbench/run.py --workload all``."""
+def run_perfbench(seconds: float) -> Tuple[str, dict]:
+    """The environment line and the combined result line of
+    ``perfbench/run.py --workload all``."""
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all",
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"],
                           stdout=subprocess.PIPE, text=True, check=True)
-    return json.loads(proc.stdout.rstrip("\n").splitlines()[-1])
+    lines = proc.stdout.rstrip("\n").splitlines()
+    return lines[0], json.loads(lines[-1])
 
 
 def by_workload(result: dict) -> Dict[str, Dict[str, float]]:
@@ -131,16 +125,15 @@ def problems(bench: dict, rungs: int) -> List[str]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--rungs", type=int, default=len(CHECK_LADDER), choices=range(1, len(CHECK_LADDER) + 1))
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
-    result = run_perfbench(args.seed, args.seconds)
+    environment, result = run_perfbench(args.seconds)
     bench = {
-        "environment": environment(),
-        "perfbench": {"command": f"perfbench/run.py --workload all --seed {args.seed} "
+        "environment": environment,
+        "perfbench": {"command": f"perfbench/run.py --workload all --seed {SEED} "
                                  f"--seconds {args.seconds:g} --trace 0",
                       "correct": result["correct"], "attempted": result["attempted"],
                       "failed": result["failed"], "workloads": by_workload(result)},

@@ -84,14 +84,15 @@ class ReductionMap:
             out[name] = total + const * HALF_PI
         return out
 
-    def apply_array(self, values: np.ndarray, order: Optional[Sequence[str]] = None) -> np.ndarray:
+    def apply_array(self, values: np.ndarray, order: Sequence[str]) -> np.ndarray:
         """``apply`` at every row of ``values``, an (S, len(params_in)) array in
         ``params_in`` order: the (S, m) array of new parameter values, with
-        its columns in ``order`` (default ``new_param_names``).  The terms of
-        each row are added in the same order as by ``apply``, one term
-        position at a time, so every float equals ``apply``'s bit for bit."""
+        its columns in ``order``, a permutation of ``new_param_names``.  The
+        terms of each row are added in the same order as by ``apply``, one
+        term position at a time, so every float equals ``apply``'s bit for
+        bit."""
         position = {name: i for i, name in enumerate(self.new_param_names)}
-        rows = range(len(self.rows)) if order is None else [position[name] for name in order]
+        rows = [position[name] for name in order]
         out = np.zeros((len(values), len(rows)))
         steps: List[List[Tuple[int, int, int]]] = []  # per term position: (out column, in column, sign)
         for j, r in enumerate(rows):

@@ -12,9 +12,11 @@ that fuses two different parities, and the identity on the unoptimised
 circuit), run with and without ``--report``; each ``GOLDEN_ORACLE`` entry pins
 the same for ``zxparam oracle``.  They were recorded before the sample dicts
 of ``check_reduction`` and ``brute_force_min`` became one array, and before
-``verify`` skipped the certificate after a failed ratio check.  Reports carry
-floating-point ratios and deviations, so these digests hold for one numpy
-build (recorded with numpy 2.4 on x86-64).
+``verify`` skipped the certificate after a failed ratio check.  Ratios and
+deviations differ in their last bits between numpy builds and CPUs (most
+deviations of a passing check are rounding noise near 1e-16), so every float
+in the output is rounded to 9 decimals before hashing; the exit code, the
+verdicts, the counts and all other text are hashed as they are.
 
 Regenerate (only after a deliberate change of the output):
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import re
 from pathlib import Path
 from random import Random
 from typing import Dict, List, Tuple
@@ -148,12 +151,20 @@ def verify_maps(c: Circuit) -> List[Tuple[str, Circuit, ReductionMap]]:
     return cases
 
 
+FLOAT = re.compile(r"(?<![\w.])-?\d+(?:\.\d+(?:e[-+]?\d+)?|e[-+]?\d+)")
+
+
+def rounded_floats(text: str) -> bytes:
+    """``text`` with each float literal written to 9 decimals, ``-0`` as ``0``."""
+    return FLOAT.sub(lambda m: f"{round(float(m.group()), 9) + 0.0:.9f}", text).encode()
+
+
 def run_cli(argv: List[str]) -> bytes:
     """Exit code and stdout of one command."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    return f"{code}\n{out.getvalue()}".encode()
+    return rounded_floats(f"{code}\n{out.getvalue()}")
 
 
 def command_digest(directory: Path, argv: List[str]) -> str:
@@ -166,7 +177,7 @@ def command_digest(directory: Path, argv: List[str]) -> str:
     h.update(b"\0")
     h.update(run_cli(argv + ["--report", str(report)]))
     h.update(b"\0")
-    h.update(report.read_bytes() if report.exists() else b"no report")
+    h.update(rounded_floats(report.read_text()) if report.exists() else b"no report")
     return h.hexdigest()
 
 
@@ -201,38 +212,38 @@ def oracle_digest(directory: Path, c: Circuit, seed: int) -> str:
 
 
 GOLDEN_VERIFY: Dict[str, str] = {
-    "vr2q12g-0.correct": "b8ab7843ec8a0efe084891bd111ff1eb0edf3a7f143a36ca8a9e039dd3293f2d",
-    "vr2q12g-0.identity": "b8ab7843ec8a0efe084891bd111ff1eb0edf3a7f143a36ca8a9e039dd3293f2d",
-    "vr3q20g-0.correct": "b757807707ed4ba9a5dbd218ad7bcb66fbf70dd3d1a004fb17d4f03f261bc4c5",
-    "vr3q20g-0.wrong_parity": "a8de629b34262ea03cdf613accf85c66476ed458a47748a8d4f46c8a6db4d9e4",
-    "vr3q20g-0.identity": "7dcf5518a05bb070e92269c009a7ff6c3a5b4e8e5e842539f75f7b18d79f1b7d",
-    "vr3q20g-1.correct": "a9a139ec8ce657a360fb7a34bf01ab7759c18ecd481a762e7fe890d45c0c22c7",
-    "vr3q20g-1.wrong_parity": "2046bf3c40c1655e52112f4c32baf90ffeaf27dcccd71f45f612f302a2ac218a",
-    "vr3q20g-1.identity": "a9a139ec8ce657a360fb7a34bf01ab7759c18ecd481a762e7fe890d45c0c22c7",
-    "vr4q30g-0.correct": "3431a700b83743a5e75eccd6cd674a09e634b31cdea1c2d79419d260c541ed6b",
-    "vr4q30g-0.wrong_parity": "bfa32bce1d804be858ba40be8634155be9b7fa381db8b1901ad13a3cfbb469bc",
-    "vr4q30g-0.identity": "65700df65713a0998dfd75b1cfdae28c2f77dcd8b6d62df9efa280590e5b70a4",
-    "vr4q30g-1.correct": "ce01b78b180d40999f4d4f40c141a568838715cf14ae82205e1080be75cfabb8",
-    "vr4q30g-1.wrong_parity": "fb552a53aedfa2195bb3083cf3952b6e27a7711caa620c639b23778959cab09e",
-    "vr4q30g-1.identity": "fbdddb28c04122d32b28530248d2a399427134bb9bfee3fa4a5d2a1a4ecaffcb",
-    "vr6q60g-0.correct": "2458d6a10c132ed75e579146f4111c80bb48a36b6fdcd143c54d67582f12231d",
-    "vr6q60g-0.wrong_parity": "a9cb0b787a582a9b6bc5e7b7bf60d9147639a8702c50805efa26e4cbd25885b4",
-    "vr6q60g-0.identity": "703abf3c049f6fb5defdc59e3a9254abdf6b332bb91fe9e6cb80bb904ac12dd9",
-    "vr6q60g-1.correct": "c359ac580678a793826d71ca312f3deca1750cb9953ce3be41637bcfcfdb060f",
-    "vr6q60g-1.wrong_parity": "436c37773ffcfb352c5aee785c7a6140491ea8063ff73b01bdcd1b8afd2d9c05",
-    "vr6q60g-1.identity": "a4b329b5c389bb5dfa6e7ee7d91aa81d54ee1332cb3c105a0951ac8c69a0433b",
-    "vp5q40g-0.correct": "9b33e4d13da821945b1d619b1c766be3d712bc3e26eb3dc15e508e747437294a",
-    "vp5q40g-0.wrong_parity": "69d5e4eaed2c9dfb66037d47c12da670983fef0d1553d6dbfa41d4c1ce2a8f1b",
-    "vp5q40g-0.identity": "739b67529ab2197823e0d904ecf991871090524d99d7fede4f0f3fd84b3cb351",
-    "vp5q40g-1.correct": "00e6dfd321d09e0c69b79384bba5fad28bcaaa08ee316c408156313b960fbfe4",
-    "vp5q40g-1.wrong_parity": "655276201fc20e22b6650a5cae6baa7f17c6b6a46ae48df1e0a242e4706223b3",
-    "vp5q40g-1.identity": "00e6dfd321d09e0c69b79384bba5fad28bcaaa08ee316c408156313b960fbfe4",
-    "vp6q60g-0.correct": "54e82b7643f8de0616b23703f234484e12eaa1114ed6c0036562c4cca3cd8333",
-    "vp6q60g-0.wrong_parity": "834928cce24cfa4320b842193128b9b631136cfcae1ac40dbcfbe7ff822f728b",
-    "vp6q60g-0.identity": "d5195a402938417d23bbca8ee0f446ff9c0732f6882799b5bbfae8050a483323",
-    "vp6q60g-1.correct": "9a641a55aa96b67d5004ec03cbf26f9aa7ac03462f91e45fc020727571655c79",
-    "vp6q60g-1.wrong_parity": "58f23f738ecd77e72004244b45e13119e0d455420c5adb1cb890f5450be2d616",
-    "vp6q60g-1.identity": "31e20beb3ecf0f34c07ce9117942f698eda23d85bb6ff535aec388f97bbc6cea",
+    "vr2q12g-0.correct": "7bcd7a81b3d066f848284f2ea5221f7ffb1de8ae7ea528f54a94c10a13b59b11",
+    "vr2q12g-0.identity": "7bcd7a81b3d066f848284f2ea5221f7ffb1de8ae7ea528f54a94c10a13b59b11",
+    "vr3q20g-0.correct": "c1ec11fd5557b8d1435e10bd856ac21dba5b8d8788b2d5b3619f07d4eacad526",
+    "vr3q20g-0.wrong_parity": "a99d70cfb7013adea63b88563b9587d78240c434e1c6a8750d1d66ba0fb283cb",
+    "vr3q20g-0.identity": "ccf787ecb34d9390a1735bd6e1c16dd711f26e64416e4dfb48e73fa3faaaa01c",
+    "vr3q20g-1.correct": "91a098fb10adaa2da90810af191126ea6b6cd617bff58ce6cc4bbde8e01be76b",
+    "vr3q20g-1.wrong_parity": "249f16807c6c2172eea75d8748e7715397c87ce7204520b6938d4754cb8e35b4",
+    "vr3q20g-1.identity": "91a098fb10adaa2da90810af191126ea6b6cd617bff58ce6cc4bbde8e01be76b",
+    "vr4q30g-0.correct": "0b464750246c50e746e49450842c7dadfbfc2710504cebd928c1ffdea72b0b6b",
+    "vr4q30g-0.wrong_parity": "280765c5722b6925d083e540bdc9a9ced6296e40feadee381c2e78fb62f2c9fd",
+    "vr4q30g-0.identity": "0e1f36e4a49050c394ed68c788e311805974bf60e505cd48c5fb8151d97dba96",
+    "vr4q30g-1.correct": "647bee22a1e82e2ed4813058c604b69b4f435099e87e08404d980e25c74d9b74",
+    "vr4q30g-1.wrong_parity": "161f1b80ebe32b9854ea1d3caf798178888579dc14e311c95ea4e703bf643608",
+    "vr4q30g-1.identity": "b998b595e6dd1bdbc0474b456278777970968b1efeda77f70656ae02ac118087",
+    "vr6q60g-0.correct": "5c72fefab7c9092ef787508d4d6d6c3d54770c3e9ab518544a44df603c24e9a8",
+    "vr6q60g-0.wrong_parity": "362daa95d1da5fc5550a2ecd61e9ad8dfc70a23bc6a7776d76f72bfb0217598e",
+    "vr6q60g-0.identity": "ba968532ebe4ba378c830e20cc88e829a0e4d174fffe2dcb72990a5b0eb39c92",
+    "vr6q60g-1.correct": "aa3724b6d09b8de3f2054ff674a172e619c50d9727442c96290d9dcac411d38b",
+    "vr6q60g-1.wrong_parity": "a62d68e6e73c6ecdeb456fb88329c3913ef10291af11bc4a9a06c42c504f3ad4",
+    "vr6q60g-1.identity": "e78c57b9be72f283b28a456dccc5cc730727c58016da7e5bc6620592dd6f6869",
+    "vp5q40g-0.correct": "b39beac7241a39156382c0a05c13771ff1adf54606fdb4c7e1e0dae66e8ceae6",
+    "vp5q40g-0.wrong_parity": "801da1fc288e00f901bd1a70aa68a089a481bf0f4cf62d6f37cda58da8da2760",
+    "vp5q40g-0.identity": "f6ecbc16d9f03aa793c375382378a6c329f78f1b3f818a320321c9e9785bd577",
+    "vp5q40g-1.correct": "6ddc1f08e20a6e1af9677e9a0a2e56a577f0df15501762a2ac745120dfc71bc1",
+    "vp5q40g-1.wrong_parity": "069fe23a86e1833495881337773fa1e67bae262cbf89255e7f74ac716bd54e38",
+    "vp5q40g-1.identity": "6ddc1f08e20a6e1af9677e9a0a2e56a577f0df15501762a2ac745120dfc71bc1",
+    "vp6q60g-0.correct": "b4b79a237c944385bc35feec08cdcd109622aa49d133f39a603389fc9802dad0",
+    "vp6q60g-0.wrong_parity": "2dee301613acb1fae49c48403db9724140baf986c37e8d095d9563764b2dae62",
+    "vp6q60g-0.identity": "723752e5c51b7d9ba60a8965175028762c8d5993071ec0b2aa7a599188933a96",
+    "vp6q60g-1.correct": "afbacacb99839eb97446935ac0f1ebd4cb36d79ce5188ef69a553b2bcb78b445",
+    "vp6q60g-1.wrong_parity": "257b1b4fd3be04b2c64b0441df5f96ba17c63115ee71fb3edc3f2cebbc745dd6",
+    "vp6q60g-1.identity": "19464d1c86ae464b3f65efc10bb56b82e2d960615d48cd17b5f24b8af4cfcc68",
 }
 
 GOLDEN_ORACLE: Dict[str, str] = {

@@ -526,16 +526,17 @@ def test_apply_array_equals_apply_bit_for_bit():
         samples = [dict(zip(params, row)) for row in values.tolist()]
         expected = [[reduction.apply(s)[name] for name in order] for s in samples]
         assert same_floats(reduction.apply_array(values, order), expected)
-        assert same_floats(reduction.apply_array(values), [[reduction.apply(s)[name] for name in names]
-                                                           for s in samples])
+        assert same_floats(reduction.apply_array(values, reduction.new_param_names),
+                           [[reduction.apply(s)[name] for name in names] for s in samples])
 
 
 def test_apply_array_keeps_a_negative_zero_term_as_apply_does():
     reduction = ReductionMap(("a", "b"), ("u", "v"), ((("a", -1),), (("b", 1),)), (0, 2))
     values = np.array([[0.0, -0.0], [-0.0, 0.0]])
     expected = [[reduction.apply({"a": a, "b": b})[n] for n in ("u", "v")] for a, b in values.tolist()]
-    assert same_floats(reduction.apply_array(values), expected)
-    assert same_floats(reduction.apply_array(values)[:, 0], [0.0, 0.0])  # 0.0 + -0.0 is 0.0
+    mapped = reduction.apply_array(values, reduction.new_param_names)
+    assert same_floats(mapped, expected)
+    assert same_floats(mapped[:, 0], [0.0, 0.0])  # 0.0 + -0.0 is 0.0
 
 
 def test_circuit_unitary_reads_angle_columns_bit_for_bit():
