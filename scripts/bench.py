@@ -10,10 +10,10 @@ The file records
 - the ladder: wall time of ``phase_teleport`` and of ``check_reduction`` (the
   circuit against its optimised form, 5 random samples) on
   ``random_circuit(Random(1), qubits, gates, params)``, the median of
-  ``--repeats`` runs per rung, with the median time of perfbench's fixed
-  reference task (1 ms at reference speed) taken right before each run, so
-  that a rung that slowed with the machine can be told from one that did
-  not;
+  ``--repeats`` runs per rung, each rung in a fresh process, with the
+  median time of perfbench's fixed reference task (1 ms at reference speed)
+  taken right before each run, so that a rung that slowed with the machine
+  can be told from one that did not;
 - the environment line that ``perfbench/run.py`` prints first: platform,
   nproc, the Python and numpy versions, and the seed.
 
@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import statistics
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from random import Random
 from typing import Callable, Dict, List, Tuple
@@ -82,19 +84,31 @@ def timed(fn: Callable[[], object], repeats: int) -> Tuple[Dict[str, float], obj
     return {"seconds": statistics.median(times), "reference_s": statistics.median(references)}, result
 
 
+def teleport_rung(rung: Tuple[int, int, int], repeats: int) -> dict:
+    q, g, p = rung
+    c = random_circuit(Random(1), q, g, p)
+    times, result = timed(lambda: phase_teleport(c), repeats)
+    return {"qubits": q, "gates": g, "params": p, **times, "params_out": len(result.circuit.params)}
+
+
+def check_rung(rung: Tuple[int, int, int], repeats: int) -> dict:
+    q, g, p = rung
+    c = random_circuit(Random(1), q, g, p)
+    optimised = phase_teleport(c)
+    times, report = timed(lambda: check_reduction(c, optimised.circuit, optimised.reduction), repeats)
+    return {"qubits": q, "gates": g, "params": p, **times, "holds": report.holds}
+
+
+def in_fresh_process(fn: Callable[..., dict], *args) -> dict:
+    """``fn(*args)`` in a new process: in a shared one a rung's time depends
+    on the rungs run before it.  A worker that dies raises BrokenProcessPool."""
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return pool.submit(fn, *args).result()
+
+
 def ladder(rungs: int, repeats: int) -> Dict[str, List[dict]]:
-    teleport, check = [], []
-    for q, g, p in TELEPORT_LADDER[:rungs]:
-        c = random_circuit(Random(1), q, g, p)
-        times, result = timed(lambda: phase_teleport(c), repeats)
-        teleport.append({"qubits": q, "gates": g, "params": p, **times,
-                         "params_out": len(result.circuit.params)})
-    for q, g, p in CHECK_LADDER[:rungs]:
-        c = random_circuit(Random(1), q, g, p)
-        optimised = phase_teleport(c)
-        times, report = timed(lambda: check_reduction(c, optimised.circuit, optimised.reduction), repeats)
-        check.append({"qubits": q, "gates": g, "params": p, **times, "holds": report.holds})
-    return {"phase_teleport": teleport, "check_reduction": check}
+    return {"phase_teleport": [in_fresh_process(teleport_rung, r, repeats) for r in TELEPORT_LADDER[:rungs]],
+            "check_reduction": [in_fresh_process(check_rung, r, repeats) for r in CHECK_LADDER[:rungs]]}
 
 
 def problems(bench: dict, rungs: int) -> List[str]:

@@ -267,22 +267,17 @@ def phase_teleport(c: Circuit, seed: Optional[int] = None) -> TeleportResult:
     terminal, events = simplify(diagram, seed=seed)
     diagram_map = extract_reduction(events, c.params, terminal)
 
-    rz_param = GateKind.RZ_PARAM  # an Enum member read is slow on 3.11
-    gate_index = {g.param: i for i, g in enumerate(c.gates) if g.kind is rz_param}
-    groups = []
-    for terms in diagram_map.rows:
-        rep = min((p for p, _ in terms), key=lambda p: gate_index[p])
-        groups.append((gate_index[rep], rep, dict(terms)))
-    groups.sort()
-
+    # The rows are sorted by their earliest parameter, and c.params follows
+    # gate order, so row i's earliest term is the representative named u{i}.
+    column = diagram_map._column
     new_name: Dict[str, str] = {}
     rows = []
-    for i, (_, rep, terms) in enumerate(groups):
-        name = f"u{i}"
+    for name, terms in zip(diagram_map.new_param_names, diagram_map.rows):
+        rep, rep_sign = min(terms, key=lambda t: column[t[0]])
         new_name[rep] = name
-        rep_sign = terms[rep]
-        rows.append(tuple((p, s * rep_sign) for p, s in terms.items()))
+        rows.append(tuple((p, s * rep_sign) for p, s in terms))
 
+    rz_param = GateKind.RZ_PARAM  # an Enum member read is slow on 3.11
     gates: List[Gate] = []
     for g in c.gates:
         if g.kind is not rz_param:
@@ -295,7 +290,7 @@ def phase_teleport(c: Circuit, seed: Optional[int] = None) -> TeleportResult:
 
     reduction = ReductionMap(
         params_in=tuple(c.params),
-        new_param_names=tuple(f"u{i}" for i in range(len(rows))),
+        new_param_names=diagram_map.new_param_names,
         rows=tuple(rows),
         constants=tuple(0 for _ in rows),
         eliminated=diagram_map.eliminated,

@@ -237,6 +237,21 @@ def _check_gadget(d: Diagram, g: GadgetView) -> None:
     _require(ok, f"not a current phase gadget: {g}")
 
 
+def _fuse_gadget(d: Diagram, g: GadgetView, target: int,
+                 negate: bool) -> Tuple[Optional[ParamMerge], Optional[Phase]]:
+    """Remove the gadget ``g`` and add its expression to the phase of
+    ``target``, negated if ``negate``.  Returns the merge of its parameters
+    (None if it carries none) and the discarded phase (its expression if
+    negated, else None)."""
+    expr = d.phase(g.phase_spider)
+    d.remove_vertex(g.phase_spider)
+    d.remove_vertex(g.axis_spider)
+    d.set_phase(target, d.phase(target) + (expr.negated() if negate else expr))
+    sign = -1 if negate else 1
+    merge = ParamMerge(tuple((name, sign) for name in expr.param_ids), target) if expr.param_ids else None
+    return merge, expr if negate else None
+
+
 def gadget_fusion(d: Diagram, g1: GadgetView, g2: GadgetView) -> RewriteEvent:
     """Fuse two phase gadgets with identical neighbourhoods.
 
@@ -250,22 +265,12 @@ def gadget_fusion(d: Diagram, g1: GadgetView, g2: GadgetView) -> RewriteEvent:
     _require(g1.axis_spider != g2.axis_spider, "cannot fuse a gadget with itself")
     _require(g1.neighbourhood == g2.neighbourhood, "gadget neighbourhoods differ")
     survivor, absorbed = (g1, g2) if g1.axis_spider < g2.axis_spider else (g2, g1)
-    same_parity = axis_parity(d, survivor) == axis_parity(d, absorbed)
-    expr = d.phase(absorbed.phase_spider)
-    signed = expr if same_parity else expr.negated()
-    sign = 1 if same_parity else -1
-    d.remove_vertex(absorbed.phase_spider)
-    d.remove_vertex(absorbed.axis_spider)
-    d.set_phase(survivor.phase_spider, d.phase(survivor.phase_spider) + signed)
-    merge = None
-    if expr.param_ids:
-        merge = ParamMerge(tuple((name, sign) for name in expr.param_ids),
-                           survivor.phase_spider)
+    negate = axis_parity(d, survivor) != axis_parity(d, absorbed)
+    merge, dropped = _fuse_gadget(d, absorbed, survivor.phase_spider, negate)
     return RewriteEvent(Rule.GADGET_FUSION,
                         removed=(absorbed.axis_spider, absorbed.phase_spider),
                         touched=(survivor.axis_spider, survivor.phase_spider),
-                        param_merge=merge,
-                        dropped=None if same_parity else expr)
+                        param_merge=merge, dropped=dropped)
 
 
 def gadget_id_fuse(d: Diagram, g: GadgetView) -> RewriteEvent:
@@ -277,20 +282,9 @@ def gadget_id_fuse(d: Diagram, g: GadgetView) -> RewriteEvent:
     _check_gadget(d, g)
     _require(len(g.neighbourhood) == 1, f"gadget has {len(g.neighbourhood)} neighbours")
     (w,) = g.neighbourhood
-    parity = axis_parity(d, g)
-    expr = d.phase(g.phase_spider)
-    signed = expr if parity == 0 else expr.negated()
-    sign = 1 if parity == 0 else -1
-    d.remove_vertex(g.phase_spider)
-    d.remove_vertex(g.axis_spider)
-    d.set_phase(w, d.phase(w) + signed)
-    merge = None
-    if expr.param_ids:
-        merge = ParamMerge(tuple((name, sign) for name in expr.param_ids), w)
-    return RewriteEvent(Rule.GADGET_ID_FUSE,
-                        removed=(g.axis_spider, g.phase_spider), touched=(w,),
-                        param_merge=merge,
-                        dropped=None if parity == 0 else expr)
+    merge, dropped = _fuse_gadget(d, g, w, axis_parity(d, g) == 1)
+    return RewriteEvent(Rule.GADGET_ID_FUSE, removed=(g.axis_spider, g.phase_spider), touched=(w,),
+                        param_merge=merge, dropped=dropped)
 
 
 # -- scalar removal -----------------------------------------------------------
@@ -591,24 +585,22 @@ class Rewriter:
         self.unary.discard(u)
 
 
-def _local_comp_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
-    v = _pick(rw.local_comp, rw.rng)
-    return None if v is None else rw.apply((v,), local_complement_simp, v)
+def _index_stage(index: str, rewrite: Callable) -> Callable[[Rewriter], Optional[List[RewriteEvent]]]:
+    """The stage that applies ``rewrite`` to a pick from the Rewriter's
+    candidate set ``index``: a vertex, or a pair of vertices."""
+    def stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
+        pick = _pick(getattr(rw, index), rw.rng)
+        if pick is None:
+            return None
+        match = pick if isinstance(pick, tuple) else (pick,)
+        return rw.apply(match, rewrite, *match)
+    return stage
 
 
-def _pivot_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
-    pair = _pick(rw.pivot, rw.rng)
-    return None if pair is None else rw.apply(pair, pivot_simp, *pair)
-
-
-def _gadget_pivot_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
-    pair = _pick(rw.gadget_pivot, rw.rng)
-    return None if pair is None else rw.apply(pair, gadget_pivot, *pair)
-
-
-def _boundary_pivot_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
-    pair = _pick(rw.boundary_pivot, rw.rng)
-    return None if pair is None else rw.apply(pair, boundary_pivot, *pair)
+_local_comp_stage = _index_stage("local_comp", local_complement_simp)
+_pivot_stage = _index_stage("pivot", pivot_simp)
+_gadget_pivot_stage = _index_stage("gadget_pivot", gadget_pivot)
+_boundary_pivot_stage = _index_stage("boundary_pivot", boundary_pivot)
 
 
 def _gadget_id_fuse_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:

@@ -156,7 +156,7 @@ def test_bad_seed_or_tolerance_exits_1(tmp_path, capsys, command, bad):
     assert err.count("\n") == 1 and err.startswith("bad configuration")
 
 
-@pytest.mark.parametrize("command", ["optimize", "verify", "oracle"])
+@pytest.mark.parametrize("command", ["verify", "oracle"])
 def test_samples_above_the_cap_exit_1(tmp_path, capsys, command):
     # every sample costs time, and the oracle keeps one image per sample
     assert main(cli_args(tmp_path, command) + ["--samples", str(MAX_SAMPLES)]) == 0
@@ -166,6 +166,43 @@ def test_samples_above_the_cap_exit_1(tmp_path, capsys, command):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("bad configuration")
         assert f"between 2 and {MAX_SAMPLES}, got {bad}" in err
+
+
+MALFORMED = {
+    "no-command": [],
+    "unknown-command": ["bogus"],
+    "optimize-no-path": ["optimize"],
+    "seed-not-integer": ["optimize", "{src}", "--seed", "abc"],
+    "optimize-samples": ["optimize", "{src}", "--samples", "5"],
+    "optimize-tol": ["optimize", "{src}", "--tol", "1e-9"],
+    "optimize-oracle-max-params": ["optimize", "{src}", "--oracle-max-params", "4"],
+    "verify-oracle-max-params": ["verify", "{src}", "{opt}", "{map}", "--oracle-max-params", "4"],
+    "verify-two-paths": ["verify", "{src}", "{opt}"],
+    "verify-four-paths": ["verify", "{src}", "{opt}", "{map}", "{src}"],
+    "oracle-two-paths": ["oracle", "{src}", "{opt}"],
+    "optimize-several-out": ["optimize", "{src}", "{opt}", "--out", "{new}"],
+    "optimize-several-report": ["optimize", "{src}", "{opt}", "--report", "{new}"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_command_line_exits_1(tmp_path, capsys, argv):
+    # argparse's own errors would exit 2, the code of an internal invariant violation
+    _, src, opt, mapping = cli_args(tmp_path, "verify")
+    before = sorted(tmp_path.iterdir())
+    paths = {"src": src, "opt": opt, "map": mapping, "new": tmp_path / "new"}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("bad configuration: ")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["optimize", "verify", "oracle"])
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: zxparam {command}")
 
 
 @pytest.mark.parametrize("text, field", [
