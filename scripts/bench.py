@@ -14,12 +14,16 @@ The file records
   median time of perfbench's fixed reference task (1 ms at reference speed)
   taken right before each run, so that a rung that slowed with the machine
   can be told from one that did not;
+- the cold start: wall time of a fresh ``python -c "import zxparam"`` and of
+  a fresh ``python -m zxparam.cli optimize`` on the smallest ``phase_teleport``
+  rung's circuit, the median of ``--repeats`` processes each, with the
+  median reference time beside it;
 - the environment line that ``perfbench/run.py`` prints first: platform,
   nproc, the Python and numpy versions, and the seed.
 
-It exits 1, after writing the file, if a workload, a metric or a ladder key
-is missing, or if the benchmark reports a wrong result.  ``--rungs N`` keeps
-the N smallest rungs of each ladder.
+It exits 1, after writing the file, if a workload, a metric, a ladder key or
+a cold-start key is missing, or if the benchmark reports a wrong result.
+``--rungs N`` keeps the N smallest rungs of each ladder.
 """
 
 from __future__ import annotations
@@ -27,9 +31,11 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -40,6 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from reference import reference_seconds  # noqa: E402
+from zxparam.circuits import emit_circuit  # noqa: E402
 from zxparam.generate import random_circuit  # noqa: E402
 from zxparam.reduction import phase_teleport  # noqa: E402
 from zxparam.verify import check_reduction  # noqa: E402
@@ -49,6 +56,7 @@ TELEPORT_LADDER = [(20, 1200, 240), (20, 5000, 1000), (40, 10000, 2000), (60, 20
 CHECK_LADDER = [(4, 1000, 500), (4, 2000, 1000), (12, 2000, 400), (16, 300, 60)]
 STAGE_KEYS = {"phase_teleport": ("seconds", "reference_s", "params_out"),
               "check_reduction": ("seconds", "reference_s", "holds")}
+COLD_START_KEYS = ("import", "optimize")
 SEED = 1
 
 
@@ -95,6 +103,7 @@ def check_rung(rung: Tuple[int, int, int], repeats: int) -> dict:
     q, g, p = rung
     c = random_circuit(Random(1), q, g, p)
     optimised = phase_teleport(c)
+    import numpy  # noqa: F401  (loaded on first use: keep its import out of the first timed call)
     times, report = timed(lambda: check_reduction(c, optimised.circuit, optimised.reduction), repeats)
     return {"qubits": q, "gates": g, "params": p, **times, "holds": report.holds}
 
@@ -109,6 +118,23 @@ def in_fresh_process(fn: Callable[..., dict], *args) -> dict:
 def ladder(rungs: int, repeats: int) -> Dict[str, List[dict]]:
     return {"phase_teleport": [in_fresh_process(teleport_rung, r, repeats) for r in TELEPORT_LADDER[:rungs]],
             "check_reduction": [in_fresh_process(check_rung, r, repeats) for r in CHECK_LADDER[:rungs]]}
+
+
+def cold_start(repeats: int) -> dict:
+    """Wall times of fresh interpreters that import the package, and that
+    optimise the smallest ``phase_teleport`` rung's circuit."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                                      os.environ.get("PYTHONPATH")]))}
+    q, g, p = TELEPORT_LADDER[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        circuit = Path(tmp) / "ladder.zxc"
+        circuit.write_text(emit_circuit(random_circuit(Random(1), q, g, p)))
+        commands = {"import": ["-c", "import zxparam"],
+                    "optimize": ["-m", "zxparam.cli", "optimize", str(circuit)]}
+        times = {name: timed(lambda: subprocess.run([sys.executable, *argv], env=env, check=True,
+                                                    stdout=subprocess.DEVNULL), repeats)[0]
+                 for name, argv in commands.items()}
+    return {"circuit": f"random_circuit(Random(1), {q}, {g}, {p})", "repeats": repeats, **times}
 
 
 def problems(bench: dict, rungs: int) -> List[str]:
@@ -133,6 +159,8 @@ def problems(bench: dict, rungs: int) -> List[str]:
                   for key in keys if key not in entry]
         found += [f"ladder {stage} rung {i} does not hold" for i, entry in enumerate(entries)
                   if entry.get("holds") is False]
+    found += [f"cold_start lacks {name}.{key}" for name in COLD_START_KEYS
+              for key in ("seconds", "reference_s") if key not in bench["cold_start"].get(name, {})]
     return found
 
 
@@ -153,6 +181,7 @@ def main() -> None:
                       "failed": result["failed"], "workloads": by_workload(result)},
         "ladder": {"circuit": "random_circuit(Random(1), qubits, gates, params)", "repeats": args.repeats,
                    **ladder(args.rungs, args.repeats)},
+        "cold_start": cold_start(args.repeats),
     }
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
     found = problems(bench, args.rungs)

@@ -6,6 +6,9 @@ parameters merge, then either read off the affine parameter map or apply it
 in place on the original circuit (phase teleportation).  A separate verifier
 provides exact tensor evaluation, proportionality checking, stabiliser-based
 optimality certificates and a brute-force minimality oracle.
+
+numpy is imported by the functions that compute with it, on first use:
+importing the package and optimising a circuit never load it.
 """
 
 from .params import Phase

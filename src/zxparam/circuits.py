@@ -17,13 +17,14 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
 from .diagram import Diagram, NKind, SpiderNetwork, to_graph_like
 from .errors import CircuitSyntaxError, NonCliffordConstant, RepeatedParameter, TooLarge
 from .params import Phase
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class GateKind(Enum):
@@ -99,7 +100,7 @@ _MAX_QUBITS_DIGITS = len(str(MAX_QUBITS))
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _NUM_PI = re.compile(r"^([+-]?[0-9]*\.?[0-9]+)pi(/2)?$")
-_RZ_CALL = re.compile(r"^rz\((.*)\)$")
+_RZ_CALL = re.compile(r"^rz\((.*)\)$", re.IGNORECASE)
 _ONE_QUBIT_GATES = {"h": _H, "s": _S, "sdg": _SDG, "z": _Z, "x": _X}
 _TWO_QUBIT_GATES = {"cz": _CZ, "cx": _CX}
 
@@ -247,6 +248,8 @@ def circuit_unitary(c: Circuit,
     at O(g 2^n k) rather than O(g 4^n).  Qubit 0 is the most significant
     bit; independent of the diagram machinery.  Raises TooLarge above
     MAX_UNITARY_QUBITS qubits, or MAX_PROBE_QUBITS with ``states``."""
+    import numpy as np
+
     n = c.n_qubits
     if states is None:
         if n > MAX_UNITARY_QUBITS:
@@ -314,6 +317,8 @@ def circuit_unitary(c: Circuit,
 
 def flatten_unitary(u: np.ndarray, n: int) -> np.ndarray:
     """Flatten ⟨o|U|i⟩ to the tensor_eval wire convention (inputs then outputs)."""
+    import numpy as np
+
     arr = u.reshape((2,) * (2 * n))
     arr = np.transpose(arr, list(range(n, 2 * n)) + list(range(n)))
     return np.ascontiguousarray(arr).reshape(-1)

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import Any, Callable, List, NoReturn, Optional
 
@@ -51,8 +50,12 @@ def _read(path: Path) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to a new file beside ``path``, then rename it over
+    ``path``.  The new file is made with mode 0666 less the umask, as
+    ``open`` would make ``path`` itself."""
     try:
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name, suffix=".tmp")
+        tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)

@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .circuits import Circuit, Gate, GateKind, circuit_to_diagram
 from .diagram import Diagram
 from .errors import InconsistentProvenance
 from .params import HALF_PI
 from .rewrite import RewriteEvent, _simplify
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
@@ -67,6 +68,8 @@ class ReductionMap:
 
     @property
     def p_matrix(self) -> np.ndarray:
+        import numpy as np
+
         m = np.zeros((len(self.rows), len(self.params_in)), dtype=int)
         for i, terms in enumerate(self.rows):
             for param, sign in terms:
@@ -91,6 +94,8 @@ class ReductionMap:
         terms of each row are added in the same order as by ``apply``, one
         term position at a time, so every float equals ``apply``'s bit for
         bit."""
+        import numpy as np
+
         position = {name: i for i, name in enumerate(self.new_param_names)}
         rows = [position[name] for name in order]
         out = np.zeros((len(values), len(rows)))

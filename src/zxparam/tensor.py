@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
 
 from .diagram import Diagram, EdgeKind, VKind
 from .errors import MissingAssignment, ShapeMismatch, TooLarge
 
-MAX_OPEN_WIRES = 12
+if TYPE_CHECKING:
+    import numpy as np
 
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+MAX_OPEN_WIRES = 12
 
 
 @dataclass
@@ -48,6 +47,8 @@ class _Node:
 
 
 def _spider_tensor(degree: int, angle: float) -> np.ndarray:
+    import numpy as np
+
     if degree == 0:
         return np.array(1.0 + np.exp(1j * angle))
     t = np.zeros((2,) * degree, dtype=complex)
@@ -57,6 +58,8 @@ def _spider_tensor(degree: int, angle: float) -> np.ndarray:
 
 
 def _contract_pair(a: _Node, b: _Node) -> _Node:
+    import numpy as np
+
     shared = [leg for leg in a.legs if leg in b.legs]
     ax_a = [a.legs.index(leg) for leg in shared]
     ax_b = [b.legs.index(leg) for leg in shared]
@@ -67,6 +70,8 @@ def _contract_pair(a: _Node, b: _Node) -> _Node:
 
 def _contract_network(nodes: List[_Node]) -> _Node:
     """Greedy pairwise contraction, smallest intermediate first."""
+    import numpy as np
+
     nodes = list(nodes)
     while len(nodes) > 1:
         best = None
@@ -102,6 +107,8 @@ def tensor_eval(d: Diagram, assignment: Mapping[str, float] | None = None) -> Te
     position).  The result carries the definite scalar of this contraction;
     diagram rewrites only promise proportional results.
     """
+    import numpy as np
+
     assignment = dict(assignment or {})
     missing = [p for p in d.param_registry if p not in assignment]
     if missing:
@@ -117,10 +124,11 @@ def tensor_eval(d: Diagram, assignment: Mapping[str, float] | None = None) -> Te
     for a, b, kind in d.edges():
         edge_leg[(a, b)] = ("e", a, b)
 
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     for a, b, kind in d.edges():
         if kind is EdgeKind.HADAMARD:
             mid = ("h", a, b)
-            nodes.append(_Node(HADAMARD.copy(), [("e", a, b), mid]))
+            nodes.append(_Node(hadamard.copy(), [("e", a, b), mid]))
             edge_leg[(a, b)] = ("e", a, b)  # spider a side keeps original leg
             # record that b's side attaches to mid
             edge_leg[(b, a)] = mid
@@ -189,6 +197,8 @@ def proportionality_ratio(t1: np.ndarray, t2: np.ndarray, tol: float):
     -i) when ``a = b`` (or ``-b``, ``ib``, ``-ib``); numpy's complex division
     is not, and ``x / x`` would leave a deviation of order 1e-17 between
     identical evaluations."""
+    import numpy as np
+
     single = np.ndim(t1) == 1
     t1, t2 = np.atleast_2d(t1), np.atleast_2d(t2)
     rows = np.arange(len(t1))

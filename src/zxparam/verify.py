@@ -30,9 +30,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 from .circuits import MAX_PROBE_QUBITS, Circuit, circuit_unitary
 from .diagram import Diagram, EdgeKind, GadgetView, VKind, find_gadgets
@@ -41,6 +39,9 @@ from .errors import (DimensionMismatch, NotClifford, NotTerminalForm, TooLarge, 
 from .reduction import ReductionMap
 from .rewrite import AP_FORM_STAGES, Rewriter
 from .tensor import ProportionalityReport, proportionality_ratio
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -53,6 +54,8 @@ def sample_array(n_params: int, n_random: int, seed: int = 0) -> np.ndarray:
     pi, then uniform-random rows from ``default_rng(seed)``, drawn row by
     row.  Two values per parameter suffice for exact equality of
     parametrised Clifford maps; the random points stress the scalar."""
+    import numpy as np
+
     samples = np.zeros((1 + n_params + n_random, n_params))
     samples[1 + np.arange(n_params), np.arange(n_params)] = math.pi
     samples[1 + n_params:] = np.random.default_rng(seed).uniform(0, 2 * math.pi, (n_random, n_params))
@@ -74,6 +77,8 @@ def probe_state(n_qubits: int, seed: int = 0) -> np.ndarray:
     the stream of ``structured_samples``."""
     if n_qubits > MAX_PROBE_QUBITS:
         raise TooLarge(f"{n_qubits} qubits exceeds the probe state limit {MAX_PROBE_QUBITS}")
+    import numpy as np
+
     rng = np.random.default_rng([seed, n_qubits])
     return rng.standard_normal((2 ** n_qubits, 2)).view(complex)
 
@@ -154,6 +159,8 @@ class APForm:
 
     def state(self) -> np.ndarray:
         """Dense reconstruction; first qubit is the most significant bit."""
+        import numpy as np
+
         n = self.n_qubits
         amplitudes = np.zeros(2 ** n, dtype=complex)
         for idx in range(2 ** n):
@@ -207,6 +214,8 @@ def ap_form(d: Diagram) -> APForm:
     spiders as parity constraints over the outputs, output phases as the
     linear phase polynomial, and output-output edges as its quadratic part.
     """
+    import numpy as np
+
     if d.inputs():
         raise NotClifford("AP form applies to states (no input wires)")
     if d.param_registry:
@@ -516,6 +525,8 @@ def brute_force_min(c: Circuit, tol: float = 1e-9, max_params: int = MAX_ORACLE_
     BLOCK_BYTES, and the rest of a candidate is left out of the stream once
     one of its samples fails.
     """
+    import numpy as np
+
     c.validate()
     params = c.params
     k = len(params)

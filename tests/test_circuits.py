@@ -54,6 +54,14 @@ def test_parse_errors_carry_line_numbers():
     assert parse_circuit(f"qreg {MAX_QUBITS}\nh {MAX_QUBITS - 1}").n_qubits == MAX_QUBITS
 
 
+def test_parse_rz_in_any_case():
+    # gate names are read without regard to case; parameter names keep theirs
+    c = parse_circuit("QREG 1\nRZ(T0) 0\nRz(1pi/2) 0\nrZ(t0) 0")
+    assert c.params == ["T0", "t0"]
+    assert c.gates[1] == Gate(GateKind.RZ_CLIFFORD, (0,), k=1)
+    assert emit_circuit(c).splitlines()[1:] == ["rz(T0) 0", "rz(1pi/2) 0", "rz(t0) 0"]
+
+
 def test_parse_rejects_repeated_parameter():
     with pytest.raises(RepeatedParameter):
         parse_circuit("qreg 2\nrz(t0) 0\nrz(t0) 1")

@@ -1,4 +1,9 @@
 import json
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -261,6 +266,53 @@ def test_unwritable_output_exits_1(tmp_path, capsys, command, option):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{target}: cannot write" in err
     assert not list(tmp_path.glob("**/*.tmp"))
+
+
+def test_outputs_take_the_umask_mode(tmp_path):
+    # every output is made as open() would make it, not with a temporary file's 0600
+    old = os.umask(0o022)
+    try:
+        code, src, out, report = run_optimize(tmp_path, FUSION)
+        assert main(["optimize", str(src)]) == 0
+        verify_report = tmp_path / "verify.json"
+        assert main(["verify", str(src), str(out), str(report), "--report", str(verify_report)]) == 0
+        plain = write(tmp_path, "plain.txt", "")
+    finally:
+        os.umask(old)
+    outputs = [out, report, tmp_path / "in.zxc.opt", tmp_path / "in.zxc.map.json", verify_report]
+    assert {stat.S_IMODE(path.stat().st_mode) for path in outputs} == {stat.S_IMODE(plain.stat().st_mode)}
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# main() in a new interpreter: stdout is main's, stderr's last line the exit
+# code and whether numpy was imported
+FRESH_MAIN = """
+import sys
+from zxparam.cli import main
+code = main(sys.argv[1:])
+print(code, "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+def fresh_main(argv):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", FRESH_MAIN, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    code, numpy_loaded = proc.stderr.splitlines()[-1].split()
+    return int(code), numpy_loaded == "True", proc.stdout
+
+
+def test_cold_start_loads_numpy_only_to_simulate(tmp_path, capsys):
+    # importing the package and optimising never import numpy;
+    # verify and oracle import it on first use and behave as in this process
+    src = write(tmp_path, "in.zxc", "qreg 2\nrz(t0) 0\ncx 0 1\nrz(t1) 0\ncx 0 1\nh 1\nrz(t2) 1\n")
+    assert fresh_main(["optimize", str(src)])[:2] == (0, False)
+    opt, mapping = tmp_path / "in.zxc.opt", tmp_path / "in.zxc.map.json"
+    for argv in (["verify", str(src), str(opt), str(mapping)], ["oracle", str(src)]):
+        capsys.readouterr()
+        code = main(argv)
+        assert fresh_main(argv) == (code, True, capsys.readouterr().out)
 
 
 def test_optimize_multiple_inputs(tmp_path):
