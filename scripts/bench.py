@@ -18,11 +18,14 @@ The file records
   a fresh ``python -m zxparam.cli optimize`` on the smallest ``phase_teleport``
   rung's circuit, the median of ``--repeats`` processes each, with the
   median reference time beside it;
+- the code size: the line count of each ``src/zxparam/*.py`` module, and
+  their total;
 - the environment line that ``perfbench/run.py`` prints first: platform,
   nproc, the Python and numpy versions, and the seed.
 
-It exits 1, after writing the file, if a workload, a metric, a ladder key or
-a cold-start key is missing, or if the benchmark reports a wrong result.
+It exits 1, after writing the file, if a workload, a metric, a ladder key, a
+cold-start key or the code size is missing, or if the benchmark reports a
+wrong result.
 ``--rungs N`` keeps the N smallest rungs of each ladder.
 """
 
@@ -137,8 +140,15 @@ def cold_start(repeats: int) -> dict:
     return {"circuit": f"random_circuit(Random(1), {q}, {g}, {p})", "repeats": repeats, **times}
 
 
+def code_size() -> dict:
+    """Line count of each module of the package, and their total."""
+    modules = {path.name: len(path.read_text().splitlines())
+               for path in sorted((ROOT / "src" / "zxparam").glob("*.py"))}
+    return {"modules": modules, "total": sum(modules.values())}
+
+
 def problems(bench: dict, rungs: int) -> List[str]:
-    """Missing workloads, metrics and ladder keys, and wrong results."""
+    """Missing workloads, metrics, ladder keys and code sizes, and wrong results."""
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     found = []
     perf = bench["perfbench"]
@@ -161,6 +171,9 @@ def problems(bench: dict, rungs: int) -> List[str]:
                   if entry.get("holds") is False]
     found += [f"cold_start lacks {name}.{key}" for name in COLD_START_KEYS
               for key in ("seconds", "reference_s") if key not in bench["cold_start"].get(name, {})]
+    code = bench.get("code", {})
+    if not code.get("modules") or code.get("total") != sum(code["modules"].values()):
+        found.append("code lacks the module line counts or their total")
     return found
 
 
@@ -182,6 +195,7 @@ def main() -> None:
         "ladder": {"circuit": "random_circuit(Random(1), qubits, gates, params)", "repeats": args.repeats,
                    **ladder(args.rungs, args.repeats)},
         "cold_start": cold_start(args.repeats),
+        "code": code_size(),
     }
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
     found = problems(bench, args.rungs)

@@ -99,7 +99,7 @@ MAX_QUBITS = 2 ** 16
 _MAX_QUBITS_DIGITS = len(str(MAX_QUBITS))
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_NUM_PI = re.compile(r"^([+-]?[0-9]*\.?[0-9]+)pi(/2)?$")
+_NUM_PI = re.compile(r"^([+-]?[0-9]*\.?[0-9]+)pi(/2)?$", re.IGNORECASE)
 _RZ_CALL = re.compile(r"^rz\((.*)\)$", re.IGNORECASE)
 _ONE_QUBIT_GATES = {"h": _H, "s": _S, "sdg": _SDG, "z": _Z, "x": _X}
 _TWO_QUBIT_GATES = {"cz": _CZ, "cx": _CX}

@@ -49,14 +49,13 @@ class Vertex:
 
 
 class Diagram:
-    """Mutable graph-like ZX diagram with a parameter registry."""
+    """Mutable graph-like ZX diagram; its phases alone record which spider owns a parameter."""
 
     def __init__(self):
         self._vertices: Dict[int, Vertex] = {}
         self._adj: Dict[int, Dict[int, EdgeKind]] = {}
         self._boundary_count: Dict[int, int] = {}  # boundary neighbours per vertex
         self._next_id = 0
-        self.param_registry: Dict[str, int] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -70,8 +69,6 @@ class Diagram:
         self._vertices[v] = Vertex(_SPIDER, phase)
         self._adj[v] = {}
         self._boundary_count[v] = 0
-        for name, _ in phase.terms:
-            self._register(name, v)
         return v
 
     def add_boundary(self, kind: VKind, position: int) -> int:
@@ -94,11 +91,6 @@ class Diagram:
             self._boundary_count[a] += 1
         if self._vertices[a].kind is not _SPIDER:
             self._boundary_count[b] += 1
-
-    def _register(self, name: str, v: int) -> None:
-        if name in self.param_registry and self.param_registry[name] != v:
-            raise RepeatedParameter(f"parameter {name!r} already bound to spider {self.param_registry[name]}")
-        self.param_registry[name] = v
 
     # -- queries ---------------------------------------------------------
 
@@ -161,13 +153,7 @@ class Diagram:
     # -- mutation ---------------------------------------------------------
 
     def set_phase(self, v: int, phase: Phase) -> None:
-        old = self._vertices[v].phase
-        for name, _ in old.terms:
-            if self.param_registry.get(name) == v:
-                del self.param_registry[name]
         self._vertices[v].phase = phase
-        for name, _ in phase.terms:
-            self._register(name, v)
 
     def remove_edge(self, a: int, b: int) -> None:
         del self._adj[a][b]
@@ -207,9 +193,6 @@ class Diagram:
             for n in adj.pop(v):
                 del adj[n][v]
                 boundary_count[n] -= 1
-        for name, _ in data.phase.terms:
-            if self.param_registry.get(name) == v:
-                del self.param_registry[name]
 
     def copy(self) -> "Diagram":
         d = Diagram()
@@ -217,7 +200,6 @@ class Diagram:
         d._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
         d._boundary_count = dict(self._boundary_count)
         d._next_id = self._next_id
-        d.param_registry = dict(self.param_registry)
         return d
 
     # -- structure helpers -------------------------------------------------
@@ -244,6 +226,11 @@ class Diagram:
         """Parametrised spiders and their phases, keyed by spider id."""
         return {v: data.phase for v, data in self._vertices.items()
                 if data.kind is _SPIDER and data.phase.terms}
+
+    @property
+    def param_registry(self) -> Dict[str, int]:
+        """Each parameter and the spider whose phase carries it."""
+        return {name: v for v, phase in self.param_exprs().items() for name, _ in phase.terms}
 
     def __repr__(self) -> str:
         return (f"Diagram({len(self.spiders())} spiders, {len(self.boundaries())} boundaries, "
@@ -332,13 +319,6 @@ def validate(d: Diagram) -> ValidationReport:
         if boundary_count.get(v) != count:
             report.add(f"vertex {v} has {count} boundary neighbours, recorded {boundary_count.get(v)}")
     report.violations.extend(repeated)
-    registry = d.param_registry
-    for name, v in seen.items():
-        if registry.get(name) != v:
-            report.add(f"registry maps {name!r} to {registry.get(name)}, spider is {v}")
-    for name in registry:
-        if name not in seen:
-            report.add(f"registry entry {name!r} has no owning spider")
     return report
 
 
@@ -508,7 +488,7 @@ def to_graph_like(raw: SpiderNetwork) -> Diagram:
     # The diagram is written directly, as add_spider, add_boundary and
     # add_edge would build it; validate checks the result.
     d = Diagram()
-    vertices, adj, registry = d._vertices, d._adj, d.param_registry
+    vertices, adj = d._vertices, d._adj
     id_map: Dict[int, int] = {}
     boundaries: List[int] = []
     input_kind, output_kind = NKind.INPUT, NKind.OUTPUT
@@ -518,8 +498,6 @@ def to_graph_like(raw: SpiderNetwork) -> Diagram:
             if rep[v] != v:
                 continue
             vertices[new] = Vertex(_SPIDER, phases[v])
-            for name, _ in phases[v].terms:
-                registry[name] = new  # one owner each, checked above
         elif kind is input_kind:
             vertices[new] = Vertex(VKind.INPUT, _ZERO, raw.positions.get(v, 0))
             boundaries.append(new)

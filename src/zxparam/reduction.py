@@ -47,6 +47,14 @@ class ReductionMap:
     eliminated: Tuple[str, ...] = ()
 
     def __post_init__(self):
+        for attr in ("params_in", "new_param_names", "eliminated"):
+            names = getattr(self, attr)
+            if len(set(names)) != len(names):
+                repeat = next(n for i, n in enumerate(names) if n in names[:i])
+                raise ValueError(f"{attr} names {repeat!r} twice")
+        if not len(self.rows) == len(self.new_param_names) == len(self.constants):
+            raise ValueError(f"rows, new_param_names and constants have lengths {len(self.rows)}, "
+                             f"{len(self.new_param_names)} and {len(self.constants)}")
         self._column = {p: j for j, p in enumerate(self.params_in)}
         for name, terms in zip(self.new_param_names, self.rows):
             seen = set()
@@ -65,6 +73,11 @@ class ReductionMap:
                     raise ValueError(f"column {param!r} has two nonzero entries "
                                      f"({owners[param]} and {name}); map is not parsimonious")
                 owners[param] = name
+        for param in self.eliminated:
+            if param not in self._column:
+                raise ValueError(f"eliminated parameter {param!r} is not in params_in")
+            if param in owners:
+                raise ValueError(f"eliminated parameter {param!r} appears in row {owners[param]}")
 
     @property
     def p_matrix(self) -> np.ndarray:
@@ -144,7 +157,8 @@ class ReductionMap:
     @staticmethod
     def from_dict(data: object) -> "ReductionMap":
         """The map written by ``to_dict``.  Raises ValueError naming the first
-        field that is missing or of the wrong JSON type."""
+        field that is missing or of the wrong JSON type, or a ``params_out``
+        that is not the list of row names."""
         data = _checked(data, dict, "the map")
         params_in = _checked(data.get("params_in"), list, "params_in")
         rows = _checked(data.get("rows"), list, "rows")
@@ -161,6 +175,9 @@ class ReductionMap:
             terms.append(tuple(pairs))
             constants.append(_checked(row.get("const_pi_over_2"), int, f"rows[{i}].const_pi_over_2"))
         eliminated = _checked(data.get("eliminated", []), list, "eliminated")
+        if "params_out" in data and _checked(data["params_out"], list, "params_out") != names:
+            raise ValueError(f"params_out {json.dumps(data['params_out'])[:40]} does not match "
+                             f"the row names {json.dumps(names)[:40]}")
         return ReductionMap(
             params_in=tuple(_checked(p, str, f"params_in[{j}]") for j, p in enumerate(params_in)),
             new_param_names=tuple(names),
@@ -188,8 +205,8 @@ def extract_reduction(events: Sequence[RewriteEvent], original_params: Sequence[
 
     The terminal diagram's parameter expressions are the ground truth for
     rows and constants; replaying the merge, move and elimination events
-    must reproduce the same grouping and signs, otherwise the provenance is
-    inconsistent.
+    must reproduce the same grouping and signs.  Otherwise, or if one
+    parameter is on two terminal spiders, the provenance is inconsistent.
     """
     original_params = list(original_params)
     sign: Dict[str, int] = {p: 1 for p in original_params}
@@ -207,6 +224,8 @@ def extract_reduction(events: Sequence[RewriteEvent], original_params: Sequence[
                 sign[name] *= s
                 owner[name] = ev.param_merge.survivor
         for name in ev.eliminated:
+            if name not in sign:
+                raise InconsistentProvenance(f"event eliminates unknown parameter {name!r}")
             eliminated.add(name)
             owner[name] = None
 
@@ -214,6 +233,8 @@ def extract_reduction(events: Sequence[RewriteEvent], original_params: Sequence[
     seen = set()
     for spider, expr in exprs.items():
         for name, coeff in expr.terms:
+            if name in seen:
+                raise InconsistentProvenance(f"parameter {name!r} is on two terminal spiders")
             if name not in sign:
                 raise InconsistentProvenance(f"terminal diagram carries unknown parameter {name!r}")
             if name in eliminated:

@@ -220,9 +220,6 @@ def ap_form(d: Diagram) -> APForm:
         raise NotClifford("AP form applies to states (no input wires)")
     if d.param_registry:
         raise NotClifford(f"diagram carries parameters {sorted(d.param_registry)}")
-    for v in d.spiders():
-        if not d.phase(v).is_clifford():
-            raise NotClifford(f"spider {v} carries a parameter")
 
     d = d.copy()
     Rewriter(d, AP_FORM_STAGES).run(1000 + 20 * len(d.spiders()) ** 2, what="ap_form reduction")
@@ -458,31 +455,19 @@ class BruteForceResult:
     trivial: Tuple[str, ...] = ()
 
 
-def _partitions_into(items: Sequence[str], n_parts: int):
-    """All set partitions of ``items`` into exactly ``n_parts`` blocks, in a
-    deterministic order."""
-    items = list(items)
-    if n_parts == 0:
-        if not items:
-            yield []
-        return
-
-    def rec(i: int, blocks: List[List[str]]):
-        if i == len(items):
-            if len(blocks) == n_parts:
-                yield [list(b) for b in blocks]
-            return
-        item = items[i]
-        for b in blocks:
-            b.append(item)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        if len(blocks) < n_parts:
-            blocks.append([item])
-            yield from rec(i + 1, blocks)
-            blocks.pop()
-
-    yield from rec(0, [])
+def _partitions_into(items: Sequence[str], n_parts: int) -> Iterator[List[List[str]]]:
+    """All set partitions of ``items`` into exactly ``n_parts`` blocks, each
+    block in item order and the blocks in order of their first item.  Item i
+    goes to block ``labels[i]``; the labels run over the restricted growth
+    strings (labels that first occur in the order 0, 1, ...) in
+    lexicographic order."""
+    order = list(range(n_parts))
+    for labels in itertools.product(order, repeat=len(items)):
+        if list(dict.fromkeys(labels)) == order:
+            blocks: List[List[str]] = [[] for _ in order]
+            for item, label in zip(items, labels):
+                blocks[label].append(item)
+            yield blocks
 
 
 def _in_place_groupings(params: Sequence[str]) -> Iterator[Tuple[List[Tuple[str, List[str]]], List[Tuple[int, ...]]]]:
@@ -492,7 +477,6 @@ def _in_place_groupings(params: Sequence[str]) -> Iterator[Tuple[List[Tuple[str,
     sign pattern of all the others, group after group."""
     for l in range(1, len(params) + 1):
         for blocks in _partitions_into(params, l):
-            blocks = sorted(blocks, key=lambda b: params.index(b[0]))
             for reps in itertools.product(*[range(len(b)) for b in blocks]):
                 groups = [(b[r], [p for i, p in enumerate(b) if i != r]) for b, r in zip(blocks, reps)]
                 yield groups, list(itertools.product((1, -1), repeat=sum(len(o) for _, o in groups)))

@@ -62,6 +62,12 @@ def test_parse_rz_in_any_case():
     assert emit_circuit(c).splitlines()[1:] == ["rz(T0) 0", "rz(1pi/2) 0", "rz(t0) 0"]
 
 
+def test_parse_pi_in_any_case():
+    c = parse_circuit("qreg 1\nRZ(1PI/2) 0\nrz(1Pi) 0\nrz(-3pI/2) 0")
+    assert [g.k for g in c.gates] == [1, 2, 1]
+    assert emit_circuit(c).splitlines()[1:] == ["rz(1pi/2) 0", "rz(2pi/2) 0", "rz(1pi/2) 0"]
+
+
 def test_parse_rejects_repeated_parameter():
     with pytest.raises(RepeatedParameter):
         parse_circuit("qreg 2\nrz(t0) 0\nrz(t0) 1")

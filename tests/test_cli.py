@@ -223,6 +223,18 @@ def test_verify_malformed_map_exits_1(tmp_path, capsys, text, field):
     assert err.count("\n") == 1 and err.startswith(f"verify: cannot load inputs: {field} must be ")
 
 
+def test_verify_inconsistent_map_exits_1(tmp_path, capsys):
+    # the rows keep t0, which the map also lists as eliminated, and params_out names another row
+    args = cli_args(tmp_path, "verify")
+    row = {"name": "u0", "terms": [["t0", 1]], "const_pi_over_2": 0}
+    for extra, reason in [({"params_out": ["zz"]}, 'params_out ["zz"] does not match the row names ["u0"]'),
+                          ({}, "eliminated parameter 't0' appears in row u0")]:
+        args[-1] = str(write(tmp_path, "bad.json", json.dumps(
+            {"params_in": ["t0", "t1"], **extra, "rows": [row], "eliminated": ["t0"]})))
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"verify: cannot load inputs: {reason}\n"
+
+
 @pytest.mark.parametrize("command", ["optimize", "verify", "oracle"])
 def test_negative_env_seed_exits_1(tmp_path, monkeypatch, capsys, command):
     monkeypatch.setenv("ZXPARAM_SEED", "-1")

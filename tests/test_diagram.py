@@ -162,12 +162,12 @@ def test_validate_reports_constructed_violations():
     bad._boundary_count[a] += 1
     report = validate(bad)
     assert any("boundary neighbours" in v and str(a) in v for v in report.violations)
-    # registry omission
+    # one parameter on two spiders: the phases are the only record of its owner
     bad = d.copy()
     bad.set_phase(a, Phase(0, (("t9", 1),)))
-    del bad.param_registry["t9"]
+    bad.set_phase(b, Phase(1, (("t9", -1),)))
     report = validate(bad)
-    assert any("registry" in v for v in report.violations)
+    assert f"parameter 't9' on spiders {a} and {b}" in report.violations
 
 
 def test_find_gadgets_empty_without_internal_spiders():

@@ -6,6 +6,7 @@ import pytest
 from zxparam.circuits import Circuit, Gate, GateKind, circuit_to_diagram, parse_circuit
 from zxparam.errors import InconsistentProvenance, RepeatedParameter
 from zxparam.generate import random_circuit
+from zxparam.params import Phase
 from zxparam.reduction import ReductionMap, extract_reduction, phase_teleport
 from zxparam.rewrite import RewriteEvent, Rule, simplify
 from zxparam.verify import check_reduction
@@ -54,6 +55,17 @@ def test_extract_reduction_rejects_corrupted_events():
     bogus = events + [RewriteEvent(Rule.SCALAR_REMOVAL, eliminated=("t0",))]
     with pytest.raises(InconsistentProvenance):
         extract_reduction(bogus, c.params, terminal)
+    unknown = events + [RewriteEvent(Rule.SCALAR_REMOVAL, eliminated=("t9",))]
+    with pytest.raises(InconsistentProvenance, match="^event eliminates unknown parameter 't9'$"):
+        extract_reduction(unknown, c.params, terminal)
+
+
+def test_extract_reduction_rejects_a_parameter_on_two_spiders():
+    c = parse_circuit("qreg 2\nrz(t0) 0\nrz(t1) 1")
+    terminal, events = simplify(circuit_to_diagram(c))
+    terminal.set_phase(terminal.param_registry["t1"], Phase.of("t0"))
+    with pytest.raises(InconsistentProvenance, match="^parameter 't0' is on two terminal spiders$"):
+        extract_reduction(events, c.params, terminal)
 
 
 def test_phase_teleport_fusion_example():
@@ -219,3 +231,29 @@ def test_reduction_map_invariants():
         ReductionMap(("t0",), ("u0",), ((("t0", 2),),), (0,))
     m = ReductionMap(("t0", "t1", "t2"), ("u0",), ((("t2", -1), ("t0", 1)),), (0,))
     assert m.row_string(0) == "u0 = t0 - t2"  # terms in the order of params_in
+
+
+@pytest.mark.parametrize("args, message", [
+    ((("t0", "t0"), ("u0",), ((("t0", 1),),), (0,)), "params_in names 't0' twice"),
+    ((("t0", "t1"), ("u0", "u0"), ((("t0", 1),), (("t1", 1),)), (0, 0)), "new_param_names names 'u0' twice"),
+    ((("t0", "t1", "t2"), ("u0",), ((("t0", 1),),), (0,), ("t1", "t1")), "eliminated names 't1' twice"),
+    ((("a", "b"), ("u0", "u1"), ((("a", 1),),), (0,)),
+     "rows, new_param_names and constants have lengths 1, 2 and 1"),
+    ((("t0",), ("u0",), ((("t0", 1),),), (0, 0)), "rows, new_param_names and constants have lengths 1, 1 and 2"),
+    ((("t0",), ("u0",), ((("t0", 1),),), (0,), ("t9",)), "eliminated parameter 't9' is not in params_in"),
+    ((("t0",), ("u0",), ((("t0", 1),),), (0,), ("t0",)), "eliminated parameter 't0' appears in row u0"),
+], ids=["params_in", "new_param_names", "eliminated", "short-rows", "long-constants", "unknown-eliminated",
+        "eliminated-in-row"])
+def test_reduction_map_rejects_inconsistent_fields(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ReductionMap(*args)
+
+
+def test_reduction_map_from_dict_checks_params_out():
+    data = ReductionMap(("t0", "t1"), ("u0",), ((("t0", 1),),), (0,), ("t1",)).to_dict()
+    assert ReductionMap.from_dict(data).new_param_names == ("u0",)
+    del data["params_out"]
+    assert ReductionMap.from_dict(data).new_param_names == ("u0",)
+    data["params_out"] = ["zz"]
+    with pytest.raises(ValueError, match=r'^params_out \["zz"\] does not match the row names \["u0"\]$'):
+        ReductionMap.from_dict(data)

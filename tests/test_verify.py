@@ -189,6 +189,22 @@ def reference_brute_force(c, max_params=5, tol=1e-9):
     raise AssertionError("the identity map always passes")
 
 
+def test_partitions_come_in_restricted_growth_order():
+    # six items, one more than the oracle takes: each partition into l blocks
+    # comes once, its blocks in order of their first item, and the labels
+    # (item i in block labels[i]) rise in lexicographic order
+    items = ["e", "a", "d", "b", "f", "c"]
+    stirling = {0: 0, 1: 1, 2: 31, 3: 90, 4: 65, 5: 15, 6: 1, 7: 0}  # partitions of 6 items into l blocks
+    for l, count in stirling.items():
+        labels = []
+        for blocks in zxparam.verify._partitions_into(items, l):
+            label = tuple(next(j for j, b in enumerate(blocks) if item in b) for item in items)
+            assert blocks == [[item for item, j in zip(items, label) if j == b] for b in range(l)]
+            assert [items.index(b[0]) for b in blocks] == sorted(items.index(b[0]) for b in blocks)
+            labels.append(label)
+        assert len(labels) == count and labels == sorted(set(labels))
+
+
 def agreement_circuits():
     """The circuits of test_brute_force_agrees_with_optimizer."""
     rng = Random(81)
