@@ -6,9 +6,11 @@ The text format is line oriented with ``#`` comments:
     h <q> | s <q> | sdg <q> | z <q> | x <q> | cz <q1> <q2> | cx <control> <target>
     rz(<ident>) <q>      symbolic parameter, e.g. rz(t0) 0
     rz(<k>pi/2) <q>      Clifford constant, k integer
+    rz(<k>pi) <q>        Clifford constant; k may be a sign alone: rz(pi) 0, rz(-pi/2) 0
 
-Numeric rz angles must be exact multiples of pi/2; symbolic parameters must
-each occur on at most one gate; ``n`` is at most MAX_QUBITS.
+Numeric rz angles must be exact multiples of pi/2; ``pi`` in any case is the
+constant, never a parameter name; symbolic parameters must each occur on at
+most one gate; ``n`` is at most MAX_QUBITS.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ MAX_QUBITS = 2 ** 16
 _MAX_QUBITS_DIGITS = len(str(MAX_QUBITS))
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_NUM_PI = re.compile(r"^([+-]?[0-9]*\.?[0-9]+)pi(/2)?$", re.IGNORECASE)
+_NUM_PI = re.compile(r"^([+-]?)([0-9]*\.?[0-9]+)?pi(/2)?$", re.IGNORECASE)
 _RZ_CALL = re.compile(r"^rz\((.*)\)$", re.IGNORECASE)
 _ONE_QUBIT_GATES = {"h": _H, "s": _S, "sdg": _SDG, "z": _Z, "x": _X}
 _TWO_QUBIT_GATES = {"cz": _CZ, "cx": _CX}
@@ -108,15 +110,15 @@ _TWO_QUBIT_GATES = {"cz": _CZ, "cx": _CX}
 def _parse_rz_angle(arg: str, line_no: int, col: int) -> Gate | Tuple[str, int]:
     """Returns ('param', name) or ('clifford', k)."""
     arg = arg.strip()
-    if _IDENT.match(arg):
-        return ("param", arg)
     m = _NUM_PI.match(arg.replace(" ", ""))
     if not m:
-        if re.match(r"^[+-]?[0-9]", arg):
+        if _IDENT.match(arg):
+            return ("param", arg)
+        if re.match(r"^[+-]?([0-9]|pi)", arg, re.IGNORECASE):
             raise NonCliffordConstant(f"rz angle {arg!r} is not of the form <k>pi/2", line_no, col)
         raise CircuitSyntaxError(f"bad rz argument {arg!r}", line_no, col)
-    value = float(m.group(1))
-    halves = value * (1 if m.group(2) else 2)  # in units of pi/2
+    value = float(m.group(1) + (m.group(2) or "1"))
+    halves = value * (1 if m.group(3) else 2)  # in units of pi/2
     if abs(halves - round(halves)) > 1e-12:
         raise NonCliffordConstant(f"rz angle {arg!r} is not an exact multiple of pi/2", line_no, col)
     return ("clifford", int(round(halves)))

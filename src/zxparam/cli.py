@@ -20,8 +20,7 @@ from typing import Any, Callable, List, NoReturn, Optional
 
 from .circuits import circuit_to_diagram, emit_circuit, parse_circuit
 from .errors import DimensionMismatch, TooLarge, TooManyParams, ZXParamError
-from .reduction import ReductionMap, phase_teleport
-from .rewrite import simplify
+from .reduction import ReductionMap, phase_teleport, simplify
 from .verify import MAX_ORACLE_PARAMS, MAX_SAMPLES, brute_force_min, check_reduction, optimality_certificate
 
 EXIT_OK = 0

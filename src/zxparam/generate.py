@@ -14,8 +14,7 @@ CLIFFORD_1Q = [GateKind.H, GateKind.S, GateKind.SDG, GateKind.Z, GateKind.X, Gat
 CLIFFORD_2Q = [GateKind.CZ, GateKind.CX]
 
 
-def random_circuit(rng: Random, n_qubits: int, n_gates: int, n_params: int,
-                   param_prefix: str = "t") -> Circuit:
+def random_circuit(rng: Random, n_qubits: int, n_gates: int, n_params: int) -> Circuit:
     """A random Clifford circuit with exactly ``n_params`` symbolic phase gates."""
     if n_params > n_gates:
         raise ValueError("more parameters than gates")
@@ -34,15 +33,14 @@ def random_circuit(rng: Random, n_qubits: int, n_gates: int, n_params: int,
                 gates.append(Gate(kind, (q,)))
     positions = sorted(rng.sample(range(n_gates), n_params)) if n_params else []
     for i, pos in enumerate(positions):
-        gates.insert(pos, Gate(GateKind.RZ_PARAM, (rng.randrange(n_qubits),), param=f"{param_prefix}{i}"))
+        gates.insert(pos, Gate(GateKind.RZ_PARAM, (rng.randrange(n_qubits),), param=f"t{i}"))
     c = Circuit(n_qubits, gates)
     c.validate()
     return c
 
 
 def random_graph_like_state(rng: Random, n_outputs: int, n_internal: int,
-                            n_params: int, edge_p: float = 0.5,
-                            param_prefix: str = "t") -> Diagram:
+                            n_params: int, edge_p: float = 0.5) -> Diagram:
     """A random graph-like state: boundary spiders on every output wire plus
     internal spiders, random Hadamard edges, Clifford phases and parameters
     sprinkled on internal spiders."""
@@ -67,7 +65,7 @@ def random_graph_like_state(rng: Random, n_outputs: int, n_internal: int,
             d.add_edge(v, other, EdgeKind.HADAMARD)
     targets = rng.sample(internal, min(n_params, len(internal))) if internal else []
     for i, v in enumerate(targets):
-        d.set_phase(v, Phase(rng.randrange(4), ((f"{param_prefix}{i}", 1),)))
+        d.set_phase(v, Phase(rng.randrange(4), ((f"t{i}", 1),)))
     report = validate(d)
     assert report.ok, report.violations
     return d

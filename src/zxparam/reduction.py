@@ -19,7 +19,7 @@ from .circuits import Circuit, Gate, GateKind, circuit_to_diagram
 from .diagram import Diagram
 from .errors import InconsistentProvenance
 from .params import HALF_PI
-from .rewrite import RewriteEvent, _simplify
+from .rewrite import RewriteEvent, _simplify as simplify  # in place: callers own the diagram
 
 if TYPE_CHECKING:
     import numpy as np
@@ -191,9 +191,8 @@ class ReductionMap:
         return ReductionMap.from_dict(json.loads(text))
 
     @staticmethod
-    def identity(params: Sequence[str], names: Optional[Sequence[str]] = None) -> "ReductionMap":
-        names = tuple(names) if names is not None else tuple(params)
-        return ReductionMap(tuple(params), names,
+    def identity(params: Sequence[str]) -> "ReductionMap":
+        return ReductionMap(tuple(params), tuple(params),
                             tuple((((p, 1),)) for p in params),
                             tuple(0 for _ in params))
 
@@ -259,18 +258,6 @@ def extract_reduction(events: Sequence[RewriteEvent], original_params: Sequence[
         constants=tuple(e.clifford for e in row_data),
         eliminated=tuple(sorted(eliminated, key=lambda p: order[p])),
     )
-
-
-def simplify(d: Diagram, seed: Optional[int] = None) -> Tuple[Diagram, List[RewriteEvent]]:
-    """``rewrite.simplify`` without its copy of ``d``: it rewrites ``d``
-    itself to its terminal form and returns it.  It exists for
-    ``phase_teleport``, which owns the diagram it builds; every other
-    caller should use ``rewrite.simplify``, which leaves its argument as it
-    is.  ``perfbench/spans.py`` times the calls made through this name and
-    runs ``rewrite.simplify`` in their place, which returns the same
-    terminal diagram and events but also copies ``d``, so traced simplify
-    times include a copy that an untraced run does not make."""
-    return _simplify(d, seed)
 
 
 @dataclass

@@ -671,7 +671,7 @@ def simplify(d: Diagram, seed: Optional[int] = None) -> Tuple[Diagram, List[Rewr
     return _simplify(d.copy(), seed)
 
 
-def _simplify(d: Diagram, seed: Optional[int]) -> Tuple[Diagram, List[RewriteEvent]]:
+def _simplify(d: Diagram, seed: Optional[int] = None) -> Tuple[Diagram, List[RewriteEvent]]:
     """``simplify`` rewriting ``d`` itself, for a caller that owns it."""
     limit = 1000 + 60 * (len(d.spiders()) + 2) ** 2
     return d, Rewriter(d, SIMPLIFY_STAGES, seed).run(limit)

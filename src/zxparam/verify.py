@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 from .circuits import MAX_PROBE_QUBITS, Circuit, circuit_unitary
-from .diagram import Diagram, EdgeKind, GadgetView, VKind, find_gadgets
+from .diagram import Diagram, EdgeKind, GadgetView, find_gadgets
 from .errors import (DimensionMismatch, NotClifford, NotTerminalForm, TooLarge, TooManyParams, ZeroState)
 
 from .reduction import ReductionMap
@@ -173,37 +173,28 @@ class APForm:
         return amplitudes
 
 
-def _gf2_rref(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon form of [A|b] over GF(2); raises ZeroState if
-    the system is inconsistent, drops zero rows."""
-    a = a.copy() % 2
-    b = b.copy() % 2
-    rows, cols = a.shape
-    pivot_row = 0
-    for col in range(cols):
-        hit = None
-        for r in range(pivot_row, rows):
-            if a[r, col]:
-                hit = r
-                break
-        if hit is None:
+def _gf2_rref(rows: Sequence[int], rhs: Sequence[int]) -> List[Tuple[int, int]]:
+    """Reduced row echelon form of the GF(2) system ``rows`` x = ``rhs``,
+    each row an int bitmask (bit j is variable j), as ``(row, b)`` pairs in
+    pivot order; a row's pivot is its lowest set bit.  Raises ZeroState if
+    the system is inconsistent; zero rows are dropped."""
+    basis: Dict[int, Tuple[int, int]] = {}  # pivot bit -> fully reduced (row, b)
+    for row, b in zip(rows, rhs):
+        b &= 1
+        for pivot, (r, c) in basis.items():
+            if row & pivot:
+                row ^= r
+                b ^= c
+        if not row:
+            if b:
+                raise ZeroState("affine system A x = b is inconsistent")
             continue
-        a[[pivot_row, hit]] = a[[hit, pivot_row]]
-        b[[pivot_row, hit]] = b[[hit, pivot_row]]
-        for r in range(rows):
-            if r != pivot_row and a[r, col]:
-                a[r] ^= a[pivot_row]
-                b[r] ^= b[pivot_row]
-        pivot_row += 1
-        if pivot_row == rows:
-            break
-    keep = []
-    for r in range(rows):
-        if a[r].any():
-            keep.append(r)
-        elif b[r]:
-            raise ZeroState("affine system A x = b is inconsistent")
-    return a[keep], b[keep]
+        pivot = row & -row
+        for p, (r, c) in basis.items():
+            if r & pivot:
+                basis[p] = (r ^ row, c ^ b)
+        basis[pivot] = (row, b)
+    return [basis[p] for p in sorted(basis)]
 
 
 def ap_form(d: Diagram) -> APForm:
@@ -230,26 +221,20 @@ def ap_form(d: Diagram) -> APForm:
 
     # representative variable for each boundary spider (first output by position)
     rep: Dict[int, int] = {}
-    rows: List[np.ndarray] = []
+    rows: List[int] = []  # parity constraints as bitmasks over the outputs
     rhs: List[int] = []
     linear = [0] * n
     quad: Set[Tuple[int, int]] = set()
 
-    def row_of(*idxs: int, parity: int) -> None:
-        r = np.zeros(n, dtype=np.uint8)
-        for j in idxs:
-            r[j] ^= 1
-        rows.append(r)
-        rhs.append(parity % 2)
-
     for v in d.spiders():
-        wires = [o for o in d.boundary_wires(v)]
+        wires = d.boundary_wires(v)
         if not wires:
             continue
         js = sorted(var[o] for o in wires)
         rep[v] = js[0]
         for j in js[1:]:
-            row_of(rep[v], j, parity=0)
+            rows.append(1 << rep[v] | 1 << j)
+            rhs.append(0)
         linear[rep[v]] = (linear[rep[v]] + d.phase(v).clifford) % 4
 
     for a, b, kind in d.edges():
@@ -258,7 +243,8 @@ def ap_form(d: Diagram) -> APForm:
             # bare output-output wire
             ja, jb = var[a], var[b]
             if kind is EdgeKind.PLAIN:
-                row_of(ja, jb, parity=0)
+                rows.append(1 << ja | 1 << jb)
+                rhs.append(0)
             else:
                 quad.add((min(ja, jb), max(ja, jb)))
 
@@ -268,15 +254,12 @@ def ap_form(d: Diagram) -> APForm:
         ph = d.phase(u)
         if not ph.is_pauli():
             raise NotClifford(f"internal spider {u} with phase {ph} survived reduction")
-        nbr_vars = []
+        row = 0
         for w in d.neighbors(u):
             if w not in rep:
                 raise NotTerminalForm(f"internal spiders {u} and {w} remain adjacent")
-            nbr_vars.append(rep[w])
-        r = np.zeros(n, dtype=np.uint8)
-        for j in nbr_vars:
-            r[j] ^= 1
-        rows.append(r)
+            row ^= 1 << rep[w]
+        rows.append(row)
         rhs.append(ph.clifford // 2)
 
     for a, b, kind in d.edges():
@@ -284,10 +267,10 @@ def ap_form(d: Diagram) -> APForm:
             ja, jb = rep[a], rep[b]
             quad.add((min(ja, jb), max(ja, jb)))
 
-    a_matrix = np.array(rows, dtype=np.uint8).reshape(len(rows), n)
-    b_vector = np.array(rhs, dtype=np.uint8)
-    a_matrix, b_vector = _gf2_rref(a_matrix, b_vector)
-    return APForm(n, a_matrix, b_vector, tuple(linear), frozenset(quad))
+    reduced = _gf2_rref(rows, rhs)
+    a_matrix = np.array([[row >> j & 1 for j in range(n)] for row, _ in reduced], dtype=np.uint8)
+    b_vector = np.array([b for _, b in reduced], dtype=np.uint8)
+    return APForm(n, a_matrix.reshape(len(reduced), n), b_vector, tuple(linear), frozenset(quad))
 
 
 # -- stabiliser certificates ---------------------------------------------------
@@ -349,26 +332,6 @@ def terminal_violations(d: Diagram) -> List[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class ParamLeg:
-    spider: int  # the spider carrying the expression
-    vertex: int  # the graph vertex the leg plugs into
-    decoration: str  # "I" or "H"
-
-
-def _param_legs(d: Diagram, gadgets: Sequence[GadgetView]) -> List[ParamLeg]:
-    by_plug = {g.phase_spider: g for g in gadgets}
-    legs = []
-    for v in sorted(d.spiders()):
-        if d.phase(v).is_clifford():
-            continue
-        if v in by_plug:
-            legs.append(ParamLeg(v, by_plug[v].axis_spider, "H"))
-        else:
-            legs.append(ParamLeg(v, v, "I"))
-    return legs
-
-
 def zz_certificate(d: Diagram) -> List[Tuple[Tuple[int, int], str]]:
     """Pairs of parameter legs admitting a weight-2 Z x Z stabiliser.
 
@@ -381,33 +344,30 @@ def zz_certificate(d: Diagram) -> List[Tuple[Tuple[int, int], str]]:
     """
     gadgets = _parametrised_gadgets(d)
     _require_shape(d, gadgets)
-    return _zz_pairs(d, gadgets, _param_legs(d, gadgets))
+    return _zz_pairs(d, gadgets)
 
 
-def _zz_pairs(d: Diagram, gadgets: Sequence[GadgetView], legs: Sequence[ParamLeg]
-              ) -> List[Tuple[Tuple[int, int], str]]:
+def _zz_pairs(d: Diagram, gadgets: Sequence[GadgetView]) -> List[Tuple[Tuple[int, int], str]]:
     """``zz_certificate`` on a diagram of the plugged-GSLC shape, given its
-    parametrised gadgets (in that shape every gadget is parametrised) and
-    its parameter legs."""
-    plug_ids = {g.phase_spider for g in gadgets}
+    parametrised gadgets (in that shape every gadget is parametrised).
 
-    def graph_nbhd(v: int) -> FrozenSet[int]:
-        return frozenset(n for n in d.neighbors(v)
-                         if n not in plug_ids and d.vertex(n).kind is VKind.SPIDER)
-
+    A gadget's phase spider is an H leg at its axis, and any other
+    parametrised spider an I leg at itself.  An axis is internal with one
+    plug, so its graph neighbourhood is the gadget's ``neighbourhood``:
+    condition (i) is a gadget touching just one parametrised spider, and
+    (ii) two gadgets with equal neighbourhoods, whose axes are never
+    adjacent (each would be in its own neighbourhood).  Pairs come sorted."""
     found = []
-    for leg_a, leg_b in itertools.combinations(legs, 2):
-        decos = {leg_a.decoration, leg_b.decoration}
-        adjacent = d.has_edge(leg_a.vertex, leg_b.vertex)
-        if decos == {"I", "H"}:
-            h_leg = leg_a if leg_a.decoration == "H" else leg_b
-            o_leg = leg_b if h_leg is leg_a else leg_a
-            if adjacent and graph_nbhd(h_leg.vertex) == {o_leg.vertex}:
-                found.append(((leg_a.spider, leg_b.spider), "i"))
-        elif decos == {"H"}:
-            if not adjacent and graph_nbhd(leg_a.vertex) == graph_nbhd(leg_b.vertex):
-                found.append(((leg_a.spider, leg_b.spider), "ii"))
-    return found
+    groups: Dict[FrozenSet[int], List[int]] = {}
+    for g in gadgets:
+        groups.setdefault(g.neighbourhood, []).append(g.phase_spider)
+        if len(g.neighbourhood) == 1:
+            (v,) = g.neighbourhood
+            if not d.phase(v).is_clifford():
+                found.append(((min(v, g.phase_spider), max(v, g.phase_spider)), "i"))
+    for plugs in groups.values():
+        found.extend((pair, "ii") for pair in itertools.combinations(sorted(plugs), 2))
+    return sorted(found)
 
 
 @dataclass
@@ -433,14 +393,14 @@ def optimality_certificate(d: Diagram) -> CertificateReport:
     gadgets = _parametrised_gadgets(d)
     _require_shape(d, gadgets)
     failures = _gadget_failures(gadgets)
-    legs = _param_legs(d, gadgets)
-    for pair, condition in _zz_pairs(d, gadgets, legs):
+    for pair, condition in _zz_pairs(d, gadgets):
         failures.append(f"(c) legs {pair} admit a ZZ stabiliser, condition ({condition})")
-    for v in d.spiders():
-        if not d.phase(v).is_clifford() and d.degree(v) == 0:
+    params = d.param_exprs()
+    for v in params:
+        if d.degree(v) == 0:
             failures.append(f"(d) parametrised spider {v} is isolated")
     return CertificateReport(passed=not failures, failures=failures,
-                             n_parameters=len(legs), n_gadgets=len(gadgets))
+                             n_parameters=len(params), n_gadgets=len(gadgets))
 
 
 # -- brute-force minimality oracle ---------------------------------------------

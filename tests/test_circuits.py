@@ -34,6 +34,17 @@ def test_parse_accepts_clifford_constants():
     assert [g.k for g in c.gates] == [3, 2, 3]
 
 
+def test_parse_pi_without_a_coefficient():
+    # pi is the constant, not a parameter name; a missing coefficient is 1
+    c = parse_circuit("qreg 1\nrz(pi) 0\nrz(PI) 0\nrz(-pi/2) 0\nrz(+pi/2) 0\nrz(pid) 0\nrz(t0) 0")
+    assert [g.k for g in c.gates[:4]] == [2, 2, 3, 1]
+    assert all(g.kind is GateKind.RZ_CLIFFORD for g in c.gates[:4])
+    assert c.params == ["pid", "t0"]
+    assert emit_circuit(c).splitlines()[1:5] == ["rz(2pi/2) 0", "rz(2pi/2) 0", "rz(3pi/2) 0", "rz(1pi/2) 0"]
+    with pytest.raises(NonCliffordConstant):
+        parse_circuit("qreg 1\nrz(pi/4) 0")
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(CircuitSyntaxError) as err:
         parse_circuit("qreg 2\nh 0\nfrob 1\n")

@@ -11,7 +11,7 @@ import pytest
 import zxparam.circuits
 from zxparam.circuits import MAX_QUBITS, emit_circuit, parse_circuit
 from zxparam.cli import main
-from zxparam.diagram import NKind, SpiderNetwork
+from zxparam.diagram import Diagram, NKind, SpiderNetwork
 from zxparam.errors import NotTerminalForm
 from zxparam.generate import random_circuit
 from zxparam.reduction import ReductionMap
@@ -68,6 +68,22 @@ def test_optimize_malformed_file(tmp_path, capsys):
 def test_verify_round_trip(tmp_path):
     code, src, out, report = run_optimize(tmp_path, FUSION)
     assert main(["verify", str(src), str(out), str(report)]) == 0
+
+
+def test_optimize_and_verify_copy_no_diagram(tmp_path, monkeypatch):
+    # both commands simplify a diagram they have just built, so in place
+    code, src, out, report = run_optimize(tmp_path, FUSION)
+    copies = []
+    real = Diagram.copy
+
+    def counting(d):
+        copies.append(d)
+        return real(d)
+
+    monkeypatch.setattr(Diagram, "copy", counting)
+    assert main(["verify", str(src), str(out), str(report)]) == 0
+    assert run_optimize(tmp_path, FUSION)[0] == 0
+    assert copies == []
 
 
 def test_verify_flipped_sign_exits_3(tmp_path):
