@@ -14,6 +14,11 @@ The file records
   median time of perfbench's fixed reference task (1 ms at reference speed)
   taken right before each run, so that a rung that slowed with the machine
   can be told from one that did not;
+- the verify stage on the same rungs as ``phase_teleport``: wall time of
+  ``exact_check`` of the circuit against ``phase_teleport``'s output
+  (``exact_s``) and of ``merge_bound`` on the circuit (``merge_s``), their
+  sum (``seconds``), the reference time taken before the exact check, the
+  verdict (``holds``) and M (``merge_bound``) beside the optimiser's count;
 - the cold start: wall time of a fresh ``python -c "import zxparam"`` and of
   a fresh ``python -m zxparam.cli optimize`` on the smallest ``phase_teleport``
   rung's circuit, the median of ``--repeats`` processes each, with the
@@ -50,6 +55,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from reference import reference_seconds  # noqa: E402
 from zxparam.circuits import emit_circuit  # noqa: E402
+from zxparam.frame import exact_check, merge_bound  # noqa: E402
 from zxparam.generate import random_circuit  # noqa: E402
 from zxparam.reduction import phase_teleport  # noqa: E402
 from zxparam.verify import check_reduction  # noqa: E402
@@ -58,7 +64,8 @@ from zxparam.verify import check_reduction  # noqa: E402
 TELEPORT_LADDER = [(20, 1200, 240), (20, 5000, 1000), (40, 10000, 2000), (60, 20000, 4000)]
 CHECK_LADDER = [(4, 1000, 500), (4, 2000, 1000), (12, 2000, 400), (16, 300, 60)]
 STAGE_KEYS = {"phase_teleport": ("seconds", "reference_s", "params_out"),
-              "check_reduction": ("seconds", "reference_s", "holds")}
+              "check_reduction": ("seconds", "reference_s", "holds"),
+              "verify": ("seconds", "reference_s", "holds", "merge_bound")}
 COLD_START_KEYS = ("import", "optimize")
 SEED = 1
 
@@ -111,6 +118,17 @@ def check_rung(rung: Tuple[int, int, int], repeats: int) -> dict:
     return {"qubits": q, "gates": g, "params": p, **times, "holds": report.holds}
 
 
+def verify_rung(rung: Tuple[int, int, int], repeats: int) -> dict:
+    q, g, p = rung
+    c = random_circuit(Random(1), q, g, p)
+    optimised = phase_teleport(c)
+    check, failure = timed(lambda: exact_check(c, optimised.circuit, optimised.reduction), repeats)
+    merge, bound = timed(lambda: merge_bound(c), repeats)
+    return {"qubits": q, "gates": g, "params": p, "seconds": check["seconds"] + merge["seconds"],
+            "reference_s": check["reference_s"], "exact_s": check["seconds"], "merge_s": merge["seconds"],
+            "holds": failure is None, "merge_bound": bound, "params_out": len(optimised.circuit.params)}
+
+
 def in_fresh_process(fn: Callable[..., dict], *args) -> dict:
     """``fn(*args)`` in a new process: in a shared one a rung's time depends
     on the rungs run before it.  A worker that dies raises BrokenProcessPool."""
@@ -120,7 +138,8 @@ def in_fresh_process(fn: Callable[..., dict], *args) -> dict:
 
 def ladder(rungs: int, repeats: int) -> Dict[str, List[dict]]:
     return {"phase_teleport": [in_fresh_process(teleport_rung, r, repeats) for r in TELEPORT_LADDER[:rungs]],
-            "check_reduction": [in_fresh_process(check_rung, r, repeats) for r in CHECK_LADDER[:rungs]]}
+            "check_reduction": [in_fresh_process(check_rung, r, repeats) for r in CHECK_LADDER[:rungs]],
+            "verify": [in_fresh_process(verify_rung, r, repeats) for r in TELEPORT_LADDER[:rungs]]}
 
 
 def cold_start(repeats: int) -> dict:

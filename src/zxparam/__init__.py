@@ -4,11 +4,14 @@ The pipeline: parse a circuit, translate it to a graph-like ZX diagram,
 simplify the diagram to its pseudo-normal form while tracking how symbolic
 parameters merge, then either read off the affine parameter map or apply it
 in place on the original circuit (phase teleportation).  A separate verifier
-provides exact tensor evaluation, proportionality checking, stabiliser-based
-optimality certificates and a brute-force minimality oracle.
+provides an exact Pauli-frame equivalence check with the rotation-merging
+bound (``zxparam.frame``, which only ``zxparam verify`` imports), exact
+tensor evaluation, proportionality checking, stabiliser-based optimality
+certificates and a brute-force minimality oracle.
 
 numpy is imported by the functions that compute with it, on first use:
-importing the package and optimising a circuit never load it.
+importing the package, optimising a circuit and verifying an optimised one
+never load it.
 """
 
 from .params import Phase

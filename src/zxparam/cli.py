@@ -21,7 +21,8 @@ from typing import Any, Callable, List, NoReturn, Optional
 from .circuits import circuit_to_diagram, emit_circuit, parse_circuit
 from .errors import DimensionMismatch, TooLarge, TooManyParams, ZXParamError
 from .reduction import ReductionMap, phase_teleport, simplify
-from .verify import MAX_ORACLE_PARAMS, MAX_SAMPLES, brute_force_min, check_reduction, optimality_certificate
+from .verify import MAX_ORACLE_PARAMS, MAX_SAMPLES, brute_force_min, optimality_certificate
+from .verify import check_reduction  # noqa: F401  unused here; perfbench/spans.py wraps this name
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -103,12 +104,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    """Check ``optimised`` against ``original`` and the map at the sample
-    points, then certify the original's optimal count.  The certificate
-    (simplify and ``optimality_certificate`` on the original) runs only when
-    its result is read: when the ratio check passes, or for the ``--report``
-    payload.  So a failed ratio check without ``--report`` exits 3 even where
-    simplify would fail on the original."""
+    """Decide whether ``optimised`` and the map reproduce ``original`` at
+    every angle (``exact_check``), screen the output's count against the
+    original's merge bound M, then certify the original's optimal count.
+    The certificate (simplify and ``optimality_certificate`` on the
+    original) runs only when its result is read: after both checks pass, or
+    for the ``--report`` payload.  So a failed check without ``--report``
+    exits 3 even where simplify would fail on the original."""
     try:
         original = parse_circuit(_read(args.original))
         optimised = parse_circuit(_read(args.optimised))
@@ -117,13 +119,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"verify: cannot load inputs: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    from .frame import exact_check, merge_bound  # imported here: optimize's cold start never compiles it
     try:
-        report = check_reduction(original, optimised, reduction,
-                                 n_samples=args.samples, tol=args.tol, seed=args.seed)
-    except (DimensionMismatch, TooLarge) as exc:
+        failure = exact_check(original, optimised, reduction)
+    except DimensionMismatch as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if report.holds or args.report:
+    verdict = None if failure is None else f"verify: FAILED exact check, {failure}"
+    if verdict is None or args.report:
+        bound = merge_bound(original)
+        if verdict is None and len(optimised.params) > bound:
+            verdict = (f"verify: FAILED optimality: the optimised circuit has {len(optimised.params)} "
+                       f"parameters, rotation merging shows {bound} suffice")
+    if verdict is None or args.report:
         try:
             terminal, _ = simplify(circuit_to_diagram(original), seed=args.seed)
             certificate = optimality_certificate(terminal)
@@ -132,14 +140,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return EXIT_INTERNAL
     if args.report:
         payload = {
-            "proportionality": report.to_dict(),
+            "exact": {"holds": failure is None, "failure": failure},
+            "merge_bound": bound,
             "certificate": certificate.to_dict(),
         }
         _atomic_write(args.report, json.dumps(payload, indent=2) + "\n")
-    if not report.holds:
-        first_bad = next(i for i, dev in enumerate(report.deviations) if not dev <= args.tol)
-        print(f"verify: FAILED proportionality, max deviation {report.max_deviation:.3e}, "
-              f"first failing sample {first_bad} (deviation {report.deviations[first_bad]:.3e})")
+    if verdict is not None:
+        print(verdict)
         return EXIT_VERIFY
     if not certificate.passed:
         print("verify: FAILED certificate: " + "; ".join(certificate.failures))
@@ -148,7 +155,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"verify: FAILED optimality: the optimised circuit has {len(optimised.params)} "
               f"parameters, the certificate proves {certificate.n_parameters} suffice")
         return EXIT_VERIFY
-    print(f"verify: OK ({len(report.ratios)} samples, max deviation {report.max_deviation:.3e}; "
+    print(f"verify: OK (exact check passed, merge bound {bound}; "
           f"certificate passed, {certificate.n_parameters} parameters)")
     return EXIT_OK
 
@@ -234,11 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (optimize, verify, oracle):
         p.add_argument("--seed", type=_seed, help="deterministic seed (default: ZXPARAM_SEED or 0)")
         p.add_argument("--report", type=Path)
-    for p in (verify, oracle):
-        p.add_argument("--samples", type=_int_between(2, MAX_SAMPLES), default=5,
-                       help=f"random samples on top of the structured set (2 to {MAX_SAMPLES})")
-        p.add_argument("--tol", type=_checked(float, lambda v: v > 0 and math.isfinite(v),
-                                              "a positive finite number"), default=1e-9)
+    oracle.add_argument("--samples", type=_int_between(2, MAX_SAMPLES), default=5,
+                        help=f"random samples on top of the structured set (2 to {MAX_SAMPLES})")
+    oracle.add_argument("--tol", type=_checked(float, lambda v: v > 0 and math.isfinite(v),
+                                               "a positive finite number"), default=1e-9)
     return parser
 
 

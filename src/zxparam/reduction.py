@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .circuits import Circuit, Gate, GateKind, circuit_to_diagram
 from .diagram import Diagram
-from .errors import InconsistentProvenance
+from .errors import DimensionMismatch, InconsistentProvenance
 from .params import HALF_PI
 from .rewrite import RewriteEvent, _simplify as simplify  # in place: callers own the diagram
 
@@ -78,6 +78,17 @@ class ReductionMap:
                 raise ValueError(f"eliminated parameter {param!r} is not in params_in")
             if param in owners:
                 raise ValueError(f"eliminated parameter {param!r} appears in row {owners[param]}")
+
+    def check_circuits(self, c1: Circuit, c2: Circuit) -> None:
+        """Raise DimensionMismatch unless ``c1`` and ``c2`` have the same
+        width, ``c1``'s parameters are the map's inputs in order, and
+        ``c2``'s are its outputs."""
+        if c1.n_qubits != c2.n_qubits:
+            raise DimensionMismatch(f"qubit counts differ: {c1.n_qubits} vs {c2.n_qubits}")
+        if tuple(self.params_in) != tuple(c1.params):
+            raise DimensionMismatch(f"map inputs {self.params_in} do not match circuit params {c1.params}")
+        if sorted(self.new_param_names) != sorted(c2.params):
+            raise DimensionMismatch(f"map outputs {self.new_param_names} do not match circuit params {c2.params}")
 
     @property
     def p_matrix(self) -> np.ndarray:

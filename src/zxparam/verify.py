@@ -20,8 +20,13 @@ compares a whole stack in one call; ``brute_force_min`` builds each stack of
 (candidate, sample) assignments as rows of one array and stops streaming a
 candidate after the stack of its first failing sample.
 
-``zxparam verify`` reads ``optimality_certificate`` only after a passing
-ratio check, or for its ``--report`` payload, so it computes it only then.
+``zxparam verify`` samples nothing: it decides correctness with the exact
+Pauli-frame check of ``frame.py``, screens the output's count with the
+merge bound there, and then reads ``optimality_certificate``.
+``check_reduction``, ``brute_force_min`` and the probe simulator stay as the
+numeric references, independent of the frame: ``zxparam oracle``, the
+tests, ``scripts/run_pipeline.py`` and the benchmark's output checks call
+them.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Sequence, Set
 
 from .circuits import MAX_PROBE_QUBITS, Circuit, circuit_unitary
 from .diagram import Diagram, EdgeKind, GadgetView, find_gadgets
-from .errors import (DimensionMismatch, NotClifford, NotTerminalForm, TooLarge, TooManyParams, ZeroState)
+from .errors import NotClifford, NotTerminalForm, TooLarge, TooManyParams, ZeroState
 
 from .reduction import ReductionMap
 from .rewrite import AP_FORM_STAGES, Rewriter
@@ -120,12 +125,7 @@ def check_reduction(c1: Circuit, c2: Circuit, reduction: ReductionMap,
     sample the two circuits' images of the seeded probe state must differ
     by a single nonzero constant across all amplitudes.
     """
-    if c1.n_qubits != c2.n_qubits:
-        raise DimensionMismatch(f"qubit counts differ: {c1.n_qubits} vs {c2.n_qubits}")
-    if tuple(reduction.params_in) != tuple(c1.params):
-        raise DimensionMismatch(f"map inputs {reduction.params_in} do not match circuit params {c1.params}")
-    if sorted(reduction.new_param_names) != sorted(c2.params):
-        raise DimensionMismatch(f"map outputs {reduction.new_param_names} do not match circuit params {c2.params}")
+    reduction.check_circuits(c1, c2)
     holds: List[bool] = []
     ratios: List[complex] = []
     deviations: List[float] = []
@@ -341,22 +341,17 @@ def zz_certificate(d: Diagram) -> List[Tuple[Tuple[int, int], str]]:
     both decorated H.  An empty list certifies that no parameter fusion
     remains; the sign parity of a hypothetical fusion is immaterial because
     an odd pair reduces to the even case by absorbing a Pauli X.
+
+    In the plugged-GSLC shape, which is required, every gadget is
+    parametrised.  A gadget's phase spider is an H leg at its axis, and any
+    other parametrised spider an I leg at itself.  An axis is internal with
+    one plug, so its graph neighbourhood is the gadget's ``neighbourhood``:
+    condition (i) is a gadget touching just one parametrised spider, and
+    (ii) two gadgets with equal neighbourhoods, whose axes are never
+    adjacent (each would be in its own neighbourhood).  Pairs come sorted.
     """
     gadgets = _parametrised_gadgets(d)
     _require_shape(d, gadgets)
-    return _zz_pairs(d, gadgets)
-
-
-def _zz_pairs(d: Diagram, gadgets: Sequence[GadgetView]) -> List[Tuple[Tuple[int, int], str]]:
-    """``zz_certificate`` on a diagram of the plugged-GSLC shape, given its
-    parametrised gadgets (in that shape every gadget is parametrised).
-
-    A gadget's phase spider is an H leg at its axis, and any other
-    parametrised spider an I leg at itself.  An axis is internal with one
-    plug, so its graph neighbourhood is the gadget's ``neighbourhood``:
-    condition (i) is a gadget touching just one parametrised spider, and
-    (ii) two gadgets with equal neighbourhoods, whose axes are never
-    adjacent (each would be in its own neighbourhood).  Pairs come sorted."""
     found = []
     groups: Dict[FrozenSet[int], List[int]] = {}
     for g in gadgets:
@@ -386,15 +381,17 @@ def optimality_certificate(d: Diagram) -> CertificateReport:
     """The executable optimality conditions for a terminal diagram.
 
     Passing certifies the parameter count is minimal: every gadget touches
-    at least two vertices, gadget neighbourhoods are pairwise distinct, no
-    weight-2 Z x Z stabiliser connects two parameter legs, and no
-    parametrised spider is isolated.
+    at least two vertices (a), gadget neighbourhoods are pairwise distinct
+    (b), no weight-2 Z x Z stabiliser connects two parameter legs (c), and
+    no parametrised spider is isolated (d).  Each defect is reported once:
+    in this shape a pair of condition (c)(i) is a gadget over a single
+    parametrised spider, which (a) names, and a pair of (c)(ii) is two
+    gadgets with one neighbourhood, which (b) names (see
+    ``zz_certificate``), so (c) has no entry of its own.
     """
     gadgets = _parametrised_gadgets(d)
     _require_shape(d, gadgets)
     failures = _gadget_failures(gadgets)
-    for pair, condition in _zz_pairs(d, gadgets):
-        failures.append(f"(c) legs {pair} admit a ZZ stabiliser, condition ({condition})")
     params = d.param_exprs()
     for v in params:
         if d.degree(v) == 0:

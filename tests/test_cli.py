@@ -177,9 +177,10 @@ def test_bad_seed_or_tolerance_exits_1(tmp_path, capsys, command, bad):
     assert err.count("\n") == 1 and err.startswith("bad configuration")
 
 
-@pytest.mark.parametrize("command", ["verify", "oracle"])
+@pytest.mark.parametrize("command", ["oracle"])
 def test_samples_above_the_cap_exit_1(tmp_path, capsys, command):
-    # every sample costs time, and the oracle keeps one image per sample
+    # every sample costs time, and the oracle keeps one image per sample;
+    # verify takes no samples (see MALFORMED)
     assert main(cli_args(tmp_path, command) + ["--samples", str(MAX_SAMPLES)]) == 0
     capsys.readouterr()
     for bad in (MAX_SAMPLES + 1, 100_000_000):
@@ -198,6 +199,8 @@ MALFORMED = {
     "optimize-tol": ["optimize", "{src}", "--tol", "1e-9"],
     "optimize-oracle-max-params": ["optimize", "{src}", "--oracle-max-params", "4"],
     "verify-oracle-max-params": ["verify", "{src}", "{opt}", "{map}", "--oracle-max-params", "4"],
+    "verify-samples": ["verify", "{src}", "{opt}", "{map}", "--samples", "5"],
+    "verify-tol": ["verify", "{src}", "{opt}", "{map}", "--tol", "1e-9"],
     "verify-two-paths": ["verify", "{src}", "{opt}"],
     "verify-four-paths": ["verify", "{src}", "{opt}", "{map}", "{src}"],
     "oracle-two-paths": ["oracle", "{src}", "{opt}"],
@@ -332,15 +335,16 @@ def fresh_main(argv):
 
 
 def test_cold_start_loads_numpy_only_to_simulate(tmp_path, capsys):
-    # importing the package and optimising never import numpy;
-    # verify and oracle import it on first use and behave as in this process
+    # importing the package, optimising and verifying (zxparam.frame and the
+    # certificate) never import numpy; oracle simulates, so it imports numpy
+    # on first use; both behave as in this process
     src = write(tmp_path, "in.zxc", "qreg 2\nrz(t0) 0\ncx 0 1\nrz(t1) 0\ncx 0 1\nh 1\nrz(t2) 1\n")
     assert fresh_main(["optimize", str(src)])[:2] == (0, False)
     opt, mapping = tmp_path / "in.zxc.opt", tmp_path / "in.zxc.map.json"
-    for argv in (["verify", str(src), str(opt), str(mapping)], ["oracle", str(src)]):
+    for argv, simulates in ((["verify", str(src), str(opt), str(mapping)], False), (["oracle", str(src)], True)):
         capsys.readouterr()
         code = main(argv)
-        assert fresh_main(argv) == (code, True, capsys.readouterr().out)
+        assert fresh_main(argv) == (code, simulates, capsys.readouterr().out)
 
 
 def test_optimize_multiple_inputs(tmp_path):
@@ -358,7 +362,8 @@ def test_verify_report_file(tmp_path):
     verify_report = tmp_path / "verify.json"
     assert main(["verify", str(src), str(out), str(report), "--report", str(verify_report)]) == 0
     payload = json.loads(verify_report.read_text())
-    assert payload["proportionality"]["holds"] is True
+    assert payload["exact"] == {"holds": True, "failure": None}
+    assert payload["merge_bound"] == 1
     assert payload["certificate"]["passed"] is True
 
 
@@ -370,30 +375,33 @@ def test_verify_rejects_unoptimised_output(tmp_path, capsys):
     assert "FAILED optimality" in capsys.readouterr().out
 
 
-def test_verify_names_first_failing_sample(tmp_path, capsys):
-    # t0 and t1 sit on different parities: fusing them fails at the sample t1 = pi
-    src = write(tmp_path, "in.zxc", "qreg 2\nrz(t0) 0\ncx 0 1\nrz(t1) 1\n")
-    fused = write(tmp_path, "fused.zxc", "qreg 2\nrz(u0) 0\ncx 0 1\n")
-    mapping = ReductionMap(("t0", "t1"), ("u0",), ((("t0", 1), ("t1", 1)),), (0,))
-    bad = write(tmp_path, "fused.json", mapping.to_text())
+def test_verify_names_the_failed_condition(tmp_path, capsys):
+    # t0 and t1 sit on different parities: fused, t1 turns from Z0 Z1 into Z0
     verify_report = tmp_path / "verify.json"
-    assert main(["verify", str(src), str(fused), str(bad), "--report", str(verify_report)]) == 3
-    assert "first failing sample 2 " in capsys.readouterr().out
-    deviations = json.loads(verify_report.read_text())["proportionality"]["deviations"]
-    assert deviations[:2] == [0.0, 0.0] and deviations[2] > 1e-9
+    assert main(wrong_fusion_args(tmp_path) + ["--report", str(verify_report)]) == 3
+    reason = "condition (ii): t1 acts on different Paulis in the two circuits"
+    assert capsys.readouterr().out == f"verify: FAILED exact check, {reason}\n"
+    assert json.loads(verify_report.read_text())["exact"] == {"holds": False, "failure": reason}
 
 
 def wide(n):
     return f"qreg {n}\nh 0\nrz(t0) 0\ncx 0 {n - 1}\nrz(t1) {n - 1}\n"
 
 
-def test_verify_too_many_qubits_exits_1(tmp_path, capsys):
-    identity = write(tmp_path, "id.json", ReductionMap.identity(["t0", "t1"]).to_text())
-    for n in (40, 17):  # the probe state limit is 16 qubits
-        src = write(tmp_path, "wide.zxc", wide(n))
-        assert main(["verify", str(src), str(src), str(identity)]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f"{n} qubits" in err
+def test_verify_decides_past_the_probe_limit(tmp_path, capsys):
+    # the exact check keeps no state vector, so the 16-qubit probe limit of
+    # check_reduction does not apply: a correct map passes, a wrong fusion fails
+    fused = ReductionMap(("t0", "t1"), ("u0",), ((("t0", 1), ("t1", 1)),), (0,))
+    mapping = write(tmp_path, "fused.json", fused.to_text())
+    for n in (40, 17):
+        code, src, out, report = run_optimize(tmp_path, wide(n))
+        assert code == 0
+        assert main(["verify", str(src), str(out), str(report)]) == 0
+        assert "verify: OK (exact check passed, merge bound 2;" in capsys.readouterr().out
+        wrong = write(tmp_path, "fused.zxc", f"qreg {n}\nh 0\nrz(u0) 0\ncx 0 {n - 1}\n")
+        assert main(["verify", str(src), str(wrong), str(mapping)]) == 3
+        assert capsys.readouterr().out == \
+            "verify: FAILED exact check, condition (ii): t1 acts on different Paulis in the two circuits\n"
 
 
 def test_oracle_too_many_qubits_exits_1(tmp_path, capsys):
@@ -417,11 +425,13 @@ def test_qreg_above_max_qubits_exits_1(tmp_path, capsys, command, width):
 
 
 def test_verify_past_the_dense_limit(tmp_path, capsys):
-    # 12 qubits: a dense unitary check was refused, the probe check takes well under a second
+    # 12 qubits: a dense unitary check was refused, the exact check takes milliseconds
     code, src, out, report = run_optimize(tmp_path, emit_circuit(random_circuit(Random(12), 12, 300, 60)))
     assert code == 0
+    count = len(parse_circuit(out.read_text()).params)
     assert main(["verify", str(src), str(out), str(report)]) == 0
-    assert "verify: OK (66 samples" in capsys.readouterr().out
+    assert capsys.readouterr().out.endswith(
+        f"verify: OK (exact check passed, merge bound {count}; certificate passed, {count} parameters)\n")
 
 
 def test_non_integer_env_seed_exits_1(tmp_path, monkeypatch, capsys):
@@ -462,19 +472,18 @@ def test_conversion_failure_exits_2(tmp_path, monkeypatch, capsys, command):
 
 def wrong_fusion_args(tmp_path):
     """verify on a map that fuses t0 and t1, which sit on different parities:
-    the ratio check fails from the sample t1 = pi on."""
+    the exact check fails condition (ii) at t1."""
     src = write(tmp_path, "in.zxc", "qreg 2\nrz(t0) 0\ncx 0 1\nrz(t1) 1\n")
     fused = write(tmp_path, "fused.zxc", "qreg 2\nrz(u0) 0\ncx 0 1\n")
     mapping = ReductionMap(("t0", "t1"), ("u0",), ((("t0", 1), ("t1", 1)),), (0,))
     return ["verify", str(src), str(fused), str(write(tmp_path, "fused.json", mapping.to_text()))]
 
 
-WRONG_FUSION_LINE = ("verify: FAILED proportionality, max deviation 1.566e+00, "
-                     "first failing sample 2 (deviation 1.566e+00)\n")
+WRONG_FUSION_LINE = "verify: FAILED exact check, condition (ii): t1 acts on different Paulis in the two circuits\n"
 
 
 def test_failed_ratio_check_skips_the_certificate(tmp_path, monkeypatch, capsys):
-    # the certificate is not read after a failed ratio check, so simplify
+    # the certificate is not read after a failed exact check, so simplify
     # never runs: not even a simplify that would fail turns exit 3 into 2
     def refuse(*args, **kwargs):
         raise NotTerminalForm("simplify must not run")
@@ -499,7 +508,7 @@ def test_failed_ratio_check_reports_the_certificate(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().out == WRONG_FUSION_LINE
     assert len(calls) == 1
     payload = json.loads(verify_report.read_text())
-    assert list(payload) == ["proportionality", "certificate"]
+    assert list(payload) == ["exact", "merge_bound", "certificate"]
     assert json.dumps(payload["certificate"]) == \
         '{"passed": true, "failures": [], "n_parameters": 2, "n_gadgets": 0}'
 

@@ -10,13 +10,16 @@ Each ``GOLDEN_VERIFY`` entry pins the exit code, stdout and ``--report`` JSON
 of ``zxparam verify`` on one circuit and one map (the optimiser's own, one
 that fuses two different parities, and the identity on the unoptimised
 circuit), run with and without ``--report``; each ``GOLDEN_ORACLE`` entry pins
-the same for ``zxparam oracle``.  They were recorded before the sample dicts
-of ``check_reduction`` and ``brute_force_min`` became one array, and before
-``verify`` skipped the certificate after a failed ratio check.  Ratios and
-deviations differ in their last bits between numpy builds and CPUs (most
-deviations of a passing check are rounding noise near 1e-16), so every float
-in the output is rounded to 9 decimals before hashing; the exit code, the
-verdicts, the counts and all other text are hashed as they are.
+the same for ``zxparam oracle``.  The oracle digests were recorded before
+the sample dicts of ``brute_force_min`` became one array.  The verify
+digests were recorded again when ``verify`` replaced the sampled ratio check
+with the exact Pauli-frame check and the merge bound, and the certificate
+stopped reporting one defect twice; every case kept its exit code and its
+OK or FAILED verdict.  Ratios and deviations differ in their last bits
+between numpy builds and CPUs (most deviations of a passing check are
+rounding noise near 1e-16), so every float in the output is rounded to 9
+decimals before hashing; the exit code, the verdicts, the counts and all
+other text are hashed as they are.
 
 Regenerate (only after a deliberate change of the output):
 
@@ -212,38 +215,38 @@ def oracle_digest(directory: Path, c: Circuit, seed: int) -> str:
 
 
 GOLDEN_VERIFY: Dict[str, str] = {
-    "vr2q12g-0.correct": "7bcd7a81b3d066f848284f2ea5221f7ffb1de8ae7ea528f54a94c10a13b59b11",
-    "vr2q12g-0.identity": "7bcd7a81b3d066f848284f2ea5221f7ffb1de8ae7ea528f54a94c10a13b59b11",
-    "vr3q20g-0.correct": "c1ec11fd5557b8d1435e10bd856ac21dba5b8d8788b2d5b3619f07d4eacad526",
-    "vr3q20g-0.wrong_parity": "a99d70cfb7013adea63b88563b9587d78240c434e1c6a8750d1d66ba0fb283cb",
-    "vr3q20g-0.identity": "ccf787ecb34d9390a1735bd6e1c16dd711f26e64416e4dfb48e73fa3faaaa01c",
-    "vr3q20g-1.correct": "91a098fb10adaa2da90810af191126ea6b6cd617bff58ce6cc4bbde8e01be76b",
-    "vr3q20g-1.wrong_parity": "249f16807c6c2172eea75d8748e7715397c87ce7204520b6938d4754cb8e35b4",
-    "vr3q20g-1.identity": "91a098fb10adaa2da90810af191126ea6b6cd617bff58ce6cc4bbde8e01be76b",
-    "vr4q30g-0.correct": "0b464750246c50e746e49450842c7dadfbfc2710504cebd928c1ffdea72b0b6b",
-    "vr4q30g-0.wrong_parity": "280765c5722b6925d083e540bdc9a9ced6296e40feadee381c2e78fb62f2c9fd",
-    "vr4q30g-0.identity": "0e1f36e4a49050c394ed68c788e311805974bf60e505cd48c5fb8151d97dba96",
-    "vr4q30g-1.correct": "647bee22a1e82e2ed4813058c604b69b4f435099e87e08404d980e25c74d9b74",
-    "vr4q30g-1.wrong_parity": "161f1b80ebe32b9854ea1d3caf798178888579dc14e311c95ea4e703bf643608",
-    "vr4q30g-1.identity": "b998b595e6dd1bdbc0474b456278777970968b1efeda77f70656ae02ac118087",
-    "vr6q60g-0.correct": "5c72fefab7c9092ef787508d4d6d6c3d54770c3e9ab518544a44df603c24e9a8",
-    "vr6q60g-0.wrong_parity": "362daa95d1da5fc5550a2ecd61e9ad8dfc70a23bc6a7776d76f72bfb0217598e",
-    "vr6q60g-0.identity": "ba968532ebe4ba378c830e20cc88e829a0e4d174fffe2dcb72990a5b0eb39c92",
-    "vr6q60g-1.correct": "aa3724b6d09b8de3f2054ff674a172e619c50d9727442c96290d9dcac411d38b",
-    "vr6q60g-1.wrong_parity": "a62d68e6e73c6ecdeb456fb88329c3913ef10291af11bc4a9a06c42c504f3ad4",
-    "vr6q60g-1.identity": "e78c57b9be72f283b28a456dccc5cc730727c58016da7e5bc6620592dd6f6869",
-    "vp5q40g-0.correct": "b39beac7241a39156382c0a05c13771ff1adf54606fdb4c7e1e0dae66e8ceae6",
-    "vp5q40g-0.wrong_parity": "801da1fc288e00f901bd1a70aa68a089a481bf0f4cf62d6f37cda58da8da2760",
-    "vp5q40g-0.identity": "f6ecbc16d9f03aa793c375382378a6c329f78f1b3f818a320321c9e9785bd577",
-    "vp5q40g-1.correct": "6ddc1f08e20a6e1af9677e9a0a2e56a577f0df15501762a2ac745120dfc71bc1",
-    "vp5q40g-1.wrong_parity": "069fe23a86e1833495881337773fa1e67bae262cbf89255e7f74ac716bd54e38",
-    "vp5q40g-1.identity": "6ddc1f08e20a6e1af9677e9a0a2e56a577f0df15501762a2ac745120dfc71bc1",
-    "vp6q60g-0.correct": "b4b79a237c944385bc35feec08cdcd109622aa49d133f39a603389fc9802dad0",
-    "vp6q60g-0.wrong_parity": "2dee301613acb1fae49c48403db9724140baf986c37e8d095d9563764b2dae62",
-    "vp6q60g-0.identity": "723752e5c51b7d9ba60a8965175028762c8d5993071ec0b2aa7a599188933a96",
-    "vp6q60g-1.correct": "afbacacb99839eb97446935ac0f1ebd4cb36d79ce5188ef69a553b2bcb78b445",
-    "vp6q60g-1.wrong_parity": "257b1b4fd3be04b2c64b0441df5f96ba17c63115ee71fb3edc3f2cebbc745dd6",
-    "vp6q60g-1.identity": "19464d1c86ae464b3f65efc10bb56b82e2d960615d48cd17b5f24b8af4cfcc68",
+    "vr2q12g-0.correct": "7a497bde0125cc0d25a5c2267495459b37236f2bad89449b415827db41255e61",
+    "vr2q12g-0.identity": "7a497bde0125cc0d25a5c2267495459b37236f2bad89449b415827db41255e61",
+    "vr3q20g-0.correct": "4ab14ad29be2be4abbbc421f20f38f2a2752844c0b8537b670d38b0741393b38",
+    "vr3q20g-0.wrong_parity": "65a201a986938ab0da0e37edf170a141d7ef67cd47c039ea2e7152916757a457",
+    "vr3q20g-0.identity": "d4942da7b8ef04164a7ed1b8c9e5fc8038b39157f312ceb9e56fe1e3fe7c3f4e",
+    "vr3q20g-1.correct": "a90d13bdf3b5088069327aed99e592a52fa1a837c2eace38bc720c3ea6517a1b",
+    "vr3q20g-1.wrong_parity": "0d5dfbf4bf25c04d317bcdc8e4ff87ce8029dff7fec2fce82f993856b9a63b8e",
+    "vr3q20g-1.identity": "a90d13bdf3b5088069327aed99e592a52fa1a837c2eace38bc720c3ea6517a1b",
+    "vr4q30g-0.correct": "3547031aa4a35917ada88ca3536714fae5620383510e45c75793b742269e560e",
+    "vr4q30g-0.wrong_parity": "e310bc38be0d9dd3d1ec411d03117ea637ba784d90b4909f491d98ad8272a71c",
+    "vr4q30g-0.identity": "0b7c8f02731912172ca01bd00f69806d2fab40f9d495698e79eddbfc2a635fc7",
+    "vr4q30g-1.correct": "656dcc9fee1c21014d58f313bc7fd068f39c267a190bed06b0ee5dd9cce221ff",
+    "vr4q30g-1.wrong_parity": "8512bde988edf32372fc3ebb592c710278f06703b92ef80be618be7b8592ea92",
+    "vr4q30g-1.identity": "cb11b205a8741ba71c573efbf1c389e6fa3d9bf916510d3b1a73a43d50e3f7a3",
+    "vr6q60g-0.correct": "b2440e766e7d610c765f7b24fd6a73ac79301a25820938976e13eceac16c7129",
+    "vr6q60g-0.wrong_parity": "f0acb143196ae419a344c86f21f6afc3bf186c8587a70c4d2eddcb66d6cd4d84",
+    "vr6q60g-0.identity": "b5ff51787c6c9c28c28cb3ab24aef1d97ecb67919f3a2597bc893bacfbde3685",
+    "vr6q60g-1.correct": "a325bf7163ea81d245f3688337164121a428b23350c40ddfa5ce92c0d7793740",
+    "vr6q60g-1.wrong_parity": "de02150e26cebeb8150963874e80b96f34fd5e403bcaa0459fa4c2052b0b5a7e",
+    "vr6q60g-1.identity": "fdb96e39388951489a862ba4019918725d5acd211b73d7c2adce67e39f400875",
+    "vp5q40g-0.correct": "4ab14ad29be2be4abbbc421f20f38f2a2752844c0b8537b670d38b0741393b38",
+    "vp5q40g-0.wrong_parity": "bde6bdb4e47e31c00006e486f0d064a51996efdbbe1e492581bea5e265c64cdc",
+    "vp5q40g-0.identity": "7e78de605244b553978480c099999da4b09fa7791c79cc70ad26b684288d61b8",
+    "vp5q40g-1.correct": "a2ae0ae7514fa969362dad11e51a2d790b4a6a0c3a44201090e004b2029cc35a",
+    "vp5q40g-1.wrong_parity": "9a4e235dafac33cbfe7bf46a2ca826e1ce007443e86fecdbd3cd07e1f16d5283",
+    "vp5q40g-1.identity": "a2ae0ae7514fa969362dad11e51a2d790b4a6a0c3a44201090e004b2029cc35a",
+    "vp6q60g-0.correct": "5b6b4d7b664113316aa487091b58822d0c3dacfd4cc053d47988adbec6088761",
+    "vp6q60g-0.wrong_parity": "34083769df963d1988bf6c2dae1eacc04acae71b341eeba0d9e10fea9b5426d0",
+    "vp6q60g-0.identity": "9b62971b258035d61a10d3b380071779eecd897150aec1e7b9085dc7c11bf5cd",
+    "vp6q60g-1.correct": "525afafcf3fae360c700b1fb85acf19d7b0349912ce98682ddd7d9472ce3ac43",
+    "vp6q60g-1.wrong_parity": "9944f0dfd8122625dfeb784c2cd1142d185448b2217fcd8c5d8af76441634061",
+    "vp6q60g-1.identity": "629db137e7615de8c0b5075c14b6bca9daef15b0626f6b9960e9e94c84b21642",
 }
 
 GOLDEN_ORACLE: Dict[str, str] = {

@@ -86,8 +86,17 @@ def reference_certificate(d):
     gadgets = verify._parametrised_gadgets(d)
     verify._require_shape(d, gadgets)
     failures = verify._gadget_failures(gadgets)
-    failures += [f"(c) legs {pair} admit a ZZ stabiliser, condition ({condition})"
-                 for pair, condition in reference_pairs(d, gadgets)]
+    # a pair of legs gets a (c) entry only when (a) or (b) does not already
+    # name its defect: a gadget with fewer than two neighbours, or two
+    # gadgets with one neighbourhood
+    hood = {g.phase_spider: g.neighbourhood for g in gadgets}
+    for pair, condition in reference_pairs(d, gadgets):
+        gadget_legs = [v for v in pair if v in hood]
+        if any(len(hood[v]) < 2 for v in gadget_legs):
+            continue
+        if len(gadget_legs) == 2 and hood[pair[0]] == hood[pair[1]]:
+            continue
+        failures.append(f"(c) legs {pair} admit a ZZ stabiliser, condition ({condition})")
     legs = [v for v in d.spiders() if not d.phase(v).is_clifford()]
     failures += [f"(d) parametrised spider {v} is isolated" for v in legs if d.degree(v) == 0]
     return {"passed": not failures, "failures": failures, "n_parameters": len(legs), "n_gadgets": len(gadgets)}

@@ -400,18 +400,23 @@ def test_optimality_certificate_flags_identical_neighbourhoods():
         s = d.add_spider(Phase(0))
         d.add_edge(s, out, EdgeKind.PLAIN)
         targets.append(s)
-    attach_gadget(Random(0), d, targets, 0, Phase.of("a"))
-    attach_gadget(Random(0), d, targets, 0, Phase.of("b"))
+    a1, _ = attach_gadget(Random(0), d, targets, 0, Phase.of("a"))
+    a2, _ = attach_gadget(Random(0), d, targets, 0, Phase.of("b"))
     report = optimality_certificate(d)
     assert not report.passed
-    assert any(f.startswith("(b)") for f in report.failures)
+    # one failure per defect: the pair of legs that condition (c)(ii) finds
+    # is the same defect, and has no entry of its own
+    assert len(zz_certificate(d)) == 1
+    assert report.failures == [f"(b) gadgets at axes {a1} and {a2} share a neighbourhood"]
 
 
 def test_optimality_certificate_flags_degree_one_gadget():
     d, w, leaf = build_i_h_pair()
     report = optimality_certificate(d)
     assert not report.passed
-    assert any(f.startswith("(a)") for f in report.failures)
+    # condition (c)(i) finds the same gadget, and adds no entry
+    assert zz_certificate(d) == [((w, leaf), "i")]
+    assert len(report.failures) == 1 and report.failures[0].startswith("(a)")
 
 
 def test_optimality_certificate_flags_isolated_parameter():
