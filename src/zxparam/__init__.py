@@ -5,13 +5,13 @@ simplify the diagram to its pseudo-normal form while tracking how symbolic
 parameters merge, then either read off the affine parameter map or apply it
 in place on the original circuit (phase teleportation).  A separate verifier
 provides an exact Pauli-frame equivalence check with the rotation-merging
-bound (``zxparam.frame``, which only ``zxparam verify`` imports), exact
-tensor evaluation, proportionality checking, stabiliser-based optimality
-certificates and a brute-force minimality oracle.
+bound (``zxparam.frame``, which ``zxparam verify`` and ``brute_force_min``
+import on first use), exact tensor evaluation, proportionality checking,
+stabiliser-based optimality certificates and a brute-force minimality oracle
+decided on the Pauli frame.
 
 numpy is imported by the functions that compute with it, on first use:
-importing the package, optimising a circuit and verifying an optimised one
-never load it.
+importing the package and running any ``zxparam`` command never load it.
 """
 
 from .params import Phase

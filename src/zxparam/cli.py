@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 a malformed command line or ``ZXPARAM_SEED``
 (one stderr line starting ``bad configuration:``), a parse error (including
-a qreg wider than circuits.MAX_QUBITS), an oracle refusal, or a file that
-cannot be read or written, 2 internal invariant violation, 3 verification
+a qreg wider than circuits.MAX_QUBITS), an oracle past its parameter limit,
+a Pauli frame past frame.MAX_FRAME_AREA, or a file that cannot be read or
+written, 2 internal invariant violation, 3 verification
 failure, 4 the brute-force oracle beat the optimiser (impossible unless the
 optimiser is buggy).
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -21,7 +21,7 @@ from typing import Any, Callable, List, NoReturn, Optional
 from .circuits import circuit_to_diagram, emit_circuit, parse_circuit
 from .errors import DimensionMismatch, TooLarge, TooManyParams, ZXParamError
 from .reduction import ReductionMap, phase_teleport, simplify
-from .verify import MAX_ORACLE_PARAMS, MAX_SAMPLES, brute_force_min, optimality_certificate
+from .verify import MAX_ORACLE_PARAMS, brute_force_min, optimality_certificate
 from .verify import check_reduction  # noqa: F401  unused here; perfbench/spans.py wraps this name
 
 EXIT_OK = 0
@@ -122,7 +122,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .frame import exact_check, merge_bound  # imported here: optimize's cold start never compiles it
     try:
         failure = exact_check(original, optimised, reduction)
-    except DimensionMismatch as exc:
+    except (DimensionMismatch, TooLarge) as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return EXIT_USAGE
     verdict = None if failure is None else f"verify: FAILED exact check, {failure}"
@@ -168,9 +168,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print(f"{path}: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        result = brute_force_min(circuit, tol=args.tol,
-                                 max_params=args.oracle_max_params,
-                                 n_samples=args.samples, seed=args.seed)
+        result = brute_force_min(circuit, max_params=args.oracle_max_params)
     except (TooManyParams, TooLarge) as exc:
         print(f"oracle: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -182,14 +180,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print(f"min = {result.count}")
     for i in range(len(result.witness.new_param_names)):
         print(f"  {result.witness.row_string(i)}")
-    if result.trivial:
-        print(f"  trivial parameters: {', '.join(result.trivial)}")
     if args.report:
         _atomic_write(args.report, json.dumps({
             "min": result.count,
             "witness": result.witness.to_dict(),
             "optimizer_count": len(optimised.circuit.params),
-            "trivial": list(result.trivial),
+            "trivial": [],  # every rz rotates about a non-identity Pauli
         }, indent=2) + "\n")
     if result.count < len(optimised.circuit.params):
         print(f"oracle: BUG — oracle found {result.count} < optimiser "
@@ -241,10 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (optimize, verify, oracle):
         p.add_argument("--seed", type=_seed, help="deterministic seed (default: ZXPARAM_SEED or 0)")
         p.add_argument("--report", type=Path)
-    oracle.add_argument("--samples", type=_int_between(2, MAX_SAMPLES), default=5,
-                        help=f"random samples on top of the structured set (2 to {MAX_SAMPLES})")
-    oracle.add_argument("--tol", type=_checked(float, lambda v: v > 0 and math.isfinite(v),
-                                               "a positive finite number"), default=1e-9)
     return parser
 
 

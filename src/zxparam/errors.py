@@ -33,8 +33,10 @@ class NotApplicable(ZXParamError):
 class TooLarge(ZXParamError):
     """Exact evaluation refused: a diagram with too many open wires for
     ``tensor_eval``, a circuit with more than MAX_UNITARY_QUBITS qubits for
-    the dense ``circuit_unitary``, or with more than MAX_PROBE_QUBITS qubits
-    for its probe states (``check_reduction``, ``brute_force_min``)."""
+    the dense ``circuit_unitary``, with more than MAX_PROBE_QUBITS qubits for
+    its probe states (``check_reduction``), or whose Pauli frame passes
+    ``frame.MAX_FRAME_AREA`` (``exact_check``, ``merge_bound``,
+    ``brute_force_min``)."""
 
 
 class MissingAssignment(ZXParamError):

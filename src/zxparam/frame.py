@@ -27,6 +27,9 @@ necessary; a reordering whose inverted pairs all commute is a chain of swaps
 of adjacent commuting rotations, so together they suffice.  The check
 decides rather than samples, at any width, in time and memory linear in the
 gates for a fixed width, plus the pairs of rows that change order.
+``rotation_check`` is conditions (ii) and (iii) alone; ``brute_force_min``
+runs it on each candidate map, whose circuit has the Clifford part and the
+surviving rotations of the original.
 
 ``merge_bound`` is the rotation-merging count M (Zhang & Chen, arXiv
 1903.12456): scanning the rotations in gate order, a rotation joins the
@@ -37,16 +40,20 @@ parameters suffice: M bounds the optimum from above.
 
 A Pauli is kept as int bitmasks over the qubits of its component: qubits
 joined by two-qubit gates share one, and their bits are numbered within it,
-so the masks are as wide as the component rather than the register.
-Nothing here imports numpy.
+so the masks are as wide as the component rather than the register.  A
+dense tableau still costs bits quadratic in the width, so a layout whose
+components sum past MAX_FRAME_AREA in width times (width + parameters) is
+refused with TooLarge before any mask is built.  Nothing here imports numpy.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .circuits import Circuit, GateKind
+from .errors import TooLarge
 from .reduction import ReductionMap
 
 _H, _X, _CZ, _CX = GateKind.H, GateKind.X, GateKind.CZ, GateKind.CX
@@ -57,11 +64,19 @@ Image = Tuple[int, int, int]  # (x, z, r): the Pauli i^r X^x Z^z
 Key = Tuple[int, int, int]  # (component, x, z): a Hermitian Pauli without its sign
 Rotation = Tuple[Key, int]  # a Pauli and its sign, +1 or -1
 
+# A dense tableau of a component of width w holds up to 4 w^2 mask bits, and
+# each parameter on it 2 w.  2^29 admits a 16,384-qubit component with as
+# many parameters (the exact check of a 16,384-qubit CX staircase against
+# itself takes 127 MB), and refuses the ~2 GB frames of 65,536 chained qubits.
+MAX_FRAME_AREA = 1 << 29
 
-def _layout(circuits: Iterable[Circuit]) -> Dict[int, Tuple[int, int]]:
+
+def _layout(circuits: Sequence[Circuit]) -> Dict[int, Tuple[int, int]]:
     """Each qubit that a gate of ``circuits`` acts on, as (component, bit):
     the component is named by one of its qubits, and ``bit`` is the
-    qubit's mask within it, in the order the gates first reach it."""
+    qubit's mask within it, in the order the gates first reach it.  Raises
+    TooLarge, before any mask is built, when the components' sum of width
+    times (width + parameters on it) exceeds MAX_FRAME_AREA."""
     parent: Dict[int, int] = {}
 
     def root(q: int) -> int:
@@ -76,6 +91,12 @@ def _layout(circuits: Iterable[Circuit]) -> Dict[int, Tuple[int, int]]:
                 parent.setdefault(q, q)
             if len(qubits) == 2:
                 parent[root(qubits[1])] = root(qubits[0])
+    widths = Counter(root(q) for q in parent)
+    params = Counter(root(g.qubits[0]) for c in circuits for g in c.gates if g.kind is _RZ_PARAM)
+    area = sum(w * (w + params[r]) for r, w in widths.items())
+    if area > MAX_FRAME_AREA:
+        raise TooLarge(f"Pauli frame too large: width x (width + parameters) sums to {area} over the "
+                       f"components, above {MAX_FRAME_AREA}; the widest has {max(widths.values())} qubits")
     sizes: Dict[int, int] = {}
     layout = {}
     for q in parent:
@@ -140,10 +161,17 @@ def _frame(c: Circuit, layout: Mapping[int, Tuple[int, int]], constants: Mapping
     return rotations, xs, zs
 
 
+def rotations(c: Circuit) -> Dict[str, Rotation]:
+    """The signed Pauli of every parameter of ``c``, on its own layout."""
+    c.validate()
+    return _frame(c, _layout((c,)))[0]
+
+
 def exact_check(c1: Circuit, c2: Circuit, reduction: ReductionMap) -> Optional[str]:
     """None if ``c1(a)`` is proportional to ``c2(P a + c)`` at every ``a``;
     otherwise the first failed condition, and the qubit or the parameters it
-    concerns.  Raises DimensionMismatch as ``check_reduction`` does."""
+    concerns.  Raises DimensionMismatch as ``check_reduction`` does, and
+    TooLarge past MAX_FRAME_AREA."""
     reduction.check_circuits(c1, c2)
     c1.validate()
     c2.validate()
@@ -153,9 +181,18 @@ def exact_check(c1: Circuit, c2: Circuit, reduction: ReductionMap) -> Optional[s
     if xs1 != xs2 or zs1 != zs2:
         q = min(q for q in layout if xs1[q] != xs2[q] or zs1[q] != zs2[q])
         return f"condition (i): the Clifford parts differ on qubit {q}"
+    return rotation_check(reduction, c2.params, rotations1, rotations2)
+
+
+def rotation_check(reduction: ReductionMap, params2: Sequence[str], rotations1: Mapping[str, Rotation],
+                   rotations2: Mapping[str, Rotation]) -> Optional[str]:
+    """Conditions (ii) and (iii): None if they hold, otherwise the first
+    failure.  ``rotations1`` and ``rotations2`` are the Paulis of the two
+    circuits on one layout, and ``params2`` the second circuit's parameters
+    in gate order."""
     row_of = {p: (name, sign) for name, terms in zip(reduction.new_param_names, reduction.rows)
               for p, sign in terms}
-    for p in c1.params:
+    for p in reduction.params_in:
         if p not in row_of:
             return f"condition (ii): {p} is in no row of the map"
         name, sign = row_of[p]
@@ -164,17 +201,18 @@ def exact_check(c1: Circuit, c2: Circuit, reduction: ReductionMap) -> Optional[s
             return f"condition (ii): {p} acts on different Paulis in the two circuits"
         if sign1 != sign * sign2:
             return f"condition (ii): {p} has opposite signs in the two circuits"
-    return _reordered(c1.params, c2.params, reduction, rotations2)
+    return _reordered(reduction, params2, rotations2)
 
 
-def _reordered(params1: Sequence[str], params2: Sequence[str], reduction: ReductionMap,
-               rotations2: Mapping[str, Rotation]) -> Optional[str]:
+def _reordered(reduction: ReductionMap, params2: Sequence[str], rotations2: Mapping[str, Rotation]
+               ) -> Optional[str]:
     """Condition (iii), given (ii).  Every parameter of a row then has the
     row's Pauli up to sign, so a row R placed before a row S in ``c2`` must
     commute with S when some parameter of S comes before one of R in
     ``c1``.  Rows are taken in ``c2`` order, and each is compared only with
     the earlier rows that it overtakes: those whose last parameter in ``c1``
     follows its first."""
+    params1 = reduction.params_in
     position1 = {p: i for i, p in enumerate(params1)}
     position2 = {u: i for i, u in enumerate(params2)}
     rows = sorted((position2[name], min(position1[p] for p, _ in terms),
@@ -195,9 +233,8 @@ def _reordered(params1: Sequence[str], params2: Sequence[str], reduction: Reduct
 def merge_bound(c: Circuit) -> int:
     """The rotation-merging count M of ``c``: an affine map to M parameters
     exists, so the optimum is at most M."""
-    c.validate()
-    rotations, _, _ = _frame(c, _layout((c,)))
-    keys = [rotations[p][0] for p in c.params]
+    paulis = rotations(c)
+    keys = [paulis[p][0] for p in c.params]
     latest: Dict[Key, int] = {}  # a Pauli -> the index of its last rotation so far
     groups = 0
     for j, key in enumerate(keys):

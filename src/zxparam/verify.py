@@ -4,35 +4,33 @@ certificate, and a brute-force minimal-parameter-count search.
 
 Everything here answers "is the optimiser right?" without reusing the
 optimiser's code paths: circuits are evaluated by the gate-by-gate
-simulator ``circuit_unitary``, stabiliser facts are read off the graph
-directly, and the brute force enumerates all in-place parsimonious maps.
+simulator ``circuit_unitary`` or on the Pauli frame of ``frame.py``,
+stabiliser facts are read off the graph directly, and the brute force
+enumerates all in-place parsimonious maps.
 
-Circuits are compared at the sample points on one seeded random input,
-``probe_state``, rather than as 2^n x 2^n matrices: the images of the probe
-are proportional exactly when the unitaries are, almost surely, and cost
-O(g 2^n) instead of O(g 4^n).  The sample points are one (S, k) angle array,
-``sample_array``, in parameter order (``structured_samples`` is its rows as
-dicts); ``ReductionMap.apply_array`` maps it onto the optimised circuit's
-parameters, and ``circuit_unitary`` reads its phases off the columns.  The
-images are computed as stacks of as many samples as fit in BLOCK_BYTES (at
-least one), one pass over the gates per stack, and ``proportionality_ratio``
-compares a whole stack in one call; ``brute_force_min`` builds each stack of
-(candidate, sample) assignments as rows of one array and stops streaming a
-candidate after the stack of its first failing sample.
+``check_reduction`` compares circuits at the sample points on one seeded
+random input, ``probe_state``, rather than as 2^n x 2^n matrices: the images
+of the probe are proportional exactly when the unitaries are, almost surely,
+and cost O(g 2^n) instead of O(g 4^n).  The sample points are one (S, k)
+angle array, ``sample_array``, in parameter order (``structured_samples`` is
+its rows as dicts); ``ReductionMap.apply_array`` maps it onto the optimised
+circuit's parameters, and ``circuit_unitary`` reads its phases off the
+columns.  The images are computed as stacks of as many samples as fit in
+BLOCK_BYTES (at least one), one pass over the gates per stack, and
+``proportionality_ratio`` compares a whole stack in one call.
 
-``zxparam verify`` samples nothing: it decides correctness with the exact
-Pauli-frame check of ``frame.py``, screens the output's count with the
-merge bound there, and then reads ``optimality_certificate``.
-``check_reduction``, ``brute_force_min`` and the probe simulator stay as the
-numeric references, independent of the frame: ``zxparam oracle``, the
-tests, ``scripts/run_pipeline.py`` and the benchmark's output checks call
-them.
+No command simulates.  ``zxparam verify`` decides correctness with the
+exact check of ``frame.py``, screens the output's count with the merge bound
+there, and then reads ``optimality_certificate``; ``zxparam oracle`` runs
+``brute_force_min``, which decides every candidate on one Pauli frame of the
+circuit.  ``check_reduction`` and the probe simulator stay as the numeric
+references, independent of the frame: the tests, ``scripts/run_pipeline.py``
+and the benchmark's output checks call them.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
@@ -47,9 +45,6 @@ from .tensor import ProportionalityReport, proportionality_ratio
 
 if TYPE_CHECKING:
     import numpy as np
-
-logger = logging.getLogger(__name__)
-
 
 # -- finite-value reduction checking ------------------------------------------
 
@@ -91,29 +86,15 @@ def probe_state(n_qubits: int, seed: int = 0) -> np.ndarray:
 # A block amortises each gate's Python overhead over its samples; 256 KB keeps
 # peak memory within a few percent of evaluating one sample at a time.
 BLOCK_BYTES = 256 * 1024
-# The most random samples a command line run takes on top of the structured
-# set.  brute_force_min keeps one probe image per sample, so at 16 qubits
-# (1 MB an image) 200 samples hold about 0.2 GB.
-MAX_SAMPLES = 200
-
-
-def _block_size(probe: np.ndarray) -> int:
-    """How many images of ``probe`` fit in BLOCK_BYTES, and at least one."""
-    return max(1, BLOCK_BYTES // (16 * probe.size))
 
 
 def sampled_unitaries(c: Circuit, samples: np.ndarray, probe: np.ndarray) -> Iterator[np.ndarray]:
     """The images of ``probe`` under the unitary of ``c`` at each row of
     ``samples`` (angles in ``c.params`` order), in order, as stacks of as
     many samples as fit in BLOCK_BYTES (at least one)."""
-    block = _block_size(probe)
+    block = max(1, BLOCK_BYTES // (16 * probe.size))
     for start in range(0, len(samples), block):
         yield circuit_unitary(c, samples[start:start + block], states=probe)
-
-
-def _rows(stack: np.ndarray) -> np.ndarray:
-    """A stack of images as one flat row per sample."""
-    return stack.reshape(len(stack), -1)
 
 
 def check_reduction(c1: Circuit, c2: Circuit, reduction: ReductionMap,
@@ -133,7 +114,7 @@ def check_reduction(c1: Circuit, c2: Circuit, reduction: ReductionMap,
     mapped = reduction.apply_array(samples, c2.params)
     probe = probe_state(c1.n_qubits, seed)
     for b1, b2 in zip(sampled_unitaries(c1, samples, probe), sampled_unitaries(c2, mapped, probe)):
-        ok, lam, dev = proportionality_ratio(_rows(b1), _rows(b2), tol)
+        ok, lam, dev = proportionality_ratio(b1.reshape(len(b1), -1), b2.reshape(len(b2), -1), tol)
         holds.extend(ok.tolist())
         ratios.extend(lam.tolist())
         deviations.extend(dev.tolist())
@@ -409,7 +390,6 @@ MAX_ORACLE_PARAMS = 5
 class BruteForceResult:
     count: int
     witness: ReductionMap
-    trivial: Tuple[str, ...] = ()
 
 
 def _partitions_into(items: Sequence[str], n_parts: int) -> Iterator[List[List[str]]]:
@@ -427,114 +407,36 @@ def _partitions_into(items: Sequence[str], n_parts: int) -> Iterator[List[List[s
             yield blocks
 
 
-def _in_place_groupings(params: Sequence[str]) -> Iterator[Tuple[List[Tuple[str, List[str]]], List[Tuple[int, ...]]]]:
-    """Every partition of ``params`` into groups with every choice of
-    representatives, fewest groups first, as (groups, signs): each group is
-    its representative and its other parameters, and ``signs`` lists every
-    sign pattern of all the others, group after group."""
-    for l in range(1, len(params) + 1):
-        for blocks in _partitions_into(params, l):
-            for reps in itertools.product(*[range(len(b)) for b in blocks]):
-                groups = [(b[r], [p for i, p in enumerate(b) if i != r]) for b, r in zip(blocks, reps)]
-                yield groups, list(itertools.product((1, -1), repeat=sum(len(o) for _, o in groups)))
-
-
-def _in_place_map(params: Sequence[str], groups: Sequence[Tuple[str, Sequence[str]]],
-                  signs: Sequence[int]) -> ReductionMap:
-    """The in-place parsimonious map that keeps each representative at +1,
-    under its own name, and gives the other parameters ``signs`` in turn."""
-    signs = iter(signs)
-    rows = tuple(((rep, 1),) + tuple((p, next(signs)) for p in others) for rep, others in groups)
-    return ReductionMap(tuple(params), tuple(rep for rep, _ in groups), rows, (0,) * len(groups))
-
-
-def brute_force_min(c: Circuit, tol: float = 1e-9, max_params: int = MAX_ORACLE_PARAMS,
-                    n_samples: int = 5, seed: int = 0) -> BruteForceResult:
+def brute_force_min(c: Circuit, max_params: int = MAX_ORACLE_PARAMS) -> BruteForceResult:
     """Smallest parameter count over all in-place parsimonious reductions.
 
-    Enumerates every partition of the parameters into groups, every choice
-    of representative (kept at +1) and every sign pattern for the others;
-    a candidate passes when the original circuit is proportional to the
-    candidate at the structured-plus-random sample set.  In-place maps are
-    complete for minimality, and constants are provably unnecessary, so the
-    returned count is the true optimum.
+    Enumerates every partition of the parameters into groups, fewest groups
+    first, and every choice of representative, kept at +1 under its own
+    name.  In-place maps are complete for minimality, and constants are
+    provably unnecessary, so the first candidate that reproduces ``c`` gives
+    the true optimum.
 
-    A candidate is evaluated on ``c`` itself: each representative at its
-    group's value and every other parameter at 0, where its gate is the
-    identity.  The (candidate, sample) assignments stream in enumeration
-    order, as the rows of one angle array per block of as many as fit in
-    BLOCK_BYTES, and the rest of a candidate is left out of the stream once
-    one of its samples fails.
+    A candidate's circuit is ``c`` with every other parameter at 0, where its
+    gate is the identity: it has the Clifford part of ``c``, condition (i)
+    of ``frame.exact_check``, and each representative on its Pauli in ``c``.
+    So one frame of ``c`` decides every candidate with conditions (ii) and
+    (iii), ``frame.rotation_check``.  Condition (ii) fixes each other
+    parameter's sign, its rotation's sign times its representative's, so
+    only that sign pattern of a grouping is tried.
     """
-    import numpy as np
+    from .frame import rotation_check, rotations  # imported here: optimize's cold start never compiles it
 
-    c.validate()
     params = c.params
-    k = len(params)
-    if k > max_params:
-        raise TooManyParams(f"{k} parameters exceeds oracle limit {max_params}")
-    if k == 0:
-        return BruteForceResult(0, ReductionMap((), (), (), ()))
-
-    samples = sample_array(k, n_samples, seed)
-    n = len(samples)
-    probe = probe_state(c.n_qubits, seed)
-    originals = np.concatenate([_rows(b) for b in sampled_unitaries(c, samples, probe)])
-
-    alone = originals[1:1 + k]
-    ok, _, _ = proportionality_ratio(alone, np.broadcast_to(originals[0], alone.shape), tol)
-    trivial = tuple(p for p, t in zip(params, ok) if t)
-    if trivial:
-        logger.warning("parameters %s are trivial: {0,pi} evaluations are proportional", list(trivial))
-
-    column = {p: j for j, p in enumerate(params)}
-
-    def candidates() -> Iterator[Tuple[tuple, np.ndarray]]:
-        """Each candidate, as its groups and sign pattern, with its (n, k)
-        assignments of ``c``: a representative's value is its group's sum at
-        the sample, added in the order ``ReductionMap.apply`` adds it; every
-        other parameter is 0."""
-        for groups, signs in _in_place_groupings(params):
-            sign = np.array(signs, dtype=float).reshape(len(signs), len(signs[0]))
-            values = np.zeros((len(signs), n, k))  # every sign pattern at once
-            j = 0
-            for rep, others in groups:
-                total = values[:, :, column[rep]]
-                total += samples[:, column[rep]]
-                for p in others:
-                    total += sign[:, j, None] * samples[:, column[p]]
-                    j += 1
-            for pattern, assignments in zip(signs, values):
-                yield (groups, pattern), assignments
-
-    pending = candidates()
-    current, start = None, 0  # the candidate being streamed, and its next sample
-    block = _block_size(probe)
-    while True:
-        owners: List[Tuple[tuple, int, int]] = []  # per candidate in the block: (candidate, first sample, count)
-        parts: List[np.ndarray] = []
-        filled = 0
-        while filled < block:
-            if current is None or start == n:
-                current, start = next(pending, None), 0
-                if current is None:
-                    break
-            candidate, values = current
-            count = min(block - filled, n - start)
-            owners.append((candidate, start, count))
-            parts.append(values[start:start + count])
-            start += count
-            filled += count
-        if not parts:
-            raise AssertionError("identity reduction must pass; unreachable")
-        images = _rows(circuit_unitary(c, np.concatenate(parts), states=probe))
-        expected = originals[np.concatenate([np.arange(i, i + count) for _, i, count in owners])]
-        ok, _, _ = proportionality_ratio(expected, images, tol)
-        done = 0
-        for (groups, pattern), i, count in owners:
-            passed = ok[done:done + count].all()
-            if passed and i + count == n:
-                return BruteForceResult(len(groups), _in_place_map(params, groups, pattern), trivial)
-            done += count
-        if not passed:
-            start = n  # the block's last candidate failed: leave its later samples out
+    if len(params) > max_params:
+        raise TooManyParams(f"{len(params)} parameters exceeds oracle limit {max_params}")
+    paulis = rotations(c)
+    for l in range(len(params) + 1):
+        for blocks in _partitions_into(params, l):
+            for reps in itertools.product(*[range(len(b)) for b in blocks]):
+                names = [b[r] for b, r in zip(blocks, reps)]
+                rows = tuple(((rep, 1),) + tuple((p, paulis[p][1] * paulis[rep][1]) for p in b if p != rep)
+                             for b, rep in zip(blocks, names))
+                witness = ReductionMap(tuple(params), tuple(names), rows, (0,) * l)
+                if rotation_check(witness, [p for p in params if p in names], paulis, paulis) is None:
+                    return BruteForceResult(l, witness)
+    raise AssertionError("the identity map always passes")

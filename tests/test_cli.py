@@ -8,7 +8,9 @@ from random import Random
 
 import pytest
 
+from test_frame import chain
 import zxparam.circuits
+import zxparam.frame
 from zxparam.circuits import MAX_QUBITS, emit_circuit, parse_circuit
 from zxparam.cli import main
 from zxparam.diagram import Diagram, NKind, SpiderNetwork
@@ -16,7 +18,7 @@ from zxparam.errors import NotTerminalForm
 from zxparam.generate import random_circuit
 from zxparam.reduction import ReductionMap
 from zxparam.rewrite import Rewriter
-from zxparam.verify import MAX_ORACLE_PARAMS, MAX_SAMPLES
+from zxparam.verify import MAX_ORACLE_PARAMS
 
 FUSION = "qreg 1\nrz(t0) 0\nrz(t1) 0\n"
 CLIFFORD_ONLY = "qreg 2\nh 0\ncx 0 1\ns 1\n"
@@ -177,19 +179,6 @@ def test_bad_seed_or_tolerance_exits_1(tmp_path, capsys, command, bad):
     assert err.count("\n") == 1 and err.startswith("bad configuration")
 
 
-@pytest.mark.parametrize("command", ["oracle"])
-def test_samples_above_the_cap_exit_1(tmp_path, capsys, command):
-    # every sample costs time, and the oracle keeps one image per sample;
-    # verify takes no samples (see MALFORMED)
-    assert main(cli_args(tmp_path, command) + ["--samples", str(MAX_SAMPLES)]) == 0
-    capsys.readouterr()
-    for bad in (MAX_SAMPLES + 1, 100_000_000):
-        assert main(cli_args(tmp_path, command) + ["--samples", str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("bad configuration")
-        assert f"between 2 and {MAX_SAMPLES}, got {bad}" in err
-
-
 MALFORMED = {
     "no-command": [],
     "unknown-command": ["bogus"],
@@ -204,6 +193,8 @@ MALFORMED = {
     "verify-two-paths": ["verify", "{src}", "{opt}"],
     "verify-four-paths": ["verify", "{src}", "{opt}", "{map}", "{src}"],
     "oracle-two-paths": ["oracle", "{src}", "{opt}"],
+    "oracle-samples": ["oracle", "{src}", "--samples", "5"],
+    "oracle-tol": ["oracle", "{src}", "--tol", "1e-9"],
     "optimize-several-out": ["optimize", "{src}", "{opt}", "--out", "{new}"],
     "optimize-several-report": ["optimize", "{src}", "{opt}", "--report", "{new}"],
 }
@@ -335,16 +326,16 @@ def fresh_main(argv):
 
 
 def test_cold_start_loads_numpy_only_to_simulate(tmp_path, capsys):
-    # importing the package, optimising and verifying (zxparam.frame and the
-    # certificate) never import numpy; oracle simulates, so it imports numpy
-    # on first use; both behave as in this process
+    # importing the package and every command (zxparam.frame and the
+    # certificate) never import numpy: no command simulates; verify and
+    # oracle behave as in this process
     src = write(tmp_path, "in.zxc", "qreg 2\nrz(t0) 0\ncx 0 1\nrz(t1) 0\ncx 0 1\nh 1\nrz(t2) 1\n")
     assert fresh_main(["optimize", str(src)])[:2] == (0, False)
     opt, mapping = tmp_path / "in.zxc.opt", tmp_path / "in.zxc.map.json"
-    for argv, simulates in ((["verify", str(src), str(opt), str(mapping)], False), (["oracle", str(src)], True)):
+    for argv in (["verify", str(src), str(opt), str(mapping)], ["oracle", str(src)]):
         capsys.readouterr()
         code = main(argv)
-        assert fresh_main(argv) == (code, simulates, capsys.readouterr().out)
+        assert fresh_main(argv) == (code, False, capsys.readouterr().out)
 
 
 def test_optimize_multiple_inputs(tmp_path):
@@ -404,12 +395,33 @@ def test_verify_decides_past_the_probe_limit(tmp_path, capsys):
             "verify: FAILED exact check, condition (ii): t1 acts on different Paulis in the two circuits\n"
 
 
-def test_oracle_too_many_qubits_exits_1(tmp_path, capsys):
+def test_oracle_decides_past_the_probe_limit(tmp_path, capsys):
+    # the candidates are decided on the Pauli frame, which keeps no state
+    # vector: wide(n) keeps its two rotations on different Paulis, and a CX
+    # between two rotations of its control does not stop them merging
     for n in (40, 17):
         src = write(tmp_path, "wide.zxc", wide(n))
-        assert main(["oracle", str(src)]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f"{n} qubits" in err
+        assert main(["oracle", str(src)]) == 0
+        assert capsys.readouterr().out.startswith("min = 2\n")
+        fusion = write(tmp_path, "fusion.zxc", f"qreg {n}\nrz(t0) 0\ncx 0 {n - 1}\nrz(t1) 0\n")
+        assert main(["oracle", str(fusion)]) == 0
+        assert capsys.readouterr().out.startswith("min = 1\n")
+
+
+def test_frame_past_its_area_exits_1(tmp_path, monkeypatch, capsys):
+    # a 65,536-qubit chain would hold about 2 GB of masks; both commands
+    # refuse it from the component sizes, before the frame is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("the frame must not be built")
+
+    monkeypatch.setattr(zxparam.frame, "_frame", refuse)
+    src = write(tmp_path, "chain.zxc", emit_circuit(chain(MAX_QUBITS)))
+    identity = write(tmp_path, "id.json", ReductionMap.identity(["t0", "t1"]).to_text())
+    for argv in (["verify", str(src), str(src), str(identity)], ["oracle", str(src)]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"{argv[0]}: Pauli frame too large:") and f"widest has {MAX_QUBITS} qubits" in err
 
 
 @pytest.mark.parametrize("command", ["optimize", "verify", "oracle"])

@@ -1,14 +1,15 @@
 """The exact check and the merge bound of ``zxparam.frame``, against the
 sampled reference ``check_reduction`` and against the optimiser."""
 
+import tracemalloc
 from random import Random
 
 import pytest
 
 from test_golden import CASES
 from zxparam.circuits import Circuit, Gate, GateKind, parse_circuit
-from zxparam.errors import DimensionMismatch
-from zxparam.frame import _layout, exact_check, merge_bound
+from zxparam.errors import DimensionMismatch, TooLarge
+from zxparam.frame import MAX_FRAME_AREA, _layout, exact_check, merge_bound
 from zxparam.generate import random_circuit
 from zxparam.reduction import ReductionMap, phase_teleport
 from zxparam.verify import check_reduction
@@ -190,6 +191,33 @@ def test_layout_numbers_bits_within_components():
     assert _layout([c]) == {65535: (5, 1), 5: (5, 2), 6: (5, 4), 0: (0, 1)}
     wide = parse_circuit("qreg 65536\nrz(t0) 65535\ncx 65535 0\nh 0\n")
     assert exact_check(wide, wide, ReductionMap.identity(["t0"])) is None
+
+
+def chain(n: int) -> Circuit:
+    """``n`` qubits chained by CX gates between two parameters."""
+    gates = [Gate(GateKind.RZ_PARAM, (0,), param="t0")] + [Gate(GateKind.CX, (q, q + 1)) for q in range(n - 1)]
+    return Circuit(n, gates + [Gate(GateKind.RZ_PARAM, (n - 1,), param="t1")])
+
+
+def test_layout_refuses_a_frame_past_its_area():
+    # the area is width x (width + parameters) summed over the components:
+    # a 16,384-qubit component is laid out, a 65,536-qubit one (about 2 GB
+    # of masks) is refused from the component sizes before any mask is built
+    assert 16384 * (16384 + 4) <= MAX_FRAME_AREA < 65536 * 65536
+    assert len(_layout([chain(16384)] * 2)) == 16384
+    wide = chain(65536)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="sums to 4295098368 over the components, above"):
+            _layout([wide])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    with pytest.raises(TooLarge, match="widest has 65536 qubits"):
+        merge_bound(wide)
+    with pytest.raises(TooLarge):
+        exact_check(wide, wide, ReductionMap.identity(wide.params))
 
 
 def test_merge_bound_hand_built():
