@@ -8,7 +8,10 @@ provides an exact Pauli-frame equivalence check with the rotation-merging
 bound (``zxparam.frame``, which ``zxparam verify`` and ``brute_force_min``
 import on first use), exact tensor evaluation, proportionality checking,
 stabiliser-based optimality certificates and a brute-force minimality oracle
-decided on the Pauli frame.
+decided on the Pauli frame.  The package holds what the commands, the
+scripts and the benchmark call; references that only the tests compare
+against (state diagrams of circuits, the one-sample map evaluation, dense
+flattenings, random graph-like states) live in ``tests/helpers.py``.
 
 numpy is imported by the functions that compute with it, on first use:
 importing the package and running any ``zxparam`` command never load it.
@@ -16,22 +19,20 @@ importing the package and running any ``zxparam`` command never load it.
 
 from .params import Phase
 from .diagram import Diagram, EdgeKind, GadgetView, SpiderNetwork, ValidationReport, find_gadgets, to_graph_like, validate
-from .circuits import (Circuit, Gate, circuit_state_diagram, circuit_to_diagram,
-                       circuit_unitary, emit_circuit, parse_circuit)
+from .circuits import Circuit, Gate, circuit_to_diagram, circuit_unitary, emit_circuit, parse_circuit
 from .rewrite import RewriteEvent, Rule, simplify
 from .reduction import ReductionMap, extract_reduction, phase_teleport
-from .tensor import TensorState, check_proportional, tensor_eval
+from .tensor import TensorState, tensor_eval
 from .verify import APForm, CertificateReport, ProportionalityReport, ap_form, brute_force_min, check_reduction, optimality_certificate, zz_certificate
 
 __all__ = [
     "Phase",
     "Diagram", "EdgeKind", "GadgetView", "SpiderNetwork", "ValidationReport",
     "find_gadgets", "to_graph_like", "validate",
-    "Circuit", "Gate", "circuit_state_diagram", "circuit_to_diagram", "circuit_unitary",
-    "emit_circuit", "parse_circuit",
+    "Circuit", "Gate", "circuit_to_diagram", "circuit_unitary", "emit_circuit", "parse_circuit",
     "RewriteEvent", "Rule", "simplify",
     "ReductionMap", "extract_reduction", "phase_teleport",
-    "TensorState", "check_proportional", "tensor_eval",
+    "TensorState", "tensor_eval",
     "APForm", "CertificateReport", "ProportionalityReport",
     "ap_form", "brute_force_min", "check_reduction", "optimality_certificate", "zz_certificate",
 ]

@@ -7,8 +7,10 @@ The text format is line oriented with ``#`` comments:
     rz(<ident>) <q>      symbolic parameter, e.g. rz(t0) 0
     rz(<k>pi/2) <q>      Clifford constant, k integer
     rz(<k>pi) <q>        Clifford constant; k may be a sign alone: rz(pi) 0, rz(-pi/2) 0
+    rz(0) <q>            the identity; also a signed zero such as rz(-0.0) 0
 
-Numeric rz angles must be exact multiples of pi/2; ``pi`` in any case is the
+Numeric rz angles must be exact multiples of pi/2, read exactly from their
+digits, with at most MAX_ANGLE_DIGITS digits; ``pi`` in any case is the
 constant, never a parameter name; symbolic parameters must each occur on at
 most one gate; ``n`` is at most MAX_QUBITS.
 """
@@ -100,28 +102,49 @@ class Circuit:
 MAX_QUBITS = 2 ** 16
 _MAX_QUBITS_DIGITS = len(str(MAX_QUBITS))
 
+# Most digits an rz constant may have.  emit_circuit writes one; a longer
+# constant is refused like a qreg past MAX_QUBITS, and shorter ones are read
+# exactly, from their digits.
+MAX_ANGLE_DIGITS = 64
+
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_NUM_PI = re.compile(r"^([+-]?)([0-9]*\.?[0-9]+)?pi(/2)?$", re.IGNORECASE)
+# sign, integer digits, fraction digits, "pi", "/2"; digits are consumed in
+# one way only, so a failed match is linear in the length
+_ANGLE = re.compile(r"^([+-]?)([0-9]*)(?:\.([0-9]+))?(pi(/2)?)?$", re.IGNORECASE)
 _RZ_CALL = re.compile(r"^rz\((.*)\)$", re.IGNORECASE)
 _ONE_QUBIT_GATES = {"h": _H, "s": _S, "sdg": _SDG, "z": _Z, "x": _X}
 _TWO_QUBIT_GATES = {"cz": _CZ, "cx": _CX}
 
 
-def _parse_rz_angle(arg: str, line_no: int, col: int) -> Gate | Tuple[str, int]:
-    """Returns ('param', name) or ('clifford', k)."""
+def _parse_rz_angle(arg: str, line_no: int, col: int) -> Tuple[str, str | int]:
+    """Returns ('param', name) or ('clifford', k), k in pi/2 units.
+
+    k is computed from the digit strings, never through a float: ``<n>pi/2``
+    needs an integer n, and ``<n>pi`` an n whose fraction is empty or 5."""
     arg = arg.strip()
-    m = _NUM_PI.match(arg.replace(" ", ""))
-    if not m:
+    m = _ANGLE.match(arg.replace(" ", ""))
+    if not m or not (m.group(2) or m.group(3) or m.group(4)):
         if _IDENT.match(arg):
             return ("param", arg)
         if re.match(r"^[+-]?([0-9]|pi)", arg, re.IGNORECASE):
             raise NonCliffordConstant(f"rz angle {arg!r} is not of the form <k>pi/2", line_no, col)
         raise CircuitSyntaxError(f"bad rz argument {arg!r}", line_no, col)
-    value = float(m.group(1) + (m.group(2) or "1"))
-    halves = value * (1 if m.group(3) else 2)  # in units of pi/2
-    if abs(halves - round(halves)) > 1e-12:
+    sign, whole, fraction, pi, half = m.groups()
+    fraction = fraction or ""
+    if len(whole) + len(fraction) > MAX_ANGLE_DIGITS:
+        raise CircuitSyntaxError(f"rz constant has more than {MAX_ANGLE_DIGITS} digits", line_no, col)
+    if not pi:  # a bare numeral: only a signed zero is a multiple of pi/2
+        if (whole + fraction).strip("0"):
+            raise NonCliffordConstant(f"rz angle {arg!r} is not of the form <k>pi/2", line_no, col)
+        return ("clifford", 0)
+    if not whole + fraction:
+        whole = "1"  # pi alone
+    fraction = fraction.rstrip("0")
+    if fraction not in ("", "5") or (half and fraction):
         raise NonCliffordConstant(f"rz angle {arg!r} is not an exact multiple of pi/2", line_no, col)
-    return ("clifford", int(round(halves)))
+    n = int(whole[-2:] or "0")  # n mod 100 decides n mod 4
+    halves = n if half else 2 * n + (fraction == "5")
+    return ("clifford", (-halves if sign == "-" else halves) % 4)
 
 
 def _decimal(token: str) -> int:
@@ -317,15 +340,6 @@ def circuit_unitary(c: Circuit,
     return u[0] if single else u
 
 
-def flatten_unitary(u: np.ndarray, n: int) -> np.ndarray:
-    """Flatten ⟨o|U|i⟩ to the tensor_eval wire convention (inputs then outputs)."""
-    import numpy as np
-
-    arr = u.reshape((2,) * (2 * n))
-    arr = np.transpose(arr, list(range(n, 2 * n)) + list(range(n)))
-    return np.ascontiguousarray(arr).reshape(-1)
-
-
 # -- translation to diagrams --------------------------------------------------
 
 def circuit_to_network(c: Circuit) -> SpiderNetwork:
@@ -422,14 +436,3 @@ def circuit_to_network(c: Circuit) -> SpiderNetwork:
 def circuit_to_diagram(c: Circuit) -> Diagram:
     """Graph-like diagram tensor-proportional to the circuit's unitary."""
     return to_graph_like(circuit_to_network(c))
-
-
-def circuit_state_diagram(c: Circuit) -> Diagram:
-    """Graph-like diagram of the state  c |0...0> ; a phase-0 X-spider per
-    qubit replaces the input wires."""
-    net = circuit_to_network(c)
-    for v, kind in list(net.kinds.items()):
-        if kind is NKind.INPUT:
-            net.kinds[v] = NKind.X
-            net.positions.pop(v, None)
-    return to_graph_like(net)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a malformed command line or ``ZXPARAM_SEED``
 (one stderr line starting ``bad configuration:``), a parse error (including
-a qreg wider than circuits.MAX_QUBITS), an oracle past its parameter limit,
+a qreg wider than circuits.MAX_QUBITS and an rz constant longer than
+circuits.MAX_ANGLE_DIGITS), an oracle past its parameter limit,
 a Pauli frame past frame.MAX_FRAME_AREA, or a file that cannot be read or
 written, 2 internal invariant violation, 3 verification
 failure, 4 the brute-force oracle beat the optimiser (impossible unless the
@@ -82,8 +83,6 @@ def _optimize_one(args: argparse.Namespace, path: Path) -> int:
         print(f"{path}: parameters {before} -> {after}")
         for i in range(len(result.reduction.new_param_names)):
             print(f"  {result.reduction.row_string(i)}")
-        if result.reduction.eliminated:
-            print(f"  eliminated: {', '.join(result.reduction.eliminated)}")
         return EXIT_OK
     except ZXParamError as exc:
         print(f"{path}: internal invariant violation: {exc}", file=sys.stderr)

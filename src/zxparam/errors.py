@@ -43,10 +43,6 @@ class MissingAssignment(ZXParamError):
     """A parameter of the diagram has no value in the given assignment."""
 
 
-class ShapeMismatch(ZXParamError):
-    """Tensor states with different wire counts cannot be compared."""
-
-
 class DimensionMismatch(ZXParamError):
     """Reduction map dimensions do not match the circuits' parameter counts."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .circuits import Circuit, Gate, GateKind, circuit_to_diagram
 from .diagram import Diagram
@@ -90,34 +90,13 @@ class ReductionMap:
         if sorted(self.new_param_names) != sorted(c2.params):
             raise DimensionMismatch(f"map outputs {self.new_param_names} do not match circuit params {c2.params}")
 
-    @property
-    def p_matrix(self) -> np.ndarray:
-        import numpy as np
-
-        m = np.zeros((len(self.rows), len(self.params_in)), dtype=int)
-        for i, terms in enumerate(self.rows):
-            for param, sign in terms:
-                m[i, self._column[param]] = sign
-        return m
-
-    def apply(self, assignment: Mapping[str, float]) -> Dict[str, float]:
-        """Evaluate the new parameters at original parameter values (radians).
-        Each row adds its terms in row order, then ``const·π/2``."""
-        out = {}
-        for name, terms, const in zip(self.new_param_names, self.rows, self.constants):
-            total = 0.0
-            for p, sign in terms:
-                total += sign * assignment[p]
-            out[name] = total + const * HALF_PI
-        return out
-
     def apply_array(self, values: np.ndarray, order: Sequence[str]) -> np.ndarray:
-        """``apply`` at every row of ``values``, an (S, len(params_in)) array in
-        ``params_in`` order: the (S, m) array of new parameter values, with
-        its columns in ``order``, a permutation of ``new_param_names``.  The
-        terms of each row are added in the same order as by ``apply``, one
-        term position at a time, so every float equals ``apply``'s bit for
-        bit."""
+        """The new parameter values (radians) at every row of ``values``, an
+        (S, len(params_in)) array of original values in ``params_in`` order:
+        the (S, m) array with its columns in ``order``, a permutation of
+        ``new_param_names``.  Each row's terms are added in row order, one
+        term position at a time, then ``const·π/2``, so every float equals
+        that of adding them one sample at a time, bit for bit."""
         import numpy as np
 
         position = {name: i for i, name in enumerate(self.new_param_names)}

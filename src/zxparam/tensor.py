@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
 
 from .diagram import Diagram, EdgeKind, VKind
-from .errors import MissingAssignment, ShapeMismatch, TooLarge
+from .errors import MissingAssignment, TooLarge
 
 if TYPE_CHECKING:
     import numpy as np
@@ -32,10 +32,6 @@ class TensorState:
 
     amplitudes: np.ndarray
     wire_order: Tuple[int, ...]
-
-    @property
-    def n_wires(self) -> int:
-        return len(self.wire_order)
 
 
 class _Node:
@@ -226,11 +222,3 @@ def proportionality_ratio(t1: np.ndarray, t2: np.ndarray, tol: float):
     if single:
         return bool(holds[0]), complex(lam[0]), float(deviation[0])
     return holds, lam, deviation
-
-
-def check_proportional(t1: TensorState, t2: TensorState, tol: float = 1e-9) -> ProportionalityReport:
-    """Proportionality of two tensor states up to one nonzero scalar."""
-    if t1.n_wires != t2.n_wires:
-        raise ShapeMismatch(f"wire counts differ: {t1.n_wires} vs {t2.n_wires}")
-    holds, lam, dev = proportionality_ratio(t1.amplitudes, t2.amplitudes, tol)
-    return ProportionalityReport(holds=holds, ratios=[lam], max_deviation=dev, deviations=[dev])

@@ -12,8 +12,8 @@ enumerates all in-place parsimonious maps.
 random input, ``probe_state``, rather than as 2^n x 2^n matrices: the images
 of the probe are proportional exactly when the unitaries are, almost surely,
 and cost O(g 2^n) instead of O(g 4^n).  The sample points are one (S, k)
-angle array, ``sample_array``, in parameter order (``structured_samples`` is
-its rows as dicts); ``ReductionMap.apply_array`` maps it onto the optimised
+angle array, ``sample_array``, in parameter order, the package's one
+sampling helper; ``ReductionMap.apply_array`` maps it onto the optimised
 circuit's parameters, and ``circuit_unitary`` reads its phases off the
 columns.  The images are computed as stacks of as many samples as fit in
 BLOCK_BYTES (at least one), one pass over the gates per stack, and
@@ -62,11 +62,6 @@ def sample_array(n_params: int, n_random: int, seed: int = 0) -> np.ndarray:
     return samples
 
 
-def structured_samples(params: Sequence[str], n_random: int, seed: int = 0) -> List[Dict[str, float]]:
-    """The rows of ``sample_array`` as one dict per sample, keyed by ``params``."""
-    return [dict(zip(params, row)) for row in sample_array(len(params), n_random, seed).tolist()]
-
-
 def probe_state(n_qubits: int, seed: int = 0) -> np.ndarray:
     """The (2^n, 1) complex Gaussian input that circuits are applied to.
 
@@ -74,7 +69,7 @@ def probe_state(n_qubits: int, seed: int = 0) -> np.ndarray:
     eigenspace of ``U2^dag U1``, which has probability 0 unless
     ``U2^dag U1 = lam I``; so one probe decides proportionality almost
     surely.  Its generator is keyed by the seed and the width, apart from
-    the stream of ``structured_samples``."""
+    the stream of ``sample_array``."""
     if n_qubits > MAX_PROBE_QUBITS:
         raise TooLarge(f"{n_qubits} qubits exceeds the probe state limit {MAX_PROBE_QUBITS}")
     import numpy as np
@@ -137,21 +132,6 @@ class APForm:
     b_vector: np.ndarray
     linear_phase: Tuple[int, ...]  # mod 4, units of pi/2
     quadratic_pairs: FrozenSet[Tuple[int, int]]
-
-    def state(self) -> np.ndarray:
-        """Dense reconstruction; first qubit is the most significant bit."""
-        import numpy as np
-
-        n = self.n_qubits
-        amplitudes = np.zeros(2 ** n, dtype=complex)
-        for idx in range(2 ** n):
-            x = np.array([(idx >> (n - 1 - j)) & 1 for j in range(n)], dtype=np.uint8)
-            if self.a_matrix.size and np.any((self.a_matrix @ x) % 2 != self.b_vector):
-                continue
-            phase = sum(self.linear_phase[j] * int(x[j]) for j in range(n)) % 4
-            sign = sum(int(x[i]) * int(x[j]) for i, j in self.quadratic_pairs) % 2
-            amplitudes[idx] = (1j ** phase) * ((-1) ** sign)
-        return amplitudes
 
 
 def _gf2_rref(rows: Sequence[int], rhs: Sequence[int]) -> List[Tuple[int, int]]:

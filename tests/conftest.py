@@ -4,10 +4,10 @@ from typing import Callable, Dict
 
 import numpy as np
 
+from helpers import structured_samples
 from zxparam.diagram import Diagram
 from zxparam.rewrite import RewriteEvent
 from zxparam.tensor import proportionality_ratio, tensor_eval
-from zxparam.verify import structured_samples
 
 
 def dropped_factor(event: RewriteEvent, assignment: Dict[str, float]) -> complex:

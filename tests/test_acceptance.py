@@ -19,17 +19,17 @@ from random import Random
 import pytest
 
 from conftest import ZeroInstance, assert_rule_sound
-from zxparam.circuits import (circuit_state_diagram, circuit_to_diagram, emit_circuit,
-                              parse_circuit)
+from helpers import ap_state, attach_gadget, circuit_state_diagram, random_graph_like_state, structured_samples
+from zxparam.circuits import circuit_to_diagram, emit_circuit, parse_circuit
 from zxparam.diagram import Diagram, EdgeKind, VKind, find_gadgets
 from zxparam.errors import CircuitSyntaxError, NonCliffordConstant, RepeatedParameter
-from zxparam.generate import attach_gadget, random_circuit, random_graph_like_state
+from zxparam.generate import random_circuit
 from zxparam.params import Phase
 from zxparam.reduction import phase_teleport
 from zxparam.rewrite import (boundary_pivot, gadget_fusion, gadget_id_fuse, gadget_pivot,
                              local_complement_simp, pivot_simp, remove_scalar_spiders, simplify)
 from zxparam.tensor import proportionality_ratio, tensor_eval
-from zxparam.verify import ap_form, brute_force_min, check_reduction, optimality_certificate, structured_samples
+from zxparam.verify import ap_form, brute_force_min, check_reduction, optimality_certificate
 
 TOL = 1e-9
 N_RULE_INSTANCES = 100
@@ -322,7 +322,7 @@ def test_criterion_8_ap_form_round_trip():
         c = random_circuit(Random(20_000 + i), rng.randint(1, 6), rng.randint(2, 20), 0)
         d = circuit_state_diagram(c)
         form = ap_form(d)
-        ok, _, dev = proportionality_ratio(form.state(), tensor_eval(d).amplitudes, TOL)
+        ok, _, dev = proportionality_ratio(ap_state(form), tensor_eval(d).amplitudes, TOL)
         assert ok, f"state {i}: reconstruction deviates by {dev:.3e}"
         count += 1
     report(8, count == 50, f"{count} Clifford state diagrams reconstruct from AP form at tol {TOL}")

@@ -1,16 +1,24 @@
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 from random import Random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zxparam.circuits import (MAX_PROBE_QUBITS, MAX_QUBITS, MAX_UNITARY_QUBITS, Circuit, Gate, GateKind,
-                              circuit_to_diagram, circuit_unitary, emit_circuit, flatten_unitary,
-                              parse_circuit)
+from helpers import flatten_unitary
+from zxparam.circuits import (MAX_ANGLE_DIGITS, MAX_PROBE_QUBITS, MAX_QUBITS, MAX_UNITARY_QUBITS, Circuit, Gate,
+                              GateKind, circuit_to_diagram, circuit_unitary, emit_circuit, parse_circuit)
+from zxparam.cli import main
 from zxparam.errors import CircuitSyntaxError, NonCliffordConstant, RepeatedParameter, TooLarge
 from zxparam.generate import random_circuit
 from zxparam.tensor import proportionality_ratio, tensor_eval
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_parse_two_parameters():
@@ -43,6 +51,49 @@ def test_parse_pi_without_a_coefficient():
     assert emit_circuit(c).splitlines()[1:5] == ["rz(2pi/2) 0", "rz(2pi/2) 0", "rz(3pi/2) 0", "rz(1pi/2) 0"]
     with pytest.raises(NonCliffordConstant):
         parse_circuit("qreg 1\nrz(pi/4) 0")
+
+
+@pytest.mark.parametrize("angle, k", [
+    ("1000000000000000000001pi/2", 1),  # past float precision
+    ("99999999999999999999999999999pi/2", 3),
+    ("1" * MAX_ANGLE_DIGITS + "pi", 2),
+    ("-2.50pi", 3),
+    ("0", 0), ("-0.0", 0), ("+.00", 0), ("0pi", 0),  # a bare signed zero is the identity
+])
+def test_parse_rz_constants_exactly(angle, k):
+    c = parse_circuit(f"qreg 1\nrz({angle}) 0")
+    assert c.gates == [Gate(GateKind.RZ_CLIFFORD, (0,), k=k)]
+    assert parse_circuit(emit_circuit(c)) == c
+
+
+@pytest.mark.parametrize("angle", ["0.0000000000001pi", "1.5pi/2", "0.25pi", "1", "-0.5"])
+def test_parse_rejects_inexact_constants(angle):
+    # near a multiple of pi/2 is not a multiple, and a bare numeral other than 0 is refused
+    with pytest.raises(NonCliffordConstant):
+        parse_circuit(f"qreg 1\nrz({angle}) 0")
+
+
+def test_rz_argument_is_matched_in_linear_time():
+    # a pattern that tries every split of a digit run took 5.8 s on this input
+    start = time.perf_counter()
+    with pytest.raises(NonCliffordConstant):
+        parse_circuit(f"qreg 1\nrz({'1' * 20000}x) 0")
+    assert time.perf_counter() - start < 1
+
+
+def test_overlong_rz_constant_exits_1(tmp_path, capsys):
+    # one parse-error line, in-process and as a process, and no traceback
+    src = tmp_path / "long.zxc"
+    src.write_text(f"qreg 1\nrz({'1' * 400}pi) 0\n")
+    with pytest.raises(CircuitSyntaxError, match=f"more than {MAX_ANGLE_DIGITS} digits"):
+        parse_circuit(src.read_text())
+    assert main(["optimize", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "parse error: line 2, column 3" in err
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "zxparam.cli", "optimize", str(src)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 1 and proc.stderr == err
 
 
 def test_parse_errors_carry_line_numbers():

@@ -2,11 +2,11 @@ from random import Random
 
 import pytest
 
-from zxparam.circuits import circuit_to_diagram, circuit_unitary, flatten_unitary, parse_circuit
+from helpers import attach_gadget, flatten_unitary, random_graph_like_state
+from zxparam.circuits import circuit_to_diagram, circuit_unitary, parse_circuit
 from zxparam.diagram import (Diagram, EdgeKind, NKind, SpiderNetwork, VKind,
                              find_gadgets, to_graph_like, validate)
 from zxparam.errors import RepeatedParameter
-from zxparam.generate import attach_gadget, random_graph_like_state
 from zxparam.params import Phase
 from zxparam.tensor import proportionality_ratio, tensor_eval
 

@@ -4,9 +4,9 @@ from random import Random
 
 import pytest
 
+from helpers import circuit_state_diagram
 from reference_network import reference_network
-from zxparam.circuits import (Circuit, Gate, GateKind, circuit_state_diagram, circuit_to_diagram,
-                              circuit_to_network, parse_circuit)
+from zxparam.circuits import Circuit, Gate, GateKind, circuit_to_diagram, circuit_to_network, parse_circuit
 from zxparam.diagram import Diagram, EdgeKind, NKind, SpiderNetwork, VKind, to_graph_like, validate
 from zxparam.generate import random_circuit
 from zxparam.params import Phase

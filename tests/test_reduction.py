@@ -3,6 +3,8 @@ from random import Random
 import numpy as np
 import pytest
 
+from helpers import p_matrix
+from test_golden import CASES
 from zxparam.circuits import Circuit, Gate, GateKind, circuit_to_diagram, parse_circuit
 from zxparam.errors import InconsistentProvenance, RepeatedParameter
 from zxparam.generate import random_circuit
@@ -20,14 +22,14 @@ def run_extraction(src):
 
 def test_extract_reduction_fusion_example():
     c, m = run_extraction("qreg 1\nrz(t0) 0\nrz(t1) 0")
-    assert m.p_matrix.tolist() == [[1, 1]]
+    assert p_matrix(m).tolist() == [[1, 1]]
     assert m.constants == (0,)
     assert m.new_param_names == ("u0",)
 
 
 def test_extract_reduction_single_parameter():
     c, m = run_extraction("qreg 2\nh 0\nrz(t0) 0\ncx 0 1")
-    assert m.p_matrix.tolist() in ([[1]], [[-1]])
+    assert p_matrix(m).tolist() in ([[1]], [[-1]])
     assert len(m.rows) == 1
 
 
@@ -44,7 +46,7 @@ def test_extract_reduction_replays_against_terminal():
             expr = exprs[frozenset(terms)]
             assert expr.clifford == const
         # parsimonious columns: each original parameter at most once
-        assert np.all(np.abs(m.p_matrix).sum(axis=0) <= 1)
+        assert np.all(np.abs(p_matrix(m)).sum(axis=0) <= 1)
 
 
 def test_extract_reduction_rejects_corrupted_events():
@@ -144,6 +146,18 @@ def test_phase_teleport_rejects_invalid_circuits(gates, error):
     # still refuse it rather than optimise it
     with pytest.raises(error):
         phase_teleport(Circuit(2, gates))
+
+
+def test_phase_teleport_eliminates_no_parameter():
+    # every rz rotates about a non-identity Pauli, so no parameter ends in a
+    # scalar component, and exact_check condition (ii) rejects a map that
+    # lists one: the map's eliminated list is empty for every circuit
+    rng = Random(53)
+    circuits = [c for _, c in CASES] + [
+        random_circuit(Random(i + 1000), rng.randint(1, 8), n_gates, rng.randint(0, min(8, n_gates)))
+        for i, n_gates in enumerate(rng.randint(1, 40) for _ in range(200))]
+    for c in circuits:
+        assert phase_teleport(c).reduction.eliminated == ()
 
 
 def test_phase_teleport_count_matches_terminal_diagram():

@@ -6,18 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import assert_rule_sound
 from test_diagram import toggle_one_by_one
+from helpers import attach_gadget, circuit_state_diagram, random_graph_like_state, structured_samples
 from test_golden import phase_poly_circuit
-from zxparam.circuits import circuit_state_diagram, circuit_to_diagram, parse_circuit
+from zxparam.circuits import circuit_to_diagram, parse_circuit
 from zxparam.diagram import Diagram, EdgeKind, VKind, find_gadgets, validate
 from zxparam.errors import NotApplicable
-from zxparam.generate import attach_gadget, random_circuit, random_graph_like_state
+from zxparam.generate import random_circuit
 from zxparam.params import Phase
 from zxparam.rewrite import (AP_FORM_STAGES, CLASS_HADAMARD_WIRED, CLASS_LOCAL_COMP, CLASS_PAULI,
                              SIG_DEGREE_ONE, SIG_PARAM, SIG_WIRED, SIMPLIFY_STAGES, Rewriter, Rule,
                              _complement_out, _pivot_core, boundary_pivot, gadget_fusion,
                              gadget_id_fuse, gadget_pivot, local_complement_simp, pivot_simp,
                              remove_scalar_spiders, simplify)
-from zxparam.verify import structured_samples, terminal_violations
+from zxparam.verify import terminal_violations
 
 
 def state_with(phases, edges, n_out=0):

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import zxparam.verify as verify
+from helpers import attach_gadget
 from zxparam.diagram import Diagram, EdgeKind, VKind
 from zxparam.errors import NotTerminalForm, ZeroState
-from zxparam.generate import attach_gadget
 from zxparam.params import Phase
 from zxparam.verify import optimality_certificate, zz_certificate
 

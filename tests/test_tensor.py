@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from zxparam.circuits import circuit_unitary, flatten_unitary, parse_circuit, circuit_to_diagram
+from helpers import ShapeMismatch, check_proportional, flatten_unitary
+from zxparam.circuits import circuit_unitary, parse_circuit, circuit_to_diagram
 from zxparam.diagram import Diagram, EdgeKind, VKind
-from zxparam.errors import MissingAssignment, ShapeMismatch, TooLarge
+from zxparam.errors import MissingAssignment, TooLarge
 from zxparam.params import Phase
-from zxparam.tensor import TensorState, check_proportional, proportionality_ratio, tensor_eval
+from zxparam.tensor import TensorState, proportionality_ratio, tensor_eval
 
 
 def test_plus_alpha_state():

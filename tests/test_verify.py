@@ -7,19 +7,20 @@ import numpy as np
 import pytest
 
 import zxparam.verify
-from zxparam.circuits import (MAX_PROBE_QUBITS, Circuit, Gate, GateKind, circuit_state_diagram, circuit_to_diagram,
-                               circuit_unitary, parse_circuit)
+from helpers import (ap_state, apply_reduction, attach_gadget, circuit_state_diagram, p_matrix,
+                     structured_samples)
+from zxparam.circuits import MAX_PROBE_QUBITS, Circuit, GateKind, circuit_to_diagram, circuit_unitary, parse_circuit
 from zxparam.diagram import Diagram, EdgeKind, VKind
 from zxparam.errors import (DimensionMismatch, NotClifford, NotTerminalForm, TooLarge, TooManyParams,
                             ZeroState)
-from zxparam.generate import attach_gadget, random_circuit
+from zxparam.generate import random_circuit
 from zxparam.params import Phase
 from zxparam.reduction import ReductionMap, phase_teleport
 from zxparam.rewrite import simplify
 from zxparam.tensor import proportionality_ratio, tensor_eval
 from zxparam.verify import (BLOCK_BYTES, BruteForceResult, ap_form, brute_force_min, check_reduction,
-                            optimality_certificate, probe_state, sample_array, structured_samples,
-                            terminal_violations, zz_certificate)
+                            optimality_certificate, probe_state, sample_array, terminal_violations,
+                            zz_certificate)
 
 FUSION = "qreg 1\nrz(t0) 0\nrz(t1) 0"
 
@@ -77,7 +78,7 @@ def test_check_reduction_blocks_keep_sample_order(n_qubits, per_block):
         for sample, lam, dev in zip(samples, report.ratios, report.deviations):
             _, lam_ref, dev_ref = proportionality_ratio(
                 circuit_unitary(c, sample, states=probe).reshape(-1),
-                circuit_unitary(out, reduction.apply(sample), states=probe).reshape(-1), 1e-9)
+                circuit_unitary(out, apply_reduction(reduction, sample), states=probe).reshape(-1), 1e-9)
             assert abs(lam - lam_ref) <= 1e-12 and abs(dev - dev_ref) <= 1e-12
     assert not report.holds and report.deviations[0] == 0.0
 
@@ -125,7 +126,7 @@ def test_probe_verdicts_match_dense_oracle():
             for sample, lam, dev in zip(samples, report.ratios, report.deviations):
                 ok, lam_dense, _ = proportionality_ratio(
                     circuit_unitary(c, sample).reshape(-1),
-                    circuit_unitary(out, reduction.apply(sample)).reshape(-1), 1e-9)
+                    circuit_unitary(out, apply_reduction(reduction, sample)).reshape(-1), 1e-9)
                 assert (dev <= 1e-9) == ok, (i, kind)
                 if ok:
                     assert abs(lam - lam_dense) <= 1e-12, (i, kind)
@@ -167,7 +168,7 @@ def reference_brute_force(c, tol=1e-9):
                     reduction = ReductionMap(tuple(params), tuple(names), rows, (0,) * l)
                     zeroed = Circuit(c.n_qubits, [g for g in c.gates
                                                   if g.kind is not GateKind.RZ_PARAM or g.param in names])
-                    if all(proportionality_ratio(original, image(zeroed, reduction.apply(sample)), tol)[0]
+                    if all(proportionality_ratio(original, image(zeroed, apply_reduction(reduction, sample)), tol)[0]
                            for original, sample in zip(originals, samples)):
                         return BruteForceResult(l, reduction)
     raise AssertionError("the identity map always passes")
@@ -236,7 +237,7 @@ def test_ap_form_parity_state():
     ap = ap_form(d)
     assert ap.a_matrix.tolist() == [[1, 1]]
     assert ap.b_vector.tolist() == [0]
-    ok, _, _ = proportionality_ratio(ap.state(), tensor_eval(d).amplitudes, 1e-9)
+    ok, _, _ = proportionality_ratio(ap_state(ap), tensor_eval(d).amplitudes, 1e-9)
     assert ok
 
 
@@ -245,7 +246,7 @@ def test_ap_form_two_vertex_graph_state():
     ap = ap_form(d)
     assert ap.a_matrix.size == 0
     assert ap.quadratic_pairs == frozenset({(0, 1)})
-    ok, _, _ = proportionality_ratio(ap.state(), tensor_eval(d).amplitudes, 1e-9)
+    ok, _, _ = proportionality_ratio(ap_state(ap), tensor_eval(d).amplitudes, 1e-9)
     assert ok
 
 
@@ -255,7 +256,7 @@ def test_ap_form_round_trip_random_states():
         c = random_circuit(Random(i + 50), rng.randint(1, 6), rng.randint(2, 18), 0)
         d = circuit_state_diagram(c)
         ap = ap_form(d)
-        ok, _, dev = proportionality_ratio(ap.state(), tensor_eval(d).amplitudes, 1e-9)
+        ok, _, dev = proportionality_ratio(ap_state(ap), tensor_eval(d).amplitudes, 1e-9)
         assert ok, (i, dev)
 
 
@@ -394,7 +395,7 @@ def test_brute_force_fusion_example():
     c = parse_circuit(FUSION)
     result = brute_force_min(c)
     assert result.count == 1
-    assert result.witness.p_matrix.tolist() == [[1, 1]]
+    assert p_matrix(result.witness).tolist() == [[1, 1]]
 
 
 def test_brute_force_hadamard_separated():
@@ -411,7 +412,7 @@ def test_brute_force_sign_flip_witness():
     c = parse_circuit("qreg 1\nrz(t0) 0\nx 0\nrz(t1) 0\nx 0")
     result = brute_force_min(c)
     assert result.count == 1
-    assert sorted(x for row in result.witness.p_matrix.tolist() for x in row) == [-1, 1]
+    assert sorted(x for row in p_matrix(result.witness).tolist() for x in row) == [-1, 1]
 
 
 def test_brute_force_too_many_params():
@@ -505,16 +506,16 @@ def test_apply_array_equals_apply_bit_for_bit():
         values[2, 0] = -0.0
         values[3] = np.where(np.arange(k) % 2, math.pi, -math.pi)
         samples = [dict(zip(params, row)) for row in values.tolist()]
-        expected = [[reduction.apply(s)[name] for name in order] for s in samples]
+        expected = [[apply_reduction(reduction, s)[name] for name in order] for s in samples]
         assert same_floats(reduction.apply_array(values, order), expected)
         assert same_floats(reduction.apply_array(values, reduction.new_param_names),
-                           [[reduction.apply(s)[name] for name in names] for s in samples])
+                           [[apply_reduction(reduction, s)[name] for name in names] for s in samples])
 
 
 def test_apply_array_keeps_a_negative_zero_term_as_apply_does():
     reduction = ReductionMap(("a", "b"), ("u", "v"), ((("a", -1),), (("b", 1),)), (0, 2))
     values = np.array([[0.0, -0.0], [-0.0, 0.0]])
-    expected = [[reduction.apply({"a": a, "b": b})[n] for n in ("u", "v")] for a, b in values.tolist()]
+    expected = [[apply_reduction(reduction, {"a": a, "b": b})[n] for n in ("u", "v")] for a, b in values.tolist()]
     mapped = reduction.apply_array(values, reduction.new_param_names)
     assert same_floats(mapped, expected)
     assert same_floats(mapped[:, 0], [0.0, 0.0])  # 0.0 + -0.0 is 0.0
@@ -550,9 +551,9 @@ def test_check_reduction_with_map_rows_out_of_circuit_order():
     probe = probe_state(2)
     assert report.holds
     for sample, lam in zip(structured_samples(c.params, 3), report.ratios):
-        _, lam_ref, _ = proportionality_ratio(circuit_unitary(c, sample, states=probe).reshape(-1),
-                                              circuit_unitary(fixed, good.apply(sample), states=probe).reshape(-1),
-                                              1e-9)
+        _, lam_ref, _ = proportionality_ratio(
+            circuit_unitary(c, sample, states=probe).reshape(-1),
+            circuit_unitary(fixed, apply_reduction(good, sample), states=probe).reshape(-1), 1e-9)
         assert lam == lam_ref
 
 
