@@ -19,6 +19,11 @@ The file records
   (``exact_s``) and of ``merge_bound`` on the circuit (``merge_s``), their
   sum (``seconds``), the reference time taken before the exact check, the
   verdict (``holds``) and M (``merge_bound``) beside the optimiser's count;
+- the phase-polynomial ladder: wall time of ``phase_teleport`` with its
+  parameter count, and of ``merge_bound`` with M, on 60 qubits of seeded
+  ``cx a b; rz(t) b; cx a b`` blocks (``phase_polynomial``), where the
+  optimiser runs many more gadget pivots per parameter than on the random
+  ladder;
 - the cold start: wall time of a fresh ``python -c "import zxparam"`` and of
   a fresh ``python -m zxparam.cli optimize`` on the smallest ``phase_teleport``
   rung's circuit, the median of ``--repeats`` processes each, with the
@@ -54,7 +59,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from reference import reference_seconds  # noqa: E402
-from zxparam.circuits import emit_circuit  # noqa: E402
+from zxparam.circuits import Circuit, Gate, GateKind, emit_circuit  # noqa: E402
 from zxparam.frame import exact_check, merge_bound  # noqa: E402
 from zxparam.generate import random_circuit  # noqa: E402
 from zxparam.reduction import phase_teleport  # noqa: E402
@@ -63,9 +68,14 @@ from zxparam.verify import check_reduction  # noqa: E402
 # (qubits, gates, params), smallest first
 TELEPORT_LADDER = [(20, 1200, 240), (20, 5000, 1000), (40, 10000, 2000), (60, 20000, 4000)]
 CHECK_LADDER = [(4, 1000, 500), (4, 2000, 1000), (12, 2000, 400), (16, 300, 60)]
+# (qubits, blocks), smallest first
+PHASEPOLY_LADDER = [(60, 1000), (60, 2000), (60, 4000)]
 STAGE_KEYS = {"phase_teleport": ("seconds", "reference_s", "params_out"),
               "check_reduction": ("seconds", "reference_s", "holds"),
-              "verify": ("seconds", "reference_s", "holds", "merge_bound")}
+              "verify": ("seconds", "reference_s", "holds", "merge_bound"),
+              "phase_polynomial": ("seconds", "reference_s", "params_out", "merge_s", "merge_bound")}
+LADDERS = {"phase_teleport": TELEPORT_LADDER, "check_reduction": CHECK_LADDER, "verify": TELEPORT_LADDER,
+           "phase_polynomial": PHASEPOLY_LADDER}
 COLD_START_KEYS = ("import", "optimize")
 SEED = 1
 
@@ -129,6 +139,27 @@ def verify_rung(rung: Tuple[int, int, int], repeats: int) -> dict:
             "holds": failure is None, "merge_bound": bound, "params_out": len(optimised.circuit.params)}
 
 
+def phase_polynomial(rng: Random, qubits: int, blocks: int) -> Circuit:
+    """``blocks`` blocks ``cx a b; rz(t) b; cx a b`` on random pairs of
+    distinct qubits: one parameter per block, one per distinct pair after
+    fusion."""
+    gates = []
+    for i in range(blocks):
+        a, b = rng.sample(range(qubits), 2)
+        gates += [Gate(GateKind.CX, (a, b)), Gate(GateKind.RZ_PARAM, (b,), param=f"t{i}"),
+                  Gate(GateKind.CX, (a, b))]
+    return Circuit(qubits, gates)
+
+
+def phasepoly_rung(rung: Tuple[int, int], repeats: int) -> dict:
+    q, blocks = rung
+    c = phase_polynomial(Random(1), q, blocks)
+    times, result = timed(lambda: phase_teleport(c), repeats)
+    merge, bound = timed(lambda: merge_bound(c), repeats)
+    return {"qubits": q, "blocks": blocks, "params": len(c.params), **times,
+            "params_out": len(result.circuit.params), "merge_s": merge["seconds"], "merge_bound": bound}
+
+
 def in_fresh_process(fn: Callable[..., dict], *args) -> dict:
     """``fn(*args)`` in a new process: in a shared one a rung's time depends
     on the rungs run before it.  A worker that dies raises BrokenProcessPool."""
@@ -139,7 +170,8 @@ def in_fresh_process(fn: Callable[..., dict], *args) -> dict:
 def ladder(rungs: int, repeats: int) -> Dict[str, List[dict]]:
     return {"phase_teleport": [in_fresh_process(teleport_rung, r, repeats) for r in TELEPORT_LADDER[:rungs]],
             "check_reduction": [in_fresh_process(check_rung, r, repeats) for r in CHECK_LADDER[:rungs]],
-            "verify": [in_fresh_process(verify_rung, r, repeats) for r in TELEPORT_LADDER[:rungs]]}
+            "verify": [in_fresh_process(verify_rung, r, repeats) for r in TELEPORT_LADDER[:rungs]],
+            "phase_polynomial": [in_fresh_process(phasepoly_rung, r, repeats) for r in PHASEPOLY_LADDER[:rungs]]}
 
 
 def cold_start(repeats: int) -> dict:
@@ -182,8 +214,9 @@ def problems(bench: dict, rungs: int) -> List[str]:
                   if m["name"] not in metrics]
     for stage, keys in STAGE_KEYS.items():
         entries = bench["ladder"].get(stage, [])
-        if len(entries) != rungs:
-            found.append(f"ladder {stage} has {len(entries)} rungs, expected {rungs}")
+        expected = min(rungs, len(LADDERS[stage]))
+        if len(entries) != expected:
+            found.append(f"ladder {stage} has {len(entries)} rungs, expected {expected}")
         found += [f"ladder {stage} rung {i} lacks {key}" for i, entry in enumerate(entries)
                   for key in keys if key not in entry]
         found += [f"ladder {stage} rung {i} does not hold" for i, entry in enumerate(entries)
@@ -211,7 +244,8 @@ def main() -> None:
                                  f"--seconds {args.seconds:g} --trace 0",
                       "correct": result["correct"], "attempted": result["attempted"],
                       "failed": result["failed"], "workloads": by_workload(result)},
-        "ladder": {"circuit": "random_circuit(Random(1), qubits, gates, params)", "repeats": args.repeats,
+        "ladder": {"circuit": "random_circuit(Random(1), qubits, gates, params)",
+                   "phase_polynomial_circuit": "phase_polynomial(Random(1), qubits, blocks)", "repeats": args.repeats,
                    **ladder(args.rungs, args.repeats)},
         "cold_start": cold_start(args.repeats),
         "code": code_size(),

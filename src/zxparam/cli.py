@@ -234,7 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("circuit", type=Path)
     oracle.add_argument("--oracle-max-params", type=_int_between(0, MAX_ORACLE_PARAMS), default=4)
     for p in (optimize, verify, oracle):
-        p.add_argument("--seed", type=_seed, help="deterministic seed (default: ZXPARAM_SEED or 0)")
+        p.add_argument("--seed", type=_seed, help="seed of the rewrite picks among equally cheap candidates; "
+                                                  "outputs and verdicts do not depend on it "
+                                                  "(default: ZXPARAM_SEED or 0)")
         p.add_argument("--report", type=Path)
     return parser
 

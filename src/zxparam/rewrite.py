@@ -335,7 +335,14 @@ SIG_DEGREE_ONE, SIG_WIRED, SIG_PARAM = 1, 2, 4
 CLASS_LOCAL_COMP, CLASS_PAULI, CLASS_HADAMARD_WIRED = 8, 16, 32
 _SIGNATURE = SIG_DEGREE_ONE | SIG_WIRED | SIG_PARAM
 _CLASSES = CLASS_LOCAL_COMP | CLASS_PAULI | CLASS_HADAMARD_WIRED
+_PLAIN_CLASSES = CLASS_PAULI | CLASS_HADAMARD_WIRED  # the classes kept in plain sets
 _NO_PARTNERS: FrozenSet[int] = frozenset()
+_NO_ENDS: Tuple[Tuple[int, ...], Tuple[int, ...]] = ((), ())
+# Filing one changed vertex takes a few bucket moves, filing every pair afresh
+# one dict entry per pair: ``file_pairs`` refills the gadget and boundary
+# pivot indexes when the changed vertices are more than 1/_REFILL_RATIO of
+# their pairs.
+_REFILL_RATIO = 32
 
 
 def _pick(candidates, rng: Optional[Random]):
@@ -346,13 +353,75 @@ def _pick(candidates, rng: Optional[Random]):
     return rng.choice(sorted(candidates))
 
 
+class CostIndex:
+    """A candidate set kept in buckets by cost, so that a pick reads only the
+    cheapest bucket."""
+
+    __slots__ = ("costs", "buckets")
+
+    def __init__(self):
+        self.costs: Dict = {}  # candidate -> the cost it is filed under
+        self.buckets: Dict[int, Set] = {}  # cost -> candidates, never empty
+
+    def file(self, c, k: int) -> None:
+        """File ``c`` under cost ``k``, moving it if it is filed elsewhere."""
+        costs, buckets = self.costs, self.buckets
+        old = costs.get(c)
+        if old == k:
+            return
+        if old is not None:
+            bucket = buckets[old]
+            bucket.discard(c)
+            if not bucket:
+                del buckets[old]
+        costs[c] = k
+        bucket = buckets.get(k)
+        if bucket is None:
+            buckets[k] = {c}
+        else:
+            bucket.add(c)
+
+    def discard(self, c) -> None:
+        k = self.costs.pop(c, None)
+        if k is not None:
+            bucket = self.buckets[k]
+            bucket.discard(c)
+            if not bucket:
+                del self.buckets[k]
+
+    def refill(self, costs: Dict) -> None:
+        """Replace the candidates by those of ``costs`` (candidate -> cost)."""
+        buckets: Dict[int, Set] = {}
+        for c, k in costs.items():
+            bucket = buckets.get(k)
+            if bucket is None:
+                buckets[k] = {c}
+            else:
+                bucket.add(c)
+        self.costs, self.buckets = costs, buckets
+
+    def cheapest(self, rng: Optional[Random]):
+        """The smallest of the cheapest candidates, or with ``rng`` a choice
+        among them sorted; None if there is none."""
+        if not self.buckets:
+            return None
+        return _pick(self.buckets[min(self.buckets)], rng)
+
+
 class Rewriter:
     """The fixpoint driver: applies one rewrite at a time, taking the first
     stage of ``stages`` that has a match.
 
-    The candidates of every rule are kept in indexes that always equal what
-    a full rescan of the diagram returns, so a pick is ``min`` of a rule's
-    candidates, or ``rng.choice`` of them sorted when a seed is given.
+    The candidates of every rule are kept in indexes that equal what a full
+    rescan of the diagram returns.  The four edge-toggling rules (local
+    complementation and the three pivots) take their cheapest candidate.
+    Such a rewrite toggles edges within the neighbourhoods it reads, the way
+    a step of Gaussian elimination fills a sparse matrix, so a spider costs
+    its degree and a pair the product of its two degrees, as in
+    minimum-degree orderings.  Ties go to the smallest candidate, or with a
+    seed to ``rng.choice`` over the tied candidates sorted.  These four
+    indexes are ``CostIndex`` buckets, so a pick reads the cheapest bucket
+    only.  The other rules take their smallest candidate, or a seeded choice.
     After a rewrite only what it changed is re-checked: the matched, removed
     and touched vertices and the former neighbours of the matched ones, which
     are every vertex whose phase, degree or adjacency changed.
@@ -365,7 +434,12 @@ class Rewriter:
     changed; when its signature changed, its internal 0/pi neighbours are
     re-checked too.  Re-checking an internal 0/pi spider walks its
     neighbours once and applies only the difference from the previous walk
-    to its pivot partners, its gadget/boundary pivot pairs and its gadget.
+    to its pivot partners, its gadget/boundary pivot ends and its gadget;
+    if its degree changed, it files its pivot pairs under their new costs.
+    The gadget and boundary pivot indexes are read only when no local
+    complementation or pivot applies, so they are brought up to date when
+    read, by ``file_pairs``, from the anchors and the pair ends whose ends
+    or degree changed since.
     """
 
     def __init__(self, d: Diagram, stages: Sequence[Callable[["Rewriter"], Optional[List[RewriteEvent]]]],
@@ -373,21 +447,25 @@ class Rewriter:
         self.d = d
         self.stages = tuple(stages)
         self.rng = Random(seed) if seed is not None else None
-        self.local_comp: Set[int] = set()
+        self.local_comp = CostIndex()
         self.pauli: Set[int] = set()  # internal spiders with phase 0 or pi
-        self.pivot: Set[Tuple[int, int]] = set()
-        self.gadget_pivot: Set[Tuple[int, int]] = set()
-        self.boundary_pivot: Set[Tuple[int, int]] = set()
+        self.pivot = CostIndex()
+        self.gadget_pivot = CostIndex()
+        self.boundary_pivot = CostIndex()
         self.gadgets: Dict[int, GadgetView] = {}  # axis -> gadget
         self.by_neighbourhood: Dict[FrozenSet[int], Set[int]] = {}  # neighbourhood -> axes
         self.unary: Set[int] = set()  # axes of gadgets with one neighbour
         self.shared: Set[FrozenSet[int]] = set()  # neighbourhoods of two gadgets or more
         self.hadamard_wired: Set[int] = set()  # boundary spiders with a Hadamard boundary wire
         self.codes: Dict[int, int] = {}  # spider -> SIG_ and CLASS_ bits
+        self.degrees: Dict[int, int] = {}  # spider -> degree at its last re-check
         self._class_sets = {CLASS_LOCAL_COMP: self.local_comp, CLASS_PAULI: self.pauli,
                             CLASS_HADAMARD_WIRED: self.hadamard_wired}
         self._pivot_partners: Dict[int, Set[int]] = {}  # never holds an empty set
-        self._pairs_at: Dict[int, Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]] = {}
+        # anchor -> (gadget pivot ends, boundary pivot ends)
+        self._pairs_at: Dict[int, Tuple[List[int], List[int]]] = {}
+        self._filed_at: Dict[int, Tuple[List[int], List[int]]] = {}  # anchor -> its ends as last filed
+        self._unfiled: Set[int] = set()  # vertices whose pairs may be misfiled
         self.recheck(set(d.vertices()))
 
     def run(self, limit: int, what: str = "simplify") -> List[RewriteEvent]:
@@ -427,27 +505,33 @@ class Rewriter:
         """Bring every index up to date after the vertices in ``changed``
         (present or removed) changed phase, degree or adjacency.  Where the
         signature of a vertex changed, its internal 0/pi neighbours are
-        re-checked too."""
+        re-checked too.  Where its degree changed, the candidates that read
+        it are filed under their new costs: local complementation and pivots
+        at once, gadget and boundary pivots by the next ``file_pairs``."""
         d = self.d
         vertices, adj, boundary_count = d._vertices, d._adj, d._boundary_count
-        codes, class_sets = self.codes, self._class_sets
+        codes, degrees, class_sets, local_comp = self.codes, self.degrees, self._class_sets, self.local_comp
+        unfiled = self._unfiled
         spider, hadamard = _SPIDER, _HADAMARD
         # Candidates are anchored only at internal 0/pi spiders, so every
         # vertex that is one now or was one before the rewrite is re-checked.
         anchors: List[int] = []
         around: Set[int] = set()
+        regraded: Set[int] = set()  # spiders whose degree changed
         for v in changed:
             old = codes.get(v)  # None for a boundary node or a new spider
             data = vertices.get(v)
             if data is None or data.kind is not spider:
                 if old is not None:  # a removed spider
                     del codes[v]
+                    del degrees[v]
                     if old & _CLASSES:
                         class_sets[old & _CLASSES].discard(v)
                         if old & CLASS_PAULI:
                             anchors.append(v)
                 continue
             nbrs = adj[v]
+            degree = len(nbrs)
             ph = data.phase
             if boundary_count[v]:
                 code = SIG_WIRED | SIG_PARAM if ph.terms else SIG_WIRED
@@ -459,10 +543,16 @@ class Rewriter:
                 code = SIG_PARAM
             elif ph.clifford & 1:
                 code = CLASS_LOCAL_COMP
+                local_comp.file(v, degree)
             else:
                 code = CLASS_PAULI
-            if len(nbrs) == 1:
+            if degree == 1:
                 code |= SIG_DEGREE_ONE
+            if degree != degrees.get(v):
+                degrees[v] = degree
+                regraded.add(v)
+                if code & (SIG_WIRED | SIG_PARAM) and degree > 1:  # a pair end
+                    unfiled.add(v)
             if code & CLASS_PAULI:
                 anchors.append(v)
             if code == old:
@@ -471,39 +561,41 @@ class Rewriter:
             if old is None:
                 # every neighbour of a new spider gained an edge, so it is
                 # in ``changed`` already
-                if code & _CLASSES:
-                    class_sets[code & _CLASSES].add(v)
+                if code & _PLAIN_CLASSES:
+                    class_sets[code & _PLAIN_CLASSES].add(v)
                 continue
             if (code ^ old) & _CLASSES:
                 if old & _CLASSES:
                     class_sets[old & _CLASSES].discard(v)
                     if old & CLASS_PAULI:
                         anchors.append(v)
-                if code & _CLASSES:
-                    class_sets[code & _CLASSES].add(v)
+                if code & _PLAIN_CLASSES:
+                    class_sets[code & _PLAIN_CLASSES].add(v)
             if (code ^ old) & _SIGNATURE:
                 around.update(nbrs)
         if around:
             around.difference_update(changed)
             anchors.extend(around & self.pauli)
-        self._recheck_anchored(anchors)
+        self._recheck_anchored(anchors, regraded)
 
-    def _recheck_anchored(self, anchors: List[int]) -> None:
+    def _recheck_anchored(self, anchors: List[int], regraded: Set[int]) -> None:
         """The candidates anchored at each ``u`` of ``anchors``: its pivot
         pairs, the gadget with axis ``u`` and its gadget/boundary pivots.  All
         of them need ``u`` to be an internal 0/pi spider; one walk over its
         neighbours finds them, and only what differs from the previous walk
-        is applied."""
+        is applied.  If ``u`` is in ``regraded`` (its degree changed), all its
+        pivot pairs are filed under their new costs, and its gadget/boundary
+        pivot pairs are left to ``file_pairs`` like changed ones."""
         adj, codes = self.d._adj, self.codes
         pauli, partners_of, pairs_at, gadgets = self.pauli, self._pivot_partners, self._pairs_at, self.gadgets
-        pivot, gadget_pivot, boundary_pivot = self.pivot, self.gadget_pivot, self.boundary_pivot
+        pivot, unfiled = self.pivot, self._unfiled
         for u in anchors:
             if u in pauli:
                 adj_u = adj[u]
                 partners: Set[int] = set()
                 legs: List[int] = []
-                gadget_pairs: List[Tuple[int, int]] = []
-                boundary_pairs: List[Tuple[int, int]] = []
+                gadget_ends: List[int] = []
+                boundary_ends: List[int] = []
                 for w in adj_u:  # u is internal, so every neighbour is a spider
                     code = codes[w]
                     if code & CLASS_PAULI:
@@ -512,15 +604,16 @@ class Rewriter:
                         if code & SIG_DEGREE_ONE:
                             legs.append(w)
                         elif code & SIG_WIRED:
-                            boundary_pairs.append((u, w))
+                            boundary_ends.append(w)
                         else:
-                            gadget_pairs.append((u, w))
-                if len(legs) == 1 or not (gadget_pairs or boundary_pairs):
+                            gadget_ends.append(w)
+                if len(legs) == 1 or not (gadget_ends or boundary_ends):
                     pairs = None
                 else:
-                    pairs = (gadget_pairs, boundary_pairs)
+                    pairs = (gadget_ends, boundary_ends)
             else:
-                partners, legs, pairs = _NO_PARTNERS, (), None
+                adj_u, partners, legs, pairs = {}, _NO_PARTNERS, (), None
+            refile = u in regraded
             old_partners = partners_of.get(u, _NO_PARTNERS)
             if partners != old_partners:
                 for p in old_partners - partners:
@@ -530,27 +623,30 @@ class Rewriter:
                     if not others:
                         del partners_of[p]
                 for p in partners - old_partners:
-                    pivot.add((u, p) if u < p else (p, u))
                     others = partners_of.get(p)
                     if others is None:
                         partners_of[p] = {u}
                     else:
                         others.add(u)
+                    if not refile:
+                        pivot.file((u, p) if u < p else (p, u), len(adj_u) * len(adj[p]))
                 if partners:
                     partners_of[u] = partners
                 else:
                     del partners_of[u]
-            old_pairs = pairs_at.get(u)
-            if pairs != old_pairs:
-                if old_pairs is not None:
-                    gadget_pivot.difference_update(old_pairs[0])
-                    boundary_pivot.difference_update(old_pairs[1])
+            if refile:
+                du = len(adj_u)
+                for p in partners:
+                    if u < p or p not in regraded:  # else p files the pair
+                        pivot.file((u, p) if u < p else (p, u), du * len(adj[p]))
+            if pairs != pairs_at.get(u):
                 if pairs is None:
                     del pairs_at[u]
                 else:
                     pairs_at[u] = pairs
-                    gadget_pivot.update(gadget_pairs)
-                    boundary_pivot.update(boundary_pairs)
+                unfiled.add(u)
+            elif refile and pairs is not None:
+                unfiled.add(u)
             old_gadget = gadgets.get(u)
             if len(legs) == 1:
                 leg = legs[0]
@@ -563,6 +659,55 @@ class Rewriter:
                 self._add_gadget(GadgetView(u, leg, frozenset(adj_u.keys() - {leg})))
             elif old_gadget is not None:
                 self._drop_gadget(old_gadget)
+
+    def file_pairs(self) -> None:
+        """Bring the gadget and boundary pivot indexes up to date.  Their
+        stages run only when no local complementation or pivot applies, so
+        they are filed when read.  An anchor in ``_unfiled`` (its ends or its
+        degree changed) drops the pairs it filed last and files its ends in
+        ``_pairs_at`` under their current costs; a pair end in ``_unfiled``
+        (its degree changed) files again the pairs filed at it, whose anchors
+        are among its neighbours.  When the changed vertices are many against
+        the filed pairs, both indexes are refilled from ``_pairs_at``."""
+        unfiled = self._unfiled
+        if not unfiled:
+            return
+        adj, codes, pairs_at = self.d._adj, self.codes, self._pairs_at
+        gadget_pivot, boundary_pivot = self.gadget_pivot, self.boundary_pivot
+        if _REFILL_RATIO * len(unfiled) > len(gadget_pivot.costs) + len(boundary_pivot.costs):
+            for i, index in enumerate((gadget_pivot, boundary_pivot)):
+                index.refill({(u, w): len(adj[u]) * len(adj[w]) for u, ends in pairs_at.items() for w in ends[i]})
+            self._filed_at = dict(pairs_at)
+            unfiled.clear()
+            return
+        filed_at = self._filed_at
+        for v in unfiled:
+            pairs = pairs_at.get(v)
+            filed = filed_at.get(v)
+            if pairs is not None or filed is not None:  # an anchor
+                old = filed or _NO_ENDS
+                if pairs is None:
+                    dv, pairs = 0, _NO_ENDS
+                    del filed_at[v]
+                else:
+                    dv = len(adj[v])
+                    filed_at[v] = pairs
+                for index, gone, ends in ((gadget_pivot, old[0], pairs[0]), (boundary_pivot, old[1], pairs[1])):
+                    if gone:
+                        for w in set(gone).difference(ends):
+                            index.discard((v, w))
+                    for w in ends:
+                        index.file((v, w), dv * len(adj[w]))
+                continue
+            code = codes.get(v)
+            if code is not None and code & (SIG_WIRED | SIG_PARAM) and not code & SIG_DEGREE_ONE:
+                index = boundary_pivot if code & SIG_WIRED else gadget_pivot
+                costs = index.costs
+                dv = len(adj[v])
+                for u in adj[v]:
+                    if u in filed_at and (u, v) in costs:
+                        index.file((u, v), len(adj[u]) * dv)
+        unfiled.clear()
 
     def _add_gadget(self, g: GadgetView) -> None:
         self.gadgets[g.axis_spider] = g
@@ -585,11 +730,15 @@ class Rewriter:
         self.unary.discard(u)
 
 
-def _index_stage(index: str, rewrite: Callable) -> Callable[[Rewriter], Optional[List[RewriteEvent]]]:
-    """The stage that applies ``rewrite`` to a pick from the Rewriter's
-    candidate set ``index``: a vertex, or a pair of vertices."""
+def _index_stage(index: str, rewrite: Callable,
+                 filed_when_read: bool = False) -> Callable[[Rewriter], Optional[List[RewriteEvent]]]:
+    """The stage that applies ``rewrite`` to the cheapest candidate of the
+    Rewriter's ``CostIndex`` ``index``: a vertex, or a pair of vertices.  An
+    index ``filed_when_read`` is brought up to date first."""
     def stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
-        pick = _pick(getattr(rw, index), rw.rng)
+        if filed_when_read:
+            rw.file_pairs()
+        pick = getattr(rw, index).cheapest(rw.rng)
         if pick is None:
             return None
         match = pick if isinstance(pick, tuple) else (pick,)
@@ -599,8 +748,8 @@ def _index_stage(index: str, rewrite: Callable) -> Callable[[Rewriter], Optional
 
 _local_comp_stage = _index_stage("local_comp", local_complement_simp)
 _pivot_stage = _index_stage("pivot", pivot_simp)
-_gadget_pivot_stage = _index_stage("gadget_pivot", gadget_pivot)
-_boundary_pivot_stage = _index_stage("boundary_pivot", boundary_pivot)
+_gadget_pivot_stage = _index_stage("gadget_pivot", gadget_pivot, filed_when_read=True)
+_boundary_pivot_stage = _index_stage("boundary_pivot", boundary_pivot, filed_when_read=True)
 
 
 def _gadget_id_fuse_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
@@ -612,11 +761,15 @@ def _gadget_id_fuse_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
 
 
 def _gadget_fusion_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
-    # groups are disjoint, so sorting them orders them by their smallest axis
-    groups = sorted(sorted(rw.by_neighbourhood[n]) for n in rw.shared)
-    if not groups:
+    # groups are disjoint, so their smallest axes order them
+    if not rw.shared:
         return None
-    axes = groups[0] if rw.rng is None else rw.rng.choice(groups)
+    by_neighbourhood = rw.by_neighbourhood
+    if rw.rng is None:
+        first = min(min(by_neighbourhood[n]) for n in rw.shared)
+    else:
+        first = rw.rng.choice(sorted(min(by_neighbourhood[n]) for n in rw.shared))
+    axes = sorted(by_neighbourhood[rw.gadgets[first].neighbourhood])
     g1, g2 = rw.gadgets[axes[0]], rw.gadgets[axes[1]]
     return rw.apply((g1.axis_spider, g1.phase_spider, g2.axis_spider, g2.phase_spider),
                     gadget_fusion, g1, g2)
@@ -661,9 +814,13 @@ def simplify(d: Diagram, seed: Optional[int] = None) -> Tuple[Diagram, List[Rewr
 
     Rules are attempted in a fixed priority (local complementation, pivot,
     gadget pivot, boundary pivot, gadget fusion on one neighbour, gadget
-    fusion, scalar removal, boundary decoration cleanup); within a rule the
-    candidate with the smallest vertex ids is chosen, or a seeded random
-    candidate when ``seed`` is given.  The terminal diagram satisfies the
+    fusion, scalar removal, boundary decoration cleanup).  The first four
+    take their cheapest candidate, a spider costing its degree and a pair
+    the product of its degrees, the smallest of the tied ones or, when
+    ``seed`` is given, a seeded choice among them; the others take the
+    candidate with the smallest vertex ids, or a seeded random one.  The
+    order changes the events and the terminal diagram's ids, not its
+    parameter count.  The terminal diagram satisfies the
     pseudo-normal form conditions checked by ``verify.terminal_violations``.
     Raises FixpointNotReached if the safety cap on the number of rewrites
     is hit.  ``d`` itself is left as it is.

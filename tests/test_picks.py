@@ -61,113 +61,113 @@ def pick_digests(c: Circuit, seed: Optional[int]) -> Tuple[str, str]:
 # (circuit, pick seed) -> (event log digest, terminal diagram digest)
 PICKS: Dict[str, Tuple[str, str]] = {
     "r6q60g-0/seed0": (
-        "2332bb6c9cb24e12ca8e76c81558a5100beab6b0d449f16dfd83bb68d10ca3ae",
-        "54bd78268fb7a04ae4e081bd38da9e43cfa72cb89def1a29eb5c0e1e0bfe688c"),
+        "29267693121b92702e3b22dce81b109bfe1b32ee1f4693c5d19a16ae14eedeab",
+        "b0c164721fe9ead11fd8a00197ba1ec5ee23da1460dcdd3f44487bdd3503efc6"),
     "r6q60g-0/seedNone": (
-        "ba355d491bc7a155fe8c89c6672f480c0c5408d2d9d0760069a58b0e72856218",
-        "72e0ad15fef2091b8b284eabb9911d38a99df828829939e67b5d966d3dad40ea"),
+        "1ebf278b545f12e65518328a529c51f344a5062bd0bc8b77c75a8952d79d1bc0",
+        "8e19c09ee98bdbb03124471dbd13f5f60f916241a2cf87ae6f44e6cc8f1e4d71"),
     "r6q60g-1/seed0": (
-        "03c155b27ad9ebf0b5bae26be3720c914bac53351cf185845264462f61754f93",
-        "376628c16ae966b2122bad9f61b4d31227bc55935f2ced856e808aea148f87bc"),
+        "c5c55323ef5e164baf38c42ee4c452271b9ff8d13ee9615de994816054a8be44",
+        "e2ff2f71311bdaba7210867dfa9d724c34313e630d05de9d8a0e792771a00aca"),
     "r6q60g-1/seedNone": (
-        "11441d6e1d3028d632fde06500a9ed485f7a7ff40f591287d784a054ea7eb883",
-        "0c8c483fd357f7d6f796a2a651cd3109088694dba7759df5194aa393284fa637"),
+        "5bbc6f1b1bfdd153425dbf447c14c4aa689ab7b19d33a3c27670ea097e17f247",
+        "7f58b43144bb04d6210f548a9e59a5da4d7a9532587e062c15efd3420fee19ed"),
     "r6q60g-2/seed0": (
-        "4fa0125664cfcac3163083b8e5b656e5fc743d98409110f9b9421126e428efb5",
-        "0073a11beadd74d858a4d31237533193dde00af4f2e188f12593493895e12d69"),
+        "9555ebd6efa51a2e2fff768518017eed07096b538f572fcce337fd7a93c95961",
+        "bd8fbdbd77ac4d16eaa1b89d68d2e92082972db2fef5cbd80d70dcf1f5bfb733"),
     "r6q60g-2/seedNone": (
-        "d7af8cb64f02ec70a75e7bc69c6f6633acfd9c88c081e80cf9aa2ba9f93c8865",
-        "09166d6aa3182b48dac2f2e16410bed6bc0093e9cdf08d60658ebcb0ecd0e41c"),
+        "a5438a74ffa6dea8267b6f05eb655ae5bb3edbde0b7d84e300800c1902e60c7d",
+        "a5f7d7cdfc4e8de3c95040a6530752ec70a2737ed9e5286bd7533aeb843116b3"),
     "r8q120g-0/seed0": (
-        "bed2711b2e8ef7e815700ac87c75c36b8f7b35d8e77c044c7d6321c7e3996bc0",
-        "bff93ad28ba3e8e2c9f3f6268c21e506ab6608663a64ae16e6cd71b6a687aa97"),
+        "f585334c7d918ddfb41ed52be5826b79a5d36a89a2d798b6523554de47a07d54",
+        "c39603421b4b634f74b42aaf1f4092ecf54defdf8cb75fddf69cf68feeab1f5f"),
     "r8q120g-0/seedNone": (
-        "e77e08d9223c96dca2af1be1803d602bd3373c315264f4a172b7bbe0156d33c6",
-        "decadafc4fcc5bc301701eb3ebac41667ab718f49e7ecf5736857097a225ba21"),
+        "b4d3ae254db8cad0e29b70694a54a0d25cff4e4006f0ef91296365b12d8910ff",
+        "eee35f511bec511d849ec78d745f294b3984cdff26a77b25e922949487ef3db5"),
     "r8q120g-1/seed0": (
-        "250a18f54ce1afdcc5b54368081f81c43effe1cc15c3546903e05d13789f8c3e",
-        "39d16b33e635a5d70b9ef9a96f96e5544e6db6d8271f9816543db988ca5d7664"),
+        "38b8f7b3ad3fe14c2275092782ec35d787e2658134033de5eabfbc3e4d9da562",
+        "c03bf5dad259bdb18e11088a5f72a9e6daa29e2a85c366128baf0b247e24c021"),
     "r8q120g-1/seedNone": (
-        "84ad33caab67ee9d51687068076b92fdfb51c05650b01cd66ba7799cea795ed4",
-        "21f3a1046b8662a71b0c88aea681d9c334a633ed30d4fd43e96964e35ab639f4"),
+        "7fd9955c17beeff2948d2d0d61b95f6e8ea8ec65a1fd3187397c12c6caaa7f4c",
+        "204172561a87cfe401140b7a37caa6e0f3aaebde6908c7ee1bd4e224b2a9e006"),
     "r10q200g-0/seed0": (
-        "dc0a10a8cbcd9c3535346f0520e8070c622bf2dc4713331c0d34660a2aa3a998",
-        "f304b42253c4c13ab667a82f7504a9787f7d59cb888c030b8c9a56e3cebc9486"),
+        "7b77f88252e6b3c856809cf9c06fe1a5ce5f0b10ff7f20799c1cd186b220e3f8",
+        "9d0001e7314d726d240e0b2155db6cf8736fe68868585e55d96eaf4ee08e9ea4"),
     "r10q200g-0/seedNone": (
-        "8b25030a61fa984df5eb8bc5af9b7fc3b1dbf21a46beec5ed743f07a8dcb1c78",
-        "7ba7f8d9936486eef5ee40412bb6a04a36c494368300f356ad2033eee77999ec"),
+        "506c712f6de1dc2aa87ec59476a5657a2c83efb04bf27ab943889af76569edf0",
+        "d9e17258ee6d6b7977554ee420d208f3adc7bbe531c1e0ac52745ce443215992"),
     "r10q200g-1/seed0": (
-        "6508807f943bf0774333cd4eb6174bc9d6b4d85bc38727246c286036a84105de",
-        "05a3a1314c246464084671561687af18e2d997e1c92b27db44cd6e24cf20a9ef"),
+        "339dbd604d432ed10a1b98d8e90ddbfc0fe9d085002a9a2e36220138764e3f3d",
+        "e01b8c0f642150004c4e1db3de330251deb31addd309970e8eb2c1326eabdc27"),
     "r10q200g-1/seedNone": (
-        "458cc2bb77fc3545cc68677138aa30879f89b29692b070b43db17d4a8bc7102c",
-        "c6aadb85710a03afd8f5a9290855cc164fd293353e1c99c3b25541345eca067e"),
+        "6a88f1d0b9dac31ddfc15be6ddc51df28d21e96ff577b2254cfd23c695f129e0",
+        "1212dbc7205572436655557a5851252d0a341548310c9caf0faa011a092e337a"),
     "r12q300g-0/seed0": (
-        "924d12fd98035410eaa19cc431956f9501eedae5e7e4aae958fddcb8cfdd8442",
-        "2e8bc631296802dead6d02ee53a172597496040f9df835347f33f99a61665cdf"),
+        "c0eaef0f84c037af46780bf9a69b08d26390e0dcb9c8377aa43d5e7a322e6bd2",
+        "5c86aee60cd372d8f5e985fd80a81cc4bad6aacf8b56a4aefecb6a90d4799ea6"),
     "r12q300g-0/seedNone": (
-        "b434d39eea797a5f46d9e833d10e4423295465dcc5360621fdd2c37bf130669e",
-        "22412f6a93339954bc8b4c78bc8c6cd7673d55bafe8cfa8d4a192d8a971f78eb"),
+        "9ba53f798400ea008729522caceabc9f0eef3a6f609e8360f3a7d2c30e9259c2",
+        "79ccc2d4e247965276f69836fd66d054d9a06643531825f88086c96d51c8d15f"),
     "r12q300g-1/seed0": (
-        "97f485ccf343794f815a17399c4502b6fc6653770c7aed1f60e49ccc919d5d91",
-        "0634ff971b9e5684e422d9ea42ab38679f369b713112f91f0b62029b39c1a12c"),
+        "618887e9e8f974523ce1708a3f106a5498c5e6594d3c1786f184d7e52ecb2261",
+        "6a39dafaf218b6d862a75173a1907ee902ea25a7e661612691a808a29420e63f"),
     "r12q300g-1/seedNone": (
-        "caa6de7d3da72bfbefdb076190e26532354f482cb4fd2751f3e89739a9b67695",
-        "e26d7205ffedc1f06442b12772a92dbd5ebbfc6ca8e07bd1cb5652e193c32408"),
+        "7873849ef439c5590df60cbb05e2128bcb6806786aa8e459b164081516c9ff03",
+        "55ebe7236c3c4726bda80b4152be88e63546e25a33ce6ed1fbd6c83f5f61f56b"),
     "p5q48g-0/seed0": (
-        "982185193110ccdcb7619bb123de5122e7fdd21301e56cf691c9b3c294d9e821",
-        "91b9e60fa741437f89ea5f48211b6e12c4ff1089e95e61bb5ee848aab0202faf"),
+        "421daa703ed421c323e598646580cb762a6c22e999ba5258e8c97a7e5dbcaf62",
+        "637e214bd711956cd2be37ae76dcc1fe308c1c9350ade18f755397578f5084e7"),
     "p5q48g-0/seedNone": (
-        "b49bd256f163919a4fcc14594598095ce0f79f8be5f08f35d4cb106cf53e3abf",
-        "829cc5ec48d1c86afa87063ef38afa5288edbdb06f8526430e3361d76d8b7f76"),
+        "b7cc2ba03888735be30c1fa3fdf30a651cfabb07e8d563f297cf7b59ad7d4a4a",
+        "48d70d7332e6b2250558cbbd4f11e23105da61ca539c2e143f22f0818e849637"),
     "p5q48g-1/seed0": (
-        "ed73b25537165a164b2ec24843d62a6afe90d8e2e7d41ae59620878a0d2012fb",
-        "ee6de9fc2413bff2ffd6da55681252681c4cab1c37385b3b1eaeafdb87d75226"),
+        "5b67d2c095f3d5ad35bf2c14e6885e4ee95a77221b24a7d8ccd0a4ce9a5f7f25",
+        "b39db04064b732224c724b3f77448f2d63e4e6aabaff6e5360f4dcb2717d3774"),
     "p5q48g-1/seedNone": (
-        "8f9c2e1b61c4d1d9c5a74afe2594aa19de530f087a511a0848980507e6897a35",
-        "eb8133cb8a92b7889132b9247b00d475200ddbb90126e9dd4a7908cbf05e97cf"),
+        "155eb79371b2d9ca4c3577ae28384cf742c04c32dccb6f2beee9e55590c46fe6",
+        "3dd8166e045d558984337c0c3215a12c03112424fa620c4823f5f79394ccf008"),
     "p5q48g-2/seed0": (
-        "c0f956c3c6c9c336e7ac5179d53156ad5ff768a913e355e63fc177ae06c79fb6",
-        "0af5436a2311e1c221885db60e7a4890b7d1c055966521c1091855930e0344bc"),
+        "9983eaca46051a4a09d1addfb0d2baaff995023fa06e5e2931a38acce06f23be",
+        "e70b1241c6c184b68648ccebda7ef4d4b030ee78430f8edf73bf210181a07bf3"),
     "p5q48g-2/seedNone": (
-        "84389ca692b9c75ffcc21dea306426e0457bfb79ba5a5230f33527ff1b91f8f8",
-        "67b46592b27b06a672d70bd1128151b74dccd893d559184c1292afdbea4bd366"),
+        "5b5dcb9b68f42edd2105c2dddcf43d2fcca3d6a6b934333de6894d319f15aa61",
+        "6559d983cd657b2b0294488d68bf3f838fe64f2294f1f9a434e9fbd670b69e6e"),
     "p6q80g-0/seed0": (
-        "43e5c67fe2788001d1fb8dcdf3b270a688227c51d0867cf16d2ea6154f02879e",
-        "ea1b186917055ca7314e76e1d47f435c87abca5ade44d354c825b42c0c91a14d"),
+        "c5c326c34fe3fe1d56becc5d35dfbfc9accc477432a0c9e0d5676706280ee88e",
+        "b8334d97e0d1b0a68c3d21a79b05384e2cbc6c58fdc40e1e810910943fc88920"),
     "p6q80g-0/seedNone": (
-        "7678c4ab54397d3f1ba31e35851a4782f21cad1b5c4c5a30009c7944062dba22",
-        "e8643e7ddd3c1c01d6fa6d0e240f564c00669ad9d049314018db9ded48e7ec10"),
+        "4ac3684946aa584b44cb2453585abc4440d350f88c8bc9739106e00d4fa111f2",
+        "d623bfe40672d6d7254e0467c5130bf62f1541031ac9b6bfe3d1871be85d49ad"),
     "p6q80g-1/seed0": (
-        "1efbf15de7f13de097b773eb5b167e09b2030131bee75e9b28d45271c9b29898",
-        "2dd12be98d21bc6c2847f870faa2924d2a5d097ab64d2c06e8a3e4c69f3d504e"),
+        "0fb1ffb9c92f09e64a64c2ec89f6a69ee746257fa630953cf3362af72dce4208",
+        "b11dda4e128e2d55f130d84af149e67e9ec5e9c42ed4a28c66ae36ea6df23364"),
     "p6q80g-1/seedNone": (
-        "4f35934c4409ca512e98ade7b97deb6db38b4a620480790d6b6731e85cff2928",
-        "ec5724c2d71505b28b862f6364b4bf63cad573bca9b727ff20d13468d89a1f1a"),
+        "db15de7558f8ec876d105da3b67417a6953a323b74484926c8aa21e3e7da6bd2",
+        "5b419b973eb9c3a2bf840bc3ec46be6c34d3a5fc0bf2ae3af6ae7fb067cbf122"),
     "p7q100g-0/seed0": (
-        "1d551ecc2015149747961abb0bd5f13865ceca917d33d26cd2398c60e5314247",
-        "b050f183914cfb689c047b156b7990e9da65ae1b98ef6e93e2f2cb351b229436"),
+        "9ad20770083e4b64acdc39f08195f7ce73df00ae21e0b541038a9e32163e182b",
+        "f79b0e81ce024fbbb58595eece96cd7b96b50ecdc73ccff27230e013b2d74e27"),
     "p7q100g-0/seedNone": (
-        "ea3090af095e1d27635f6d1f1fa14f3986f77442af11e17a0f4ad86169992822",
-        "f99267ebee78f7852809b5fb7863534e1c56c3bd07146d19c8ff62cd8b85fe91"),
+        "70543ab59b2de7130b590bff04eed76fb60fd10ea9de97cfb90cbdd3b2fe9f44",
+        "a464777e5873188500c3599abe680efc96a3dab1489147342c37734d6da6cea2"),
     "p7q100g-1/seed0": (
-        "6baca4db4326c6108d59209a77a320f26aab49f3b11098cca81fd378d3e5dbab",
-        "cd661385d7a884bc48f5087d02a5f3fcdd60248c3fe1088aec017b166dd9c0df"),
+        "c5f79297f4cc93060cbad8831c4e2d1b21cee703ef17c00cab692bb7085e88d2",
+        "48a096b392cc0608eb5aba00936b83069d43c6881a3a4cddfa2354ef39fca5f4"),
     "p7q100g-1/seedNone": (
-        "17baf4deb7066581761ce11ac5dc255790875902743b3b48098ddb562daa9632",
-        "7155554c336ca407d15c456c67edbe3aedebf58b6e4872b866d0ee7d75f5cd8a"),
+        "2cce9fd8b09d7442b8130f05c788fb8da8bbad4ba1da18b74d2b71435a82432f",
+        "89e163daa1c046b01ebf4141c300be809c324c3c204f493a9f03c0b7df19f5e5"),
     "p8q120g-0/seed0": (
-        "3bf3ff1b35a59e7973b3174950596d488e862d69ae530caf457e5f32f42ccabe",
-        "c9f37e5ec2182d738c6ce354532d0ab657cb84d1e209d63bbfbef5aeb6ba8293"),
+        "4250578da8cb9de6bea8ffae1cb95b146d3e9a52c7c6831d6b2b22ba9573f201",
+        "a189629251dbb404ed1e284070477b5b408d0187d692446a55abae497c378b85"),
     "p8q120g-0/seedNone": (
-        "c494b6c35a0c188cb138dd8ef48a742505dbc7e730f16c16f43325bdc8787cbd",
-        "e09291efa6d4f4acb5a1783f83803a128549d52e6c68735b9cbb68d6b0df4f5f"),
+        "3a9545b49723410a3fa4f6a2ac22e0e4a226f1556e1b18217e8925ec415b5c57",
+        "829a636271ce99979b77ea3ac9ccfb41a1c8ad4827dac2fe2085203620b9caff"),
     "p8q120g-1/seed0": (
-        "c69878c0ed1eb965729829463fc4aa265648d0cdbeb1175836588b7ee4ab28a4",
-        "e3e5a67e98364d07ded0660315d0b4860c6f189a92044621308bf88c784e1d54"),
+        "a164a602aa570f2dacb9fb838ff42851da4d2a4a6788ee22e4728e8ec952622d",
+        "37244e3ed6b7c0015449888d80f510cdc36536561554496f87b8fdf1fc92d405"),
     "p8q120g-1/seedNone": (
-        "10e7fea63f9d1440df5e665df09b348e85f29c370f882239199981bfa997ee83",
-        "df3b294d929f403ec879ac199154a15333e83d7307e2b72639cd9d233964877b"),
+        "4a1d145d7bd61a93e5c58386ad840cad3f6b0a9668bc62b4bc5d8e64ec1937b3",
+        "112d06e53d9815a870d3828ddfa525a4393f9eca89e97242c15abc3c4f77377b"),
 }
 
 

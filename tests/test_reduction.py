@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from helpers import p_matrix
-from test_golden import CASES
-from zxparam.circuits import Circuit, Gate, GateKind, circuit_to_diagram, parse_circuit
+from test_golden import CASES, verify_circuits
+from zxparam.circuits import Circuit, Gate, GateKind, circuit_to_diagram, emit_circuit, parse_circuit
 from zxparam.errors import InconsistentProvenance, RepeatedParameter
 from zxparam.generate import random_circuit
 from zxparam.params import Phase
 from zxparam.reduction import ReductionMap, extract_reduction, phase_teleport
 from zxparam.rewrite import RewriteEvent, Rule, simplify
-from zxparam.verify import check_reduction
+from zxparam.verify import check_reduction, optimality_certificate
 
 
 def run_extraction(src):
@@ -167,6 +167,25 @@ def test_phase_teleport_count_matches_terminal_diagram():
         res = phase_teleport(c)
         terminal, _ = simplify(circuit_to_diagram(c))
         assert len(res.circuit.params) == len(terminal.param_exprs())
+
+
+# every golden-ladder circuit, then every original of the verify digests
+ORDER_CASES = CASES + verify_circuits()
+
+
+@pytest.mark.parametrize("name,circuit", ORDER_CASES, ids=[name for name, _ in ORDER_CASES])
+def test_phase_teleport_output_does_not_depend_on_the_picks(name, circuit):
+    """The strategy reaches the optimal count whatever order its rules fire
+    in, so the pick seed moves neither the emitted circuit and map text nor
+    the certificate's verdict and count (it may move ``n_gadgets``)."""
+    outputs, verdicts = set(), set()
+    for seed in (0, 1, None):
+        res = phase_teleport(circuit, seed=seed)
+        outputs.add((emit_circuit(res.circuit), res.reduction.to_text()))
+        certificate = optimality_certificate(simplify(circuit_to_diagram(circuit), seed=seed)[0])
+        verdicts.add((certificate.passed, certificate.n_parameters))
+    assert len(outputs) == 1
+    assert len(verdicts) == 1
 
 
 def qaoa_like(n, pairs, layers, mixers=False):

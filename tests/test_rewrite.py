@@ -12,6 +12,7 @@ from zxparam.circuits import circuit_to_diagram, parse_circuit
 from zxparam.diagram import Diagram, EdgeKind, VKind, find_gadgets, validate
 from zxparam.errors import NotApplicable
 from zxparam.generate import random_circuit
+from zxparam import rewrite
 from zxparam.params import Phase
 from zxparam.rewrite import (AP_FORM_STAGES, CLASS_HADAMARD_WIRED, CLASS_LOCAL_COMP, CLASS_PAULI,
                              SIG_DEGREE_ONE, SIG_PARAM, SIG_WIRED, SIMPLIFY_STAGES, Rewriter, Rule,
@@ -420,22 +421,58 @@ def rescan(d: Diagram) -> dict:
                   | (CLASS_LOCAL_COMP if v in local_comp else 0) | (CLASS_PAULI if v in pauli else 0)
                   | (CLASS_HADAMARD_WIRED if v in hadamard_wired else 0)
                   for v in spiders},
+        "degrees": {v: d.degree(v) for v in spiders},
     }
 
 
+# The candidate sets that the driver keeps in cost buckets, in stage priority.
+COSTED = ("local_comp", "pivot", "gadget_pivot", "boundary_pivot")
+
+
+def pick_cost(d: Diagram, candidate) -> int:
+    """A spider's degree, or the product of the degrees of a pair."""
+    if isinstance(candidate, int):
+        return d.degree(candidate)
+    return d.degree(candidate[0]) * d.degree(candidate[1])
+
+
 def assert_driver_matches_rescan(rw: Rewriter) -> int:
+    """Step ``rw`` to its fixpoint, checking before each step that every
+    index equals a full rescan, that the cost buckets file each candidate
+    under its current cost, and after it that the pick was a cheapest
+    candidate (the smallest of them without a seed)."""
+    costed = COSTED if rw.stages == SIMPLIFY_STAGES else COSTED[:2]
     steps = 0
     while True:
+        rw.file_pairs()
         expected = rescan(rw.d)
-        assert {name: getattr(rw, name) for name in expected} == expected
+        assert {name: set(getattr(rw, name).costs) if name in COSTED else getattr(rw, name)
+                for name in expected} == expected
+        costs = {name: {c: pick_cost(rw.d, c) for c in expected[name]} for name in COSTED}
+        for name in COSTED:
+            buckets = {}
+            for c, k in costs[name].items():
+                buckets.setdefault(k, set()).add(c)
+            assert getattr(rw, name).buckets == buckets
+            assert getattr(rw, name).costs == costs[name]
         assert validate(rw.d).ok, validate(rw.d).violations
-        if rw.step() is None:
+        stage = next((name for name in costed if expected[name]), None)
+        events = rw.step()
+        if events is None:
             return steps
+        if stage is not None:
+            removed = events[0].removed
+            pick = removed[0] if stage == "local_comp" else removed
+            cheapest = min(costs[stage].values())
+            tied = sorted(c for c, k in costs[stage].items() if k == cheapest)
+            assert pick in tied
+            if rw.rng is None:
+                assert pick == tied[0]
         steps += 1
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_driver_indexes_equal_full_rescan(seed):
+def test_driver_indexes_equal_full_rescan(seed, monkeypatch):
     rng = Random(seed)
     diagrams = [random_graph_like_state(Random(f"{seed}/{trial}"), rng.randint(1, 5), rng.randint(2, 12),
                                         rng.randint(0, 5), edge_p=rng.uniform(0.15, 0.7))
@@ -449,13 +486,18 @@ def test_driver_indexes_equal_full_rescan(seed):
     diagrams.append(circuit_to_diagram(parse_circuit("\n".join(lines))))
     # a Clifford-wrapped phase polynomial at a benchmark rung: 6 qubits, 80 gates, 16 params
     diagrams.append(circuit_to_diagram(phase_poly_circuit(Random(f"rescan/{seed}"), 6, 80, 16, 12)))
-    steps = 0
-    for d in diagrams:
-        for pick_seed in (seed, None):  # seeded picks, then the ``min`` picks
-            steps += assert_driver_matches_rescan(Rewriter(d.copy(), SIMPLIFY_STAGES, seed=pick_seed))
     state = circuit_state_diagram(random_circuit(Random(seed), 4, 30, 0))
-    steps += assert_driver_matches_rescan(Rewriter(state, AP_FORM_STAGES))
-    assert steps > 40
+    # ``file_pairs`` files the changed pairs one by one (ratio 0), or mostly
+    # refills the gadget and boundary pivot indexes on these small diagrams
+    for ratio in (0, rewrite._REFILL_RATIO):
+        monkeypatch.setattr(rewrite, "_REFILL_RATIO", ratio)
+        steps = 0
+        for d in diagrams:
+            for pick_seed in (seed, None):  # seeded picks, then the ``min`` picks
+                steps += assert_driver_matches_rescan(Rewriter(d.copy(), SIMPLIFY_STAGES, seed=pick_seed))
+        for pick_seed in (seed, None):
+            steps += assert_driver_matches_rescan(Rewriter(state.copy(), AP_FORM_STAGES, seed=pick_seed))
+        assert steps > 40
 
 
 def remove_one_by_one(d, v):
