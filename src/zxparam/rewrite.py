@@ -338,11 +338,12 @@ _CLASSES = CLASS_LOCAL_COMP | CLASS_PAULI | CLASS_HADAMARD_WIRED
 _PLAIN_CLASSES = CLASS_PAULI | CLASS_HADAMARD_WIRED  # the classes kept in plain sets
 _NO_PARTNERS: FrozenSet[int] = frozenset()
 _NO_ENDS: Tuple[Tuple[int, ...], Tuple[int, ...]] = ((), ())
-# Filing one changed vertex takes a few bucket moves, filing every pair afresh
-# one dict entry per pair: ``file_pairs`` refills the gadget and boundary
-# pivot indexes when the changed vertices are more than 1/_REFILL_RATIO of
-# their pairs.
-_REFILL_RATIO = 32
+# Rewriter.file_pairs refills the gadget and boundary pivot indexes when the
+# vertices to file again are more than 1/_REFILL_RATIO of their pairs.  Filing
+# one vertex measured 4.6, 5 and 15 times the cost of refilling one pair (on
+# the opt_phasepoly circuits, a 40-qubit random circuit and a 60-qubit phase
+# polynomial): 8 is within a factor of two of the break-even on all three.
+_REFILL_RATIO = 8
 
 
 def _pick(candidates, rng: Optional[Random]):
@@ -353,59 +354,21 @@ def _pick(candidates, rng: Optional[Random]):
     return rng.choice(sorted(candidates))
 
 
-class CostIndex:
-    """A candidate set kept in buckets by cost, so that a pick reads only the
-    cheapest bucket."""
-
-    __slots__ = ("costs", "buckets")
-
-    def __init__(self):
-        self.costs: Dict = {}  # candidate -> the cost it is filed under
-        self.buckets: Dict[int, Set] = {}  # cost -> candidates, never empty
-
-    def file(self, c, k: int) -> None:
-        """File ``c`` under cost ``k``, moving it if it is filed elsewhere."""
-        costs, buckets = self.costs, self.buckets
-        old = costs.get(c)
-        if old == k:
-            return
-        if old is not None:
-            bucket = buckets[old]
-            bucket.discard(c)
-            if not bucket:
-                del buckets[old]
-        costs[c] = k
-        bucket = buckets.get(k)
-        if bucket is None:
-            buckets[k] = {c}
-        else:
-            bucket.add(c)
-
-    def discard(self, c) -> None:
-        k = self.costs.pop(c, None)
-        if k is not None:
-            bucket = self.buckets[k]
-            bucket.discard(c)
-            if not bucket:
-                del self.buckets[k]
-
-    def refill(self, costs: Dict) -> None:
-        """Replace the candidates by those of ``costs`` (candidate -> cost)."""
-        buckets: Dict[int, Set] = {}
-        for c, k in costs.items():
-            bucket = buckets.get(k)
-            if bucket is None:
-                buckets[k] = {c}
-            else:
-                bucket.add(c)
-        self.costs, self.buckets = costs, buckets
-
-    def cheapest(self, rng: Optional[Random]):
-        """The smallest of the cheapest candidates, or with ``rng`` a choice
-        among them sorted; None if there is none."""
-        if not self.buckets:
-            return None
-        return _pick(self.buckets[min(self.buckets)], rng)
+def _cheapest(costed: Dict, rng: Optional[Random]):
+    """The smallest of the cheapest candidates of ``costed`` (candidate ->
+    (cost, candidate)), or with ``rng`` a choice among them sorted; None if
+    there is none."""
+    if not costed:
+        return None
+    cost, first = min(costed.values())
+    if rng is None:
+        return first
+    tied = []
+    for k, c in costed.values():
+        if k == cost:
+            tied.append(c)
+    tied.sort()
+    return rng.choice(tied)
 
 
 class Rewriter:
@@ -420,8 +383,9 @@ class Rewriter:
     its degree and a pair the product of its two degrees, as in
     minimum-degree orderings.  Ties go to the smallest candidate, or with a
     seed to ``rng.choice`` over the tied candidates sorted.  These four
-    indexes are ``CostIndex`` buckets, so a pick reads the cheapest bucket
-    only.  The other rules take their smallest candidate, or a seeded choice.
+    indexes map each candidate to ``(cost, candidate)`` under its current
+    cost, so a pick is one ``min`` over an index's values.  The other rules
+    take their smallest candidate, or a seeded choice.
     After a rewrite only what it changed is re-checked: the matched, removed
     and touched vertices and the former neighbours of the matched ones, which
     are every vertex whose phase, degree or adjacency changed.
@@ -447,11 +411,12 @@ class Rewriter:
         self.d = d
         self.stages = tuple(stages)
         self.rng = Random(seed) if seed is not None else None
-        self.local_comp = CostIndex()
+        # the costed candidates: candidate -> (cost, candidate)
+        self.local_comp: Dict[int, Tuple[int, int]] = {}
         self.pauli: Set[int] = set()  # internal spiders with phase 0 or pi
-        self.pivot = CostIndex()
-        self.gadget_pivot = CostIndex()
-        self.boundary_pivot = CostIndex()
+        self.pivot: Dict[Tuple[int, int], Tuple[int, Tuple[int, int]]] = {}
+        self.gadget_pivot: Dict[Tuple[int, int], Tuple[int, Tuple[int, int]]] = {}
+        self.boundary_pivot: Dict[Tuple[int, int], Tuple[int, Tuple[int, int]]] = {}
         self.gadgets: Dict[int, GadgetView] = {}  # axis -> gadget
         self.by_neighbourhood: Dict[FrozenSet[int], Set[int]] = {}  # neighbourhood -> axes
         self.unary: Set[int] = set()  # axes of gadgets with one neighbour
@@ -459,13 +424,14 @@ class Rewriter:
         self.hadamard_wired: Set[int] = set()  # boundary spiders with a Hadamard boundary wire
         self.codes: Dict[int, int] = {}  # spider -> SIG_ and CLASS_ bits
         self.degrees: Dict[int, int] = {}  # spider -> degree at its last re-check
-        self._class_sets = {CLASS_LOCAL_COMP: self.local_comp, CLASS_PAULI: self.pauli,
-                            CLASS_HADAMARD_WIRED: self.hadamard_wired}
+        self._class_sets = {CLASS_PAULI: self.pauli, CLASS_HADAMARD_WIRED: self.hadamard_wired}
         self._pivot_partners: Dict[int, Set[int]] = {}  # never holds an empty set
         # anchor -> (gadget pivot ends, boundary pivot ends)
         self._pairs_at: Dict[int, Tuple[List[int], List[int]]] = {}
         self._filed_at: Dict[int, Tuple[List[int], List[int]]] = {}  # anchor -> its ends as last filed
-        self._unfiled: Set[int] = set()  # vertices whose pairs may be misfiled
+        # the vertices whose gadget/boundary pivot pairs may be misfiled; None
+        # when the stages never read those indexes
+        self._unfiled: Optional[Set[int]] = set() if _reads_pairs(stages) else None
         self.recheck(set(d.vertices()))
 
     def run(self, limit: int, what: str = "simplify") -> List[RewriteEvent]:
@@ -511,7 +477,6 @@ class Rewriter:
         d = self.d
         vertices, adj, boundary_count = d._vertices, d._adj, d._boundary_count
         codes, degrees, class_sets, local_comp = self.codes, self.degrees, self._class_sets, self.local_comp
-        unfiled = self._unfiled
         spider, hadamard = _SPIDER, _HADAMARD
         # Candidates are anchored only at internal 0/pi spiders, so every
         # vertex that is one now or was one before the rewrite is re-checked.
@@ -525,8 +490,10 @@ class Rewriter:
                 if old is not None:  # a removed spider
                     del codes[v]
                     del degrees[v]
-                    if old & _CLASSES:
-                        class_sets[old & _CLASSES].discard(v)
+                    if old & CLASS_LOCAL_COMP:
+                        del local_comp[v]
+                    elif old & _PLAIN_CLASSES:
+                        class_sets[old & _PLAIN_CLASSES].discard(v)
                         if old & CLASS_PAULI:
                             anchors.append(v)
                 continue
@@ -543,7 +510,7 @@ class Rewriter:
                 code = SIG_PARAM
             elif ph.clifford & 1:
                 code = CLASS_LOCAL_COMP
-                local_comp.file(v, degree)
+                local_comp[v] = (degree, v)
             else:
                 code = CLASS_PAULI
             if degree == 1:
@@ -551,8 +518,6 @@ class Rewriter:
             if degree != degrees.get(v):
                 degrees[v] = degree
                 regraded.add(v)
-                if code & (SIG_WIRED | SIG_PARAM) and degree > 1:  # a pair end
-                    unfiled.add(v)
             if code & CLASS_PAULI:
                 anchors.append(v)
             if code == old:
@@ -565,8 +530,10 @@ class Rewriter:
                     class_sets[code & _PLAIN_CLASSES].add(v)
                 continue
             if (code ^ old) & _CLASSES:
-                if old & _CLASSES:
-                    class_sets[old & _CLASSES].discard(v)
+                if old & CLASS_LOCAL_COMP:
+                    del local_comp[v]
+                elif old & _PLAIN_CLASSES:
+                    class_sets[old & _PLAIN_CLASSES].discard(v)
                     if old & CLASS_PAULI:
                         anchors.append(v)
                 if code & _PLAIN_CLASSES:
@@ -577,6 +544,8 @@ class Rewriter:
             around.difference_update(changed)
             anchors.extend(around & self.pauli)
         self._recheck_anchored(anchors, regraded)
+        if self._unfiled is not None:
+            self._unfiled |= regraded
 
     def _recheck_anchored(self, anchors: List[int], regraded: Set[int]) -> None:
         """The candidates anchored at each ``u`` of ``anchors``: its pivot
@@ -584,8 +553,10 @@ class Rewriter:
         of them need ``u`` to be an internal 0/pi spider; one walk over its
         neighbours finds them, and only what differs from the previous walk
         is applied.  If ``u`` is in ``regraded`` (its degree changed), all its
-        pivot pairs are filed under their new costs, and its gadget/boundary
-        pivot pairs are left to ``file_pairs`` like changed ones."""
+        pivot pairs are filed under their new costs, a pair whose two ends are
+        in ``regraded`` from its smaller end; its gadget/boundary pivot pairs
+        are left to ``file_pairs``, like those of an anchor whose ends
+        changed."""
         adj, codes = self.d._adj, self.codes
         pauli, partners_of, pairs_at, gadgets = self.pauli, self._pivot_partners, self._pairs_at, self.gadgets
         pivot, unfiled = self.pivot, self._unfiled
@@ -613,11 +584,12 @@ class Rewriter:
                     pairs = (gadget_ends, boundary_ends)
             else:
                 adj_u, partners, legs, pairs = {}, _NO_PARTNERS, (), None
+            du = len(adj_u)
             refile = u in regraded
             old_partners = partners_of.get(u, _NO_PARTNERS)
             if partners != old_partners:
                 for p in old_partners - partners:
-                    pivot.discard((u, p) if u < p else (p, u))
+                    del pivot[(u, p) if u < p else (p, u)]
                     others = partners_of[p]
                     others.discard(u)
                     if not others:
@@ -629,30 +601,30 @@ class Rewriter:
                     else:
                         others.add(u)
                     if not refile:
-                        pivot.file((u, p) if u < p else (p, u), len(adj_u) * len(adj[p]))
+                        pair = (u, p) if u < p else (p, u)
+                        pivot[pair] = (du * len(adj[p]), pair)
                 if partners:
                     partners_of[u] = partners
                 else:
                     del partners_of[u]
             if refile:
-                du = len(adj_u)
                 for p in partners:
-                    if u < p or p not in regraded:  # else p files the pair
-                        pivot.file((u, p) if u < p else (p, u), du * len(adj[p]))
+                    if u < p or p not in regraded:
+                        pair = (u, p) if u < p else (p, u)
+                        pivot[pair] = (du * len(adj[p]), pair)
             if pairs != pairs_at.get(u):
                 if pairs is None:
                     del pairs_at[u]
                 else:
                     pairs_at[u] = pairs
-                unfiled.add(u)
-            elif refile and pairs is not None:
-                unfiled.add(u)
+                if unfiled is not None:
+                    unfiled.add(u)
             old_gadget = gadgets.get(u)
             if len(legs) == 1:
                 leg = legs[0]
                 if old_gadget is not None:
                     nbhd = old_gadget.neighbourhood
-                    if (old_gadget.phase_spider == leg and len(adj_u) == len(nbhd) + 1
+                    if (old_gadget.phase_spider == leg and du == len(nbhd) + 1
                             and adj_u.keys() >= nbhd):
                         continue
                     self._drop_gadget(old_gadget)
@@ -663,50 +635,54 @@ class Rewriter:
     def file_pairs(self) -> None:
         """Bring the gadget and boundary pivot indexes up to date.  Their
         stages run only when no local complementation or pivot applies, so
-        they are filed when read.  An anchor in ``_unfiled`` (its ends or its
-        degree changed) drops the pairs it filed last and files its ends in
-        ``_pairs_at`` under their current costs; a pair end in ``_unfiled``
-        (its degree changed) files again the pairs filed at it, whose anchors
-        are among its neighbours.  When the changed vertices are many against
-        the filed pairs, both indexes are refilled from ``_pairs_at``."""
+        they are filed when read, from the vertices in ``_unfiled``: an
+        anchor whose ends or degree changed drops the pairs it filed last and
+        files its current ends; an end whose degree changed files again the
+        pairs filed at it, whose anchors are among its neighbours.  When the
+        changed vertices are many against the filed pairs, both indexes are
+        refilled from the anchors' ends instead: filing one vertex costs
+        about ``_REFILL_RATIO`` times as much as refilling one pair."""
         unfiled = self._unfiled
         if not unfiled:
             return
-        adj, codes, pairs_at = self.d._adj, self.codes, self._pairs_at
+        adj, codes, pairs_at, filed_at = self.d._adj, self.codes, self._pairs_at, self._filed_at
         gadget_pivot, boundary_pivot = self.gadget_pivot, self.boundary_pivot
-        if _REFILL_RATIO * len(unfiled) > len(gadget_pivot.costs) + len(boundary_pivot.costs):
-            for i, index in enumerate((gadget_pivot, boundary_pivot)):
-                index.refill({(u, w): len(adj[u]) * len(adj[w]) for u, ends in pairs_at.items() for w in ends[i]})
+        if _REFILL_RATIO * len(unfiled) > len(gadget_pivot) + len(boundary_pivot):
+            self.gadget_pivot = {(u, w): (len(adj[u]) * len(adj[w]), (u, w))
+                                 for u, ends in pairs_at.items() for w in ends[0]}
+            self.boundary_pivot = {(u, w): (len(adj[u]) * len(adj[w]), (u, w))
+                                   for u, ends in pairs_at.items() for w in ends[1]}
             self._filed_at = dict(pairs_at)
             unfiled.clear()
             return
-        filed_at = self._filed_at
         for v in unfiled:
             pairs = pairs_at.get(v)
             filed = filed_at.get(v)
-            if pairs is not None or filed is not None:  # an anchor
-                old = filed or _NO_ENDS
-                if pairs is None:
-                    dv, pairs = 0, _NO_ENDS
-                    del filed_at[v]
-                else:
-                    dv = len(adj[v])
-                    filed_at[v] = pairs
-                for index, gone, ends in ((gadget_pivot, old[0], pairs[0]), (boundary_pivot, old[1], pairs[1])):
-                    if gone:
+            if pairs is not None or filed is not None:  # an anchor, now or when last filed
+                if filed is not None and filed is not pairs:
+                    now = pairs or _NO_ENDS
+                    for index, gone, ends in ((gadget_pivot, filed[0], now[0]), (boundary_pivot, filed[1], now[1])):
                         for w in set(gone).difference(ends):
-                            index.discard((v, w))
+                            del index[(v, w)]
+                if pairs is None:
+                    del filed_at[v]
+                    continue
+                filed_at[v] = pairs
+                dv = len(adj[v])
+                for index, ends in ((gadget_pivot, pairs[0]), (boundary_pivot, pairs[1])):
                     for w in ends:
-                        index.file((v, w), dv * len(adj[w]))
+                        pair = (v, w)
+                        index[pair] = (dv * len(adj[w]), pair)
                 continue
             code = codes.get(v)
             if code is not None and code & (SIG_WIRED | SIG_PARAM) and not code & SIG_DEGREE_ONE:
                 index = boundary_pivot if code & SIG_WIRED else gadget_pivot
-                costs = index.costs
-                dv = len(adj[v])
-                for u in adj[v]:
-                    if u in filed_at and (u, v) in costs:
-                        index.file((u, v), len(adj[u]) * dv)
+                nbrs = adj[v]
+                dv = len(nbrs)
+                for u in nbrs:
+                    pair = (u, v)
+                    if pair in index:
+                        index[pair] = (len(adj[u]) * dv, pair)
         unfiled.clear()
 
     def _add_gadget(self, g: GadgetView) -> None:
@@ -733,12 +709,12 @@ class Rewriter:
 def _index_stage(index: str, rewrite: Callable,
                  filed_when_read: bool = False) -> Callable[[Rewriter], Optional[List[RewriteEvent]]]:
     """The stage that applies ``rewrite`` to the cheapest candidate of the
-    Rewriter's ``CostIndex`` ``index``: a vertex, or a pair of vertices.  An
+    Rewriter's costed index ``index``: a vertex, or a pair of vertices.  An
     index ``filed_when_read`` is brought up to date first."""
     def stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
         if filed_when_read:
             rw.file_pairs()
-        pick = getattr(rw, index).cheapest(rw.rng)
+        pick = _cheapest(getattr(rw, index), rw.rng)
         if pick is None:
             return None
         match = pick if isinstance(pick, tuple) else (pick,)
@@ -750,6 +726,10 @@ _local_comp_stage = _index_stage("local_comp", local_complement_simp)
 _pivot_stage = _index_stage("pivot", pivot_simp)
 _gadget_pivot_stage = _index_stage("gadget_pivot", gadget_pivot, filed_when_read=True)
 _boundary_pivot_stage = _index_stage("boundary_pivot", boundary_pivot, filed_when_read=True)
+
+
+def _reads_pairs(stages: Sequence[Callable]) -> bool:
+    return _gadget_pivot_stage in stages or _boundary_pivot_stage in stages
 
 
 def _gadget_id_fuse_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:

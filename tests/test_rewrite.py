@@ -425,8 +425,10 @@ def rescan(d: Diagram) -> dict:
     }
 
 
-# The candidate sets that the driver keeps in cost buckets, in stage priority.
+# The costed indexes, in stage priority: candidate -> (cost, candidate).  The
+# last two are filed when their stages read them.
 COSTED = ("local_comp", "pivot", "gadget_pivot", "boundary_pivot")
+FILED_WHEN_READ = COSTED[2:]
 
 
 def pick_cost(d: Diagram, candidate) -> int:
@@ -438,27 +440,34 @@ def pick_cost(d: Diagram, candidate) -> int:
 
 def assert_driver_matches_rescan(rw: Rewriter) -> int:
     """Step ``rw`` to its fixpoint, checking before each step that every
-    index equals a full rescan, that the cost buckets file each candidate
-    under its current cost, and after it that the pick was a cheapest
-    candidate (the smallest of them without a seed)."""
+    index equals a full rescan and that the costed indexes hold each
+    candidate under its current cost, and after it that the pick was a
+    cheapest candidate (the smallest of them without a seed).  The gadget
+    and boundary pivot indexes are checked where the driver reads them:
+    when no local complementation or pivot applies, after ``file_pairs``;
+    until then the changes of several steps pile up in them.  Their pairs
+    as the anchors see them now are checked before every step."""
     costed = COSTED if rw.stages == SIMPLIFY_STAGES else COSTED[:2]
-    steps = 0
+    steps = reads = 0
     while True:
-        rw.file_pairs()
         expected = rescan(rw.d)
-        assert {name: set(getattr(rw, name).costs) if name in COSTED else getattr(rw, name)
-                for name in expected} == expected
+        assert {name: set(getattr(rw, name)) if name in COSTED else getattr(rw, name)
+                for name in expected if name not in FILED_WHEN_READ} == \
+            {name: value for name, value in expected.items() if name not in FILED_WHEN_READ}
+        for i, name in enumerate(FILED_WHEN_READ):
+            assert {(u, w) for u, ends in rw._pairs_at.items() for w in ends[i]} == expected[name]
         costs = {name: {c: pick_cost(rw.d, c) for c in expected[name]} for name in COSTED}
-        for name in COSTED:
-            buckets = {}
-            for c, k in costs[name].items():
-                buckets.setdefault(k, set()).add(c)
-            assert getattr(rw, name).buckets == buckets
-            assert getattr(rw, name).costs == costs[name]
+        checked = COSTED[:2]
+        if costed == COSTED and not expected["local_comp"] and not expected["pivot"]:
+            rw.file_pairs()  # as the gadget pivot stage does first
+            checked, reads = COSTED, reads + 1
+        for name in checked:
+            assert getattr(rw, name) == {c: (k, c) for c, k in costs[name].items()}
         assert validate(rw.d).ok, validate(rw.d).violations
         stage = next((name for name in costed if expected[name]), None)
         events = rw.step()
         if events is None:
+            assert costed != COSTED or reads
             return steps
         if stage is not None:
             removed = events[0].removed
@@ -487,8 +496,9 @@ def test_driver_indexes_equal_full_rescan(seed, monkeypatch):
     # a Clifford-wrapped phase polynomial at a benchmark rung: 6 qubits, 80 gates, 16 params
     diagrams.append(circuit_to_diagram(phase_poly_circuit(Random(f"rescan/{seed}"), 6, 80, 16, 12)))
     state = circuit_state_diagram(random_circuit(Random(seed), 4, 30, 0))
-    # ``file_pairs`` files the changed pairs one by one (ratio 0), or mostly
-    # refills the gadget and boundary pivot indexes on these small diagrams
+    # ``file_pairs`` files the changed vertices one by one (ratio 0), or
+    # mostly refills the gadget and boundary pivot indexes on these small
+    # diagrams
     for ratio in (0, rewrite._REFILL_RATIO):
         monkeypatch.setattr(rewrite, "_REFILL_RATIO", ratio)
         steps = 0
