@@ -112,6 +112,7 @@ _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 # one way only, so a failed match is linear in the length
 _ANGLE = re.compile(r"^([+-]?)([0-9]*)(?:\.([0-9]+))?(pi(/2)?)?$", re.IGNORECASE)
 _RZ_CALL = re.compile(r"^rz\((.*)\)$", re.IGNORECASE)
+_PI = {"pi", "pI", "Pi", "PI"}  # identifiers that name the constant
 _ONE_QUBIT_GATES = {"h": _H, "s": _S, "sdg": _SDG, "z": _Z, "x": _X}
 _TWO_QUBIT_GATES = {"cz": _CZ, "cx": _CX}
 
@@ -163,16 +164,25 @@ def _qubit(token: str, n_qubits: int, line_no: int, col: int) -> int:
     return q
 
 
+def _gate(kind: GateKind, qubits: Tuple[int, ...], k: int = 0, param: Optional[str] = None) -> Gate:
+    """A Gate whose arity and ``k`` (0..3) the caller has fixed already,
+    built without running ``Gate.__post_init__`` again."""
+    gate = object.__new__(Gate)
+    gate.__dict__.update(kind=kind, qubits=qubits, k=k, param=param)
+    return gate
+
+
 def parse_circuit(text: str) -> Circuit:
     """Parse circuit source; raises CircuitSyntaxError (also for a qreg wider
     than MAX_QUBITS), NonCliffordConstant or RepeatedParameter."""
     circuit: Optional[Circuit] = None
     seen_params = set()
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         tokens = line.split()
+        if not tokens:
+            continue
         head = tokens[0].lower()
         if circuit is None:
             if head != "qreg":
@@ -184,33 +194,50 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitSyntaxError(f"qreg exceeds the limit of {MAX_QUBITS} qubits", line_no, len(head) + 1)
             circuit = Circuit(n)
             append = circuit.gates.append
+            # the canonical token of every qubit; any other token goes to _qubit
+            qubit_of = dict(zip(map(str, range(n)), range(n))).get
             continue
         kind = _ONE_QUBIT_GATES.get(head)
         if kind is not None:
             if len(tokens) != 2:
                 raise CircuitSyntaxError(f"{head} takes one qubit", line_no, len(head) + 1)
-            append(Gate(kind, (_qubit(tokens[1], n, line_no, len(head) + 1),)))
+            q = qubit_of(tokens[1])
+            if q is None:
+                q = _qubit(tokens[1], n, line_no, len(head) + 1)
+            append(_gate(kind, (q,)))
         elif head in _TWO_QUBIT_GATES:
             if len(tokens) != 3:
                 raise CircuitSyntaxError(f"{head} takes two qubits", line_no, len(head) + 1)
-            q1 = _qubit(tokens[1], n, line_no, len(head) + 1)
-            q2 = _qubit(tokens[2], n, line_no, len(head) + 3)
+            q1 = qubit_of(tokens[1])
+            if q1 is None:
+                q1 = _qubit(tokens[1], n, line_no, len(head) + 1)
+            q2 = qubit_of(tokens[2])
+            if q2 is None:
+                q2 = _qubit(tokens[2], n, line_no, len(head) + 3)
             if q1 == q2:
                 raise CircuitSyntaxError(f"{head} qubits must differ", line_no, len(head) + 1)
-            append(Gate(_TWO_QUBIT_GATES[head], (q1, q2)))
+            append(_gate(_TWO_QUBIT_GATES[head], (q1, q2)))
         elif head.startswith("rz"):
             m = _RZ_CALL.match(tokens[0])
             if not m or len(tokens) != 2:
                 raise CircuitSyntaxError("rz syntax is rz(<angle>) <qubit>", line_no)
-            angle_kind, value = _parse_rz_angle(m.group(1), line_no, 3)
-            q = _qubit(tokens[1], n, line_no, len(tokens[0]) + 1)
+            arg = m.group(1)
+            # an identifier other than pi is a parameter; _parse_rz_angle
+            # returns the same for it
+            if _IDENT.match(arg) and arg not in _PI:
+                angle_kind, value = "param", arg
+            else:
+                angle_kind, value = _parse_rz_angle(arg, line_no, 3)
+            q = qubit_of(tokens[1])
+            if q is None:
+                q = _qubit(tokens[1], n, line_no, len(tokens[0]) + 1)
             if angle_kind == "param":
                 if value in seen_params:
                     raise RepeatedParameter(f"parameter {value!r} used on two gates (line {line_no})")
                 seen_params.add(value)
-                append(Gate(_RZ_PARAM, (q,), param=value))
+                append(_gate(_RZ_PARAM, (q,), param=value))
             else:
-                append(Gate(_RZ_CLIFFORD, (q,), k=value))
+                append(_gate(_RZ_CLIFFORD, (q,), k=value))
         elif head == "qreg":
             raise CircuitSyntaxError("duplicate qreg", line_no)
         else:

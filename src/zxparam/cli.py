@@ -77,12 +77,12 @@ def _optimize_one(args: argparse.Namespace, path: Path) -> int:
         return EXIT_USAGE
     try:
         result = phase_teleport(circuit, seed=args.seed)
-        before, after = len(circuit.params), len(result.circuit.params)
+        reduction = result.reduction  # its inputs and outputs are the two circuits' parameters
         _atomic_write(args.out or path.with_suffix(path.suffix + ".opt"), emit_circuit(result.circuit))
-        _atomic_write(args.report or path.with_suffix(path.suffix + ".map.json"), result.reduction.to_text())
-        print(f"{path}: parameters {before} -> {after}")
-        for i in range(len(result.reduction.new_param_names)):
-            print(f"  {result.reduction.row_string(i)}")
+        _atomic_write(args.report or path.with_suffix(path.suffix + ".map.json"), reduction.to_text())
+        rows = len(reduction.new_param_names)
+        sys.stdout.write(f"{path}: parameters {len(reduction.params_in)} -> {rows}\n"
+                         + "".join([f"  {reduction.row_string(i)}\n" for i in range(rows)]))
         return EXIT_OK
     except ZXParamError as exc:
         print(f"{path}: internal invariant violation: {exc}", file=sys.stderr)
@@ -125,10 +125,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"verify: {exc}", file=sys.stderr)
         return EXIT_USAGE
     verdict = None if failure is None else f"verify: FAILED exact check, {failure}"
+    count = len(optimised.params)
     if verdict is None or args.report:
         bound = merge_bound(original)
-        if verdict is None and len(optimised.params) > bound:
-            verdict = (f"verify: FAILED optimality: the optimised circuit has {len(optimised.params)} "
+        if verdict is None and count > bound:
+            verdict = (f"verify: FAILED optimality: the optimised circuit has {count} "
                        f"parameters, rotation merging shows {bound} suffice")
     if verdict is None or args.report:
         try:
@@ -150,8 +151,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not certificate.passed:
         print("verify: FAILED certificate: " + "; ".join(certificate.failures))
         return EXIT_VERIFY
-    if len(optimised.params) > certificate.n_parameters:
-        print(f"verify: FAILED optimality: the optimised circuit has {len(optimised.params)} "
+    if count > certificate.n_parameters:
+        print(f"verify: FAILED optimality: the optimised circuit has {count} "
               f"parameters, the certificate proves {certificate.n_parameters} suffice")
         return EXIT_VERIFY
     print(f"verify: OK (exact check passed, merge bound {bound}; "
@@ -172,7 +173,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print(f"oracle: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        optimised = phase_teleport(circuit, seed=args.seed)
+        optimizer_count = len(phase_teleport(circuit, seed=args.seed).reduction.new_param_names)
     except ZXParamError as exc:
         print(f"oracle: internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -183,12 +184,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         _atomic_write(args.report, json.dumps({
             "min": result.count,
             "witness": result.witness.to_dict(),
-            "optimizer_count": len(optimised.circuit.params),
+            "optimizer_count": optimizer_count,
             "trivial": [],  # every rz rotates about a non-identity Pauli
         }, indent=2) + "\n")
-    if result.count < len(optimised.circuit.params):
-        print(f"oracle: BUG — oracle found {result.count} < optimiser "
-              f"{len(optimised.circuit.params)}", file=sys.stderr)
+    if result.count < optimizer_count:
+        print(f"oracle: BUG — oracle found {result.count} < optimiser {optimizer_count}", file=sys.stderr)
         return EXIT_ORACLE_BEATS
     return EXIT_OK
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quoted
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .circuits import Circuit, Gate, GateKind, circuit_to_diagram
@@ -26,6 +28,16 @@ if TYPE_CHECKING:
 
 
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+_SIGNED = {1: "+ ", -1: "- "}
+# The layout json.dumps(..., indent=2) gives a map, in three nested parts.
+_MAP = '{\n  "params_in": %s,\n  "params_out": %s,\n  "rows": %s,\n  "eliminated": %s\n}\n'
+_ROW = '    {\n      "name": %s,\n      "terms": [\n%s\n      ],\n      "const_pi_over_2": %d\n    }'
+_TERM = '        [\n          %s,\n          %d\n        ]'
+
+
+def _string_list(names: Sequence[str]) -> str:
+    """A list of strings one level below the map's top, as json.dumps lays it out."""
+    return "[\n    " + ",\n    ".join(map(_quoted, names)) + "\n  ]" if names else "[]"
 
 
 def _checked(value: object, kind: type, name: str):
@@ -114,35 +126,40 @@ class ReductionMap:
         out += np.array([self.constants[r] for r in rows], dtype=float) * HALF_PI
         return out
 
+    @cached_property
+    def ordered_rows(self) -> Tuple[Tuple[Tuple[str, int], ...], ...]:
+        """Each row's terms in column order, the order the printed rows and
+        the written map show them in."""
+        column = self._column
+        return tuple(tuple(sorted(terms, key=lambda t: column[t[0]])) for terms in self.rows)
+
     def row_string(self, i: int) -> str:
-        parts = []
-        for param, sign in sorted(self.rows[i], key=lambda t: self._column[t[0]]):
-            if not parts:
-                parts.append(param if sign > 0 else f"-{param}")
-            else:
-                parts.append(f"+ {param}" if sign > 0 else f"- {param}")
+        text = " ".join([_SIGNED[sign] + param for param, sign in self.ordered_rows[i]])
+        text = text[2:] if text[0] == "+" else "-" + text[2:]  # the first term has no spaced sign
         if self.constants[i]:
-            parts.append(f"+ {self.constants[i]}pi/2")
-        return f"{self.new_param_names[i]} = " + " ".join(parts)
+            text = f"{text} + {self.constants[i]}pi/2"
+        return f"{self.new_param_names[i]} = {text}"
 
     def to_dict(self) -> dict:
-        order = self._column
         return {
             "params_in": list(self.params_in),
             "params_out": list(self.new_param_names),
             "rows": [
-                {
-                    "name": name,
-                    "terms": [[p, s] for p, s in sorted(terms, key=lambda t: order[t[0]])],
-                    "const_pi_over_2": const,
-                }
-                for name, terms, const in zip(self.new_param_names, self.rows, self.constants)
+                {"name": name, "terms": [[p, s] for p, s in terms], "const_pi_over_2": const}
+                for name, terms, const in zip(self.new_param_names, self.ordered_rows, self.constants)
             ],
             "eliminated": list(self.eliminated),
         }
 
     def to_text(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"
+        """``json.dumps(self.to_dict(), indent=2) + "\\n"``, byte for byte:
+        the fixed layout is written here, and only the strings go through
+        json's C encoder (``indent`` would run its pure-Python one)."""
+        rows = ",\n".join([
+            _ROW % (_quoted(name), ",\n".join([_TERM % (_quoted(p), s) for p, s in terms]), const)
+            for name, terms, const in zip(self.new_param_names, self.ordered_rows, self.constants)])
+        return _MAP % (_string_list(self.params_in), _string_list(self.new_param_names),
+                       f"[\n{rows}\n  ]" if rows else "[]", _string_list(self.eliminated))
 
     @staticmethod
     def from_dict(data: object) -> "ReductionMap":
@@ -268,7 +285,8 @@ def phase_teleport(c: Circuit, seed: Optional[int] = None) -> TeleportResult:
     """
     diagram = circuit_to_diagram(c)  # validates c
     terminal, events = simplify(diagram, seed=seed)
-    diagram_map = extract_reduction(events, c.params, terminal)
+    params = c.params
+    diagram_map = extract_reduction(events, params, terminal)
 
     # The rows are sorted by their earliest parameter, and c.params follows
     # gate order, so row i's earliest term is the representative named u{i}.
@@ -292,7 +310,7 @@ def phase_teleport(c: Circuit, seed: Optional[int] = None) -> TeleportResult:
     out.validate()
 
     reduction = ReductionMap(
-        params_in=tuple(c.params),
+        params_in=tuple(params),
         new_param_names=diagram_map.new_param_names,
         rows=tuple(rows),
         constants=tuple(0 for _ in rows),

@@ -56,9 +56,11 @@ class RewriteEvent:
     dropped: Optional[Phase] = None  # phase e^{i expr} discarded by this rewrite
 
 
-def _require(condition: bool, message: str) -> None:
+def _require(condition: bool, message: str, *args) -> None:
+    """Raise NotApplicable with ``message.format(*args)`` unless ``condition``;
+    the message is formatted only then."""
     if not condition:
-        raise NotApplicable(message)
+        raise NotApplicable(message.format(*args))
 
 
 def _is_internal_pauli(d: Diagram, v: int) -> bool:
@@ -84,10 +86,10 @@ def local_complement_simp(d: Diagram, v: int) -> RewriteEvent:
     """Remove an internal spider with phase +-pi/2, complementing its
     neighbourhood and shifting each neighbour's phase by the opposite
     quarter turn."""
-    _require(v in d._vertices and d.vertex(v).kind is VKind.SPIDER, f"{v} is not a spider")
+    _require(v in d._vertices and d.vertex(v).kind is VKind.SPIDER, "{} is not a spider", v)
     ph = d.phase(v)
-    _require(ph.is_clifford() and ph.clifford in (1, 3), f"spider {v} phase is not +-pi/2")
-    _require(d.is_internal(v), f"spider {v} is boundary-adjacent")
+    _require(ph.is_clifford() and ph.clifford in (1, 3), "spider {} phase is not +-pi/2", v)
+    _require(d.is_internal(v), "spider {} is boundary-adjacent", v)
     return RewriteEvent(Rule.LOCAL_COMP, removed=(v,), touched=_complement_out(d, v))
 
 
@@ -148,8 +150,8 @@ def _pivot_core(d: Diagram, u: int, v: int) -> Tuple[int, ...]:
 def pivot_simp(d: Diagram, u: int, v: int) -> RewriteEvent:
     """Remove a Hadamard-adjacent pair of internal spiders with 0/pi phases."""
     for w in (u, v):
-        _require(_is_internal_pauli(d, w), f"spider {w} is not an internal 0/pi Clifford spider")
-    _require(d.has_edge(u, v), f"{u} and {v} are not adjacent")
+        _require(_is_internal_pauli(d, w), "spider {} is not an internal 0/pi Clifford spider", w)
+    _require(d.has_edge(u, v), "{} and {} are not adjacent", u, v)
     touched = _pivot_core(d, u, v)
     return RewriteEvent(Rule.PIVOT, removed=(u, v), touched=touched)
 
@@ -188,10 +190,10 @@ def boundary_pivot(d: Diagram, u: int, b: int) -> RewriteEvent:
     gadget, and a regular pivot removes the pair.  Follow-up rules remove
     the introduced spiders again whenever the extracted phase is Clifford.
     """
-    _require(_is_internal_pauli(d, u), f"spider {u} is not an internal 0/pi Clifford spider")
-    _require(b in d._vertices and d.is_boundary_spider(b), f"{b} is not a boundary spider")
-    _require(d.has_edge(u, b), f"{u} and {b} are not adjacent")
-    _require(not _is_clean_axis(d, u), f"spider {u} is a gadget axis")
+    _require(_is_internal_pauli(d, u), "spider {} is not an internal 0/pi Clifford spider", u)
+    _require(b in d._vertices and d.is_boundary_spider(b), "{} is not a boundary spider", b)
+    _require(d.has_edge(u, b), "{} and {} are not adjacent", u, b)
+    _require(not _is_clean_axis(d, u), "spider {} is a gadget axis", u)
     added = _buffer_boundary_wires(d, b)
     moved: Tuple[Tuple[str, int], ...] = ()
     if not d.phase(b).is_zero():
@@ -212,13 +214,13 @@ def gadget_pivot(d: Diagram, u: int, w: int) -> RewriteEvent:
     ``u``, so the rewrite is sound up to a constant scalar with the
     parameter sign unchanged.
     """
-    _require(_is_internal_pauli(d, u), f"spider {u} is not an internal 0/pi Clifford spider")
-    _require(not _is_clean_axis(d, u), f"spider {u} is a gadget axis")
+    _require(_is_internal_pauli(d, u), "spider {} is not an internal 0/pi Clifford spider", u)
+    _require(not _is_clean_axis(d, u), "spider {} is a gadget axis", u)
     _require(w in d._vertices and d.vertex(w).kind is VKind.SPIDER and d.is_internal(w),
-             f"{w} is not an internal spider")
-    _require(not d.phase(w).is_clifford(), f"spider {w} carries no parameter")
-    _require(d.has_edge(u, w), f"{u} and {w} are not adjacent")
-    _require(d.degree(w) > 1, f"{u} and {w} already form a phase gadget")
+             "{} is not an internal spider", w)
+    _require(not d.phase(w).is_clifford(), "spider {} carries no parameter", w)
+    _require(d.has_edge(u, w), "{} and {} are not adjacent", u, w)
+    _require(d.degree(w) > 1, "{} and {} already form a phase gadget", u, w)
     hub, leaf = _extract_phase_to_gadget(d, w)
     moved = tuple((name, leaf) for name in d.phase(leaf).param_ids)
     touched = _pivot_core(d, u, w)
@@ -234,7 +236,7 @@ def _check_gadget(d: Diagram, g: GadgetView) -> None:
           and d.degree(g.phase_spider) == 1
           and d.has_edge(g.axis_spider, g.phase_spider)
           and frozenset(n for n in d.neighbors(g.axis_spider) if n != g.phase_spider) == g.neighbourhood)
-    _require(ok, f"not a current phase gadget: {g}")
+    _require(ok, "not a current phase gadget: {}", g)
 
 
 def _fuse_gadget(d: Diagram, g: GadgetView, target: int,
@@ -280,7 +282,7 @@ def gadget_id_fuse(d: Diagram, g: GadgetView) -> RewriteEvent:
     discards the corresponding phase factor.
     """
     _check_gadget(d, g)
-    _require(len(g.neighbourhood) == 1, f"gadget has {len(g.neighbourhood)} neighbours")
+    _require(len(g.neighbourhood) == 1, "gadget has {} neighbours", len(g.neighbourhood))
     (w,) = g.neighbourhood
     merge, dropped = _fuse_gadget(d, g, w, axis_parity(d, g) == 1)
     return RewriteEvent(Rule.GADGET_ID_FUSE, removed=(g.axis_spider, g.phase_spider), touched=(w,),
@@ -478,6 +480,15 @@ class Rewriter:
         vertices, adj, boundary_count = d._vertices, d._adj, d._boundary_count
         codes, degrees, class_sets, local_comp = self.codes, self.degrees, self._class_sets, self.local_comp
         spider, hadamard = _SPIDER, _HADAMARD
+        # A boundary wire changes only with its boundary node in ``changed``
+        # (only _buffer_boundary_wires changes one, on a matched spider), so a
+        # wired spider's Hadamard-wire class is read off its neighbours only
+        # when it is new or such a node's spider.
+        rewired: Set[int] = set()
+        for v in changed.difference(codes):  # boundary nodes and new spiders
+            data = vertices.get(v)
+            if data is not None and data.kind is not spider:
+                rewired.update(adj[v])
         # Candidates are anchored only at internal 0/pi spiders, so every
         # vertex that is one now or was one before the rewrite is re-checked.
         anchors: List[int] = []
@@ -502,10 +513,13 @@ class Rewriter:
             ph = data.phase
             if boundary_count[v]:
                 code = SIG_WIRED | SIG_PARAM if ph.terms else SIG_WIRED
-                for n, kind in nbrs.items():
-                    if kind is hadamard and vertices[n].kind is not spider:
-                        code |= CLASS_HADAMARD_WIRED
-                        break
+                if old is not None and v not in rewired:
+                    code |= old & CLASS_HADAMARD_WIRED
+                else:
+                    for n, kind in nbrs.items():
+                        if kind is hadamard and vertices[n].kind is not spider:
+                            code |= CLASS_HADAMARD_WIRED
+                            break
             elif ph.terms:
                 code = SIG_PARAM
             elif ph.clifford & 1:

@@ -116,6 +116,72 @@ def test_parse_errors_carry_line_numbers():
     assert parse_circuit(f"qreg {MAX_QUBITS}\nh {MAX_QUBITS - 1}").n_qubits == MAX_QUBITS
 
 
+@pytest.mark.parametrize("source, expected", [
+    # zero-padded tokens, also past _MAX_QUBITS_DIGITS
+    ("qreg 3\nh 02", (2,)), ("qreg 3\nrz(t0) 0002", (2,)), ("qreg 3\nh " + "0" * 9 + "1", (1,)),
+    ("qreg 3\nh 007", "line 2, column 2: qubit 007 out of range (qreg 3)"),
+    ("qreg 3\ncx 1 03", "line 2, column 5: qubit 03 out of range (qreg 3)"),
+    # more digits than _MAX_QUBITS_DIGITS, and out of range
+    ("qreg 3\nh 111111", "line 2, column 2: qubit 111111 out of range (qreg 3)"),
+    ("qreg 3\ncx 0 999999", "line 2, column 5: qubit 999999 out of range (qreg 3)"),
+    ("qreg 3\ncx 5 0", "line 2, column 3: qubit 5 out of range (qreg 3)"),
+    ("qreg 3\nrz(t0) 3", "line 2, column 7: qubit 3 out of range (qreg 3)"),
+    # decimal digits outside ASCII, and tokens that are not decimal
+    ("qreg 3\nh \u0661", (1,)), ("qreg 3\ncx 0 \u0662", (0, 2)), ("qreg 3\nrz(t0) \uff11", (1,)),
+    ("qreg 3\nh \u0663", "line 2, column 2: qubit \u0663 out of range (qreg 3)"),
+    ("qreg 3\nh \u00b2", "line 2, column 2: expected qubit index, got '\u00b2'"),
+    ("qreg 3\nh +1", "line 2, column 2: expected qubit index, got '+1'"),
+    ("qreg 3\nh 1_0", "line 2, column 2: expected qubit index, got '1_0'"),
+])
+def test_qubit_tokens_outside_the_canonical_form(source, expected):
+    """Every token but a qubit's plain decimal form takes the checked path,
+    which keeps its value, message and column."""
+    if isinstance(expected, tuple):
+        assert parse_circuit(source).gates[0].qubits == expected
+        return
+    with pytest.raises(CircuitSyntaxError) as err:
+        parse_circuit(source)
+    assert str(err.value) == expected
+    assert err.value.column == int(expected.split("column ")[1].split(":")[0])
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("qreg 2\nrz(pi) 0", Gate(GateKind.RZ_CLIFFORD, (0,), k=2)),
+    ("qreg 2\nrz(PI) 1", Gate(GateKind.RZ_CLIFFORD, (1,), k=2)),
+    ("qreg 2\nrz(pid) 0", Gate(GateKind.RZ_PARAM, (0,), param="pid")),
+    ("qreg 2\nrz(t0) 1", Gate(GateKind.RZ_PARAM, (1,), param="t0")),
+    ("qreg 2\nrz(pi) 5", "line 2, column 7: qubit 5 out of range (qreg 2)"),
+    ("qreg 2\nrz(PI) x", "line 2, column 7: expected qubit index, got 'x'"),
+    ("qreg 2\nrz(pid) 5", "line 2, column 8: qubit 5 out of range (qreg 2)"),
+    ("qreg 2\nrz(t0) 7", "line 2, column 7: qubit 7 out of range (qreg 2)"),
+    ("qreg 2\nrz(pid/2) 0", "line 2, column 3: rz angle 'pid/2' is not of the form <k>pi/2"),
+    ("qreg 2\nrz(t0) 0\nrz(t0) 1", "parameter 't0' used on two gates (line 3)"),
+])
+def test_rz_identifiers_and_pi(source, expected):
+    """An identifier other than pi is a parameter without the angle pattern;
+    errors and their columns are those of the angle path."""
+    if isinstance(expected, Gate):
+        assert parse_circuit(source).gates == [expected]
+        return
+    with pytest.raises((CircuitSyntaxError, RepeatedParameter)) as err:
+        parse_circuit(source)
+    assert str(err.value) == expected
+
+
+def test_parsed_gates_equal_checked_gates():
+    """The parser builds gates without Gate.__post_init__; each equals, field
+    for field, the gate Gate(...) builds from the same fields."""
+    from test_golden import CASES, verify_circuits
+    circuits = [c for _, c in CASES + verify_circuits()]
+    circuits += [random_circuit(Random(f"parsed/{i}"), 1 + i % 12, 10 * i, i) for i in range(40)]
+    for c in circuits:
+        parsed = parse_circuit(emit_circuit(c))
+        assert parsed.gates == c.gates
+        for g in parsed.gates:
+            checked = Gate(g.kind, g.qubits, g.k, g.param)
+            assert type(g) is Gate and vars(g) == vars(checked)
+
+
 def test_parse_rz_in_any_case():
     # gate names are read without regard to case; parameter names keep theirs
     c = parse_circuit("QREG 1\nRZ(T0) 0\nRz(1pi/2) 0\nrZ(t0) 0")

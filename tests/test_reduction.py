@@ -1,3 +1,4 @@
+import json
 from random import Random
 
 import numpy as np
@@ -290,3 +291,45 @@ def test_reduction_map_from_dict_checks_params_out():
     data["params_out"] = ["zz"]
     with pytest.raises(ValueError, match=r'^params_out \["zz"\] does not match the row names \["u0"\]$'):
         ReductionMap.from_dict(data)
+
+
+def reference_row_string(m: ReductionMap, i: int) -> str:
+    """The printed row as a loop over its terms in params_in order."""
+    parts = []
+    for param, sign in sorted(m.rows[i], key=lambda t: m.params_in.index(t[0])):
+        if not parts:
+            parts.append(param if sign > 0 else f"-{param}")
+        else:
+            parts.append(f"+ {param}" if sign > 0 else f"- {param}")
+    if m.constants[i]:
+        parts.append(f"+ {m.constants[i]}pi/2")
+    return f"{m.new_param_names[i]} = " + " ".join(parts)
+
+
+HAND_BUILT_MAPS = [
+    ReductionMap((), (), (), ()),
+    ReductionMap(("t0", "t1"), (), (), (), eliminated=("t0", "t1")),
+    # from_text accepts any string as a name: quotes, backslashes, control
+    # and non-ASCII characters, and characters outside the BMP
+    ReductionMap(('q"uote', "back\\slash", "été", "tab\tnew\nline", "\U0001d70b", "\x7f"),
+                 ("ü0", "\\"), (((("été", -1), ('q"uote', 1), ("\x7f", 1))), (("\U0001d70b", 1),)), (3, 0),
+                 eliminated=("back\\slash",)),
+    ReductionMap(("t0", "t1", "t2", "t3"), ("u0",), ((("t3", 1), ("t1", -1)),), (2,), eliminated=("t2", "t0")),
+]
+
+
+@pytest.mark.parametrize("m", HAND_BUILT_MAPS, ids=["empty", "all-eliminated", "escaped-names", "eliminated"])
+def test_map_text_is_json_dumps_of_the_dict(m):
+    assert m.to_text() == json.dumps(m.to_dict(), indent=2) + "\n"
+    assert ReductionMap.from_text(m.to_text()).to_text() == m.to_text()  # rows come back in column order
+    for i in range(len(m.rows)):
+        assert m.row_string(i) == reference_row_string(m, i)
+
+
+def test_map_text_is_json_dumps_of_the_dict_on_the_golden_ladder():
+    for _, circuit in CASES:
+        for seed in (0, None):
+            m = phase_teleport(circuit, seed=seed).reduction
+            assert m.to_text() == json.dumps(m.to_dict(), indent=2) + "\n"
+            assert [m.row_string(i) for i in range(len(m.rows))] == \
+                [reference_row_string(m, i) for i in range(len(m.rows))]

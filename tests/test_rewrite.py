@@ -9,7 +9,7 @@ from test_diagram import toggle_one_by_one
 from helpers import attach_gadget, circuit_state_diagram, random_graph_like_state, structured_samples
 from test_golden import phase_poly_circuit
 from zxparam.circuits import circuit_to_diagram, parse_circuit
-from zxparam.diagram import Diagram, EdgeKind, VKind, find_gadgets, validate
+from zxparam.diagram import Diagram, EdgeKind, GadgetView, VKind, find_gadgets, validate
 from zxparam.errors import NotApplicable
 from zxparam.generate import random_circuit
 from zxparam import rewrite
@@ -181,6 +181,28 @@ def test_gadget_fusion_requires_equal_neighbourhoods():
     g1, g2 = find_gadgets(d)
     with pytest.raises(NotApplicable):
         gadget_fusion(d, g1, g2)
+
+
+def test_precondition_messages_name_the_failed_check():
+    d, s = state_with([Phase(0), Phase(0), Phase(1), Phase(0, (("p", 1),))], [(2, 3)], n_out=2)
+    attach_gadget(Random(0), d, [s[0]], 0, Phase.of("a"))
+    attach_gadget(Random(0), d, [s[0], s[1]], 0, Phase.of("b"))
+    g1, g2 = sorted(find_gadgets(d), key=lambda g: len(g.neighbourhood))
+    stale = GadgetView(g1.axis_spider, g1.phase_spider, frozenset({s[1]}))
+    cases = [
+        (lambda: local_complement_simp(d, 99), "99 is not a spider"),
+        (lambda: local_complement_simp(d, s[0]), f"spider {s[0]} phase is not +-pi/2"),
+        (lambda: pivot_simp(d, s[2], s[3]), f"spider {s[2]} is not an internal 0/pi Clifford spider"),
+        (lambda: gadget_pivot(d, g1.axis_spider, s[3]), f"spider {g1.axis_spider} is a gadget axis"),
+        (lambda: boundary_pivot(d, g1.axis_spider, s[1]), f"{g1.axis_spider} and {s[1]} are not adjacent"),
+        (lambda: gadget_fusion(d, g1, g2), "gadget neighbourhoods differ"),
+        (lambda: gadget_fusion(d, stale, g2), f"not a current phase gadget: {stale}"),
+        (lambda: gadget_id_fuse(d, g2), "gadget has 2 neighbours"),
+    ]
+    for call, message in cases:
+        with pytest.raises(NotApplicable) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_gadget_id_fuse_adds_phase_to_neighbour():
