@@ -29,8 +29,9 @@ if TYPE_CHECKING:
 
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 _SIGNED = {1: "+ ", -1: "- "}
-# The layout json.dumps(..., indent=2) gives a map, in three nested parts.
-_MAP = '{\n  "params_in": %s,\n  "params_out": %s,\n  "rows": %s,\n  "eliminated": %s\n}\n'
+# The layout json.dumps(..., indent=2) gives a map, in three nested parts;
+# "eliminated" is always empty and stays so that the map keeps its format.
+_MAP = '{\n  "params_in": %s,\n  "params_out": %s,\n  "rows": %s,\n  "eliminated": []\n}\n'
 _ROW = '    {\n      "name": %s,\n      "terms": [\n%s\n      ],\n      "const_pi_over_2": %d\n    }'
 _TERM = '        [\n          %s,\n          %d\n        ]'
 
@@ -56,10 +57,9 @@ class ReductionMap:
     new_param_names: Tuple[str, ...]
     rows: Tuple[Tuple[Tuple[str, int], ...], ...]  # per row: ((param, sign), ...)
     constants: Tuple[int, ...]  # per row, in units of pi/2, mod 4
-    eliminated: Tuple[str, ...] = ()
 
     def __post_init__(self):
-        for attr in ("params_in", "new_param_names", "eliminated"):
+        for attr in ("params_in", "new_param_names"):
             names = getattr(self, attr)
             if len(set(names)) != len(names):
                 repeat = next(n for i, n in enumerate(names) if n in names[:i])
@@ -85,11 +85,6 @@ class ReductionMap:
                     raise ValueError(f"column {param!r} has two nonzero entries "
                                      f"({owners[param]} and {name}); map is not parsimonious")
                 owners[param] = name
-        for param in self.eliminated:
-            if param not in self._column:
-                raise ValueError(f"eliminated parameter {param!r} is not in params_in")
-            if param in owners:
-                raise ValueError(f"eliminated parameter {param!r} appears in row {owners[param]}")
 
     def check_circuits(self, c1: Circuit, c2: Circuit) -> None:
         """Raise DimensionMismatch unless ``c1`` and ``c2`` have the same
@@ -148,7 +143,7 @@ class ReductionMap:
                 {"name": name, "terms": [[p, s] for p, s in terms], "const_pi_over_2": const}
                 for name, terms, const in zip(self.new_param_names, self.ordered_rows, self.constants)
             ],
-            "eliminated": list(self.eliminated),
+            "eliminated": [],
         }
 
     def to_text(self) -> str:
@@ -159,13 +154,13 @@ class ReductionMap:
             _ROW % (_quoted(name), ",\n".join([_TERM % (_quoted(p), s) for p, s in terms]), const)
             for name, terms, const in zip(self.new_param_names, self.ordered_rows, self.constants)])
         return _MAP % (_string_list(self.params_in), _string_list(self.new_param_names),
-                       f"[\n{rows}\n  ]" if rows else "[]", _string_list(self.eliminated))
+                       f"[\n{rows}\n  ]" if rows else "[]")
 
     @staticmethod
     def from_dict(data: object) -> "ReductionMap":
         """The map written by ``to_dict``.  Raises ValueError naming the first
-        field that is missing or of the wrong JSON type, or a ``params_out``
-        that is not the list of row names."""
+        field that is missing or of the wrong JSON type, a ``params_out``
+        that is not the list of row names, or a nonempty ``eliminated``."""
         data = _checked(data, dict, "the map")
         params_in = _checked(data.get("params_in"), list, "params_in")
         rows = _checked(data.get("rows"), list, "rows")
@@ -181,21 +176,24 @@ class ReductionMap:
                 pairs.append((_checked(pair[0], str, f"{where}[0]"), _checked(pair[1], int, f"{where}[1]")))
             terms.append(tuple(pairs))
             constants.append(_checked(row.get("const_pi_over_2"), int, f"rows[{i}].const_pi_over_2"))
-        eliminated = _checked(data.get("eliminated", []), list, "eliminated")
         if "params_out" in data and _checked(data["params_out"], list, "params_out") != names:
             raise ValueError(f"params_out {json.dumps(data['params_out'])[:40]} does not match "
                              f"the row names {json.dumps(names)[:40]}")
+        if data.get("eliminated", []) != []:
+            raise ValueError(f"eliminated must be [], got {json.dumps(data['eliminated'])[:40]}")
         return ReductionMap(
             params_in=tuple(_checked(p, str, f"params_in[{j}]") for j, p in enumerate(params_in)),
             new_param_names=tuple(names),
             rows=tuple(terms),
             constants=tuple(constants),
-            eliminated=tuple(_checked(p, str, f"eliminated[{j}]") for j, p in enumerate(eliminated)),
         )
 
     @staticmethod
     def from_text(text: str) -> "ReductionMap":
-        return ReductionMap.from_dict(json.loads(text))
+        try:
+            return ReductionMap.from_dict(json.loads(text))
+        except RecursionError:
+            raise ValueError("the map is nested too deeply") from None
 
     @staticmethod
     def identity(params: Sequence[str]) -> "ReductionMap":
@@ -210,14 +208,15 @@ def extract_reduction(events: Sequence[RewriteEvent], original_params: Sequence[
     event log.
 
     The terminal diagram's parameter expressions are the ground truth for
-    rows and constants; replaying the merge, move and elimination events
-    must reproduce the same grouping and signs.  Otherwise, or if one
-    parameter is on two terminal spiders, the provenance is inconsistent.
+    rows and constants; replaying the merge and move events must reproduce
+    the same grouping and signs.  Otherwise, or if a parameter is on two
+    terminal spiders or on none, the provenance is inconsistent; a circuit
+    keeps every parameter, since each rz is used once and
+    A·rz(t+δ)·B ∝ A·rz(t)·B forces δ ∈ 2πℤ.
     """
     original_params = list(original_params)
     sign: Dict[str, int] = {p: 1 for p in original_params}
     owner: Dict[str, Optional[int]] = {p: None for p in original_params}
-    eliminated: set = set()
     for ev in events:
         for name, spider in ev.moved:
             if name not in sign:
@@ -229,11 +228,6 @@ def extract_reduction(events: Sequence[RewriteEvent], original_params: Sequence[
                     raise InconsistentProvenance(f"event merges unknown parameter {name!r}")
                 sign[name] *= s
                 owner[name] = ev.param_merge.survivor
-        for name in ev.eliminated:
-            if name not in sign:
-                raise InconsistentProvenance(f"event eliminates unknown parameter {name!r}")
-            eliminated.add(name)
-            owner[name] = None
 
     exprs = terminal.param_exprs()
     seen = set()
@@ -243,8 +237,6 @@ def extract_reduction(events: Sequence[RewriteEvent], original_params: Sequence[
                 raise InconsistentProvenance(f"parameter {name!r} is on two terminal spiders")
             if name not in sign:
                 raise InconsistentProvenance(f"terminal diagram carries unknown parameter {name!r}")
-            if name in eliminated:
-                raise InconsistentProvenance(f"parameter {name!r} was eliminated but survives")
             if sign[name] != coeff:
                 raise InconsistentProvenance(
                     f"replayed sign {sign[name]} for {name!r} does not match terminal {coeff}")
@@ -253,8 +245,8 @@ def extract_reduction(events: Sequence[RewriteEvent], original_params: Sequence[
                     f"replayed owner {owner[name]} for {name!r} does not match terminal {spider}")
             seen.add(name)
     for name in original_params:
-        if name not in seen and name not in eliminated:
-            raise InconsistentProvenance(f"parameter {name!r} is neither surviving nor eliminated")
+        if name not in seen:
+            raise InconsistentProvenance(f"parameter {name!r} is on no terminal spider")
 
     order = {p: j for j, p in enumerate(original_params)}
     row_data = sorted(exprs.values(), key=lambda e: min(order[n] for n in e.param_ids))
@@ -263,7 +255,6 @@ def extract_reduction(events: Sequence[RewriteEvent], original_params: Sequence[
         new_param_names=tuple(f"u{i}" for i in range(len(row_data))),
         rows=tuple(e.terms for e in row_data),
         constants=tuple(e.clifford for e in row_data),
-        eliminated=tuple(sorted(eliminated, key=lambda p: order[p])),
     )
 
 
@@ -314,6 +305,5 @@ def phase_teleport(c: Circuit, seed: Optional[int] = None) -> TeleportResult:
         new_param_names=diagram_map.new_param_names,
         rows=tuple(rows),
         constants=tuple(0 for _ in rows),
-        eliminated=diagram_map.eliminated,
     )
     return TeleportResult(out, reduction)

@@ -6,8 +6,9 @@ Fusing a gadget whose axis carries pi flips the sign of the absorbed
 expression and discards a phase factor e^{i e(a)} that depends on the
 parameters; the event records the discarded expression in ``dropped`` so
 soundness can be checked exactly, and the sign flips in ``param_merge``
-feed the affine map extraction.  Scalar removal likewise records the
-parameters that vanish with a boundary-free component.
+feed the affine map extraction.  Scalar removal drops boundary-free
+components; in a circuit's diagram none carries a parameter, since each rz
+is used once and A·rz(t+δ)·B ∝ A·rz(t)·B forces δ ∈ 2πℤ.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ class RewriteEvent:
     touched: Tuple[int, ...] = ()
     param_merge: Optional[ParamMerge] = None
     moved: Tuple[Tuple[str, int], ...] = ()  # parameter id -> new owning spider
-    eliminated: Tuple[str, ...] = ()  # parameters dropped with a scalar component
     dropped: Optional[Phase] = None  # phase e^{i expr} discarded by this rewrite
 
 
@@ -294,20 +294,16 @@ def gadget_id_fuse(d: Diagram, g: GadgetView) -> RewriteEvent:
 def remove_scalar_spiders(d: Diagram) -> List[RewriteEvent]:
     """Remove every connected component without boundary nodes.
 
-    Such components only contribute a global scalar; parameters they carry
-    are recorded as eliminated (zero columns of the parameter map).
+    Such components only contribute a global scalar, and in a circuit's
+    diagram they carry no parameter (see the module docstring).
     """
     events = []
     for comp in d.connected_components():
         if any(d.vertex(v).is_boundary for v in comp):
             continue
-        eliminated = []
-        for v in comp:
-            eliminated.extend(d.phase(v).param_ids)
         for v in comp:
             d.remove_vertex(v)
-        events.append(RewriteEvent(Rule.SCALAR_REMOVAL, removed=tuple(sorted(comp)),
-                                   eliminated=tuple(sorted(eliminated))))
+        events.append(RewriteEvent(Rule.SCALAR_REMOVAL, removed=tuple(sorted(comp))))
     return events
 
 
@@ -431,9 +427,7 @@ class Rewriter:
         # anchor -> (gadget pivot ends, boundary pivot ends)
         self._pairs_at: Dict[int, Tuple[List[int], List[int]]] = {}
         self._filed_at: Dict[int, Tuple[List[int], List[int]]] = {}  # anchor -> its ends as last filed
-        # the vertices whose gadget/boundary pivot pairs may be misfiled; None
-        # when the stages never read those indexes
-        self._unfiled: Optional[Set[int]] = set() if _reads_pairs(stages) else None
+        self._unfiled: Set[int] = set()  # the vertices whose gadget/boundary pivot pairs may be misfiled
         self.recheck(set(d.vertices()))
 
     def run(self, limit: int, what: str = "simplify") -> List[RewriteEvent]:
@@ -558,8 +552,7 @@ class Rewriter:
             around.difference_update(changed)
             anchors.extend(around & self.pauli)
         self._recheck_anchored(anchors, regraded)
-        if self._unfiled is not None:
-            self._unfiled |= regraded
+        self._unfiled |= regraded
 
     def _recheck_anchored(self, anchors: List[int], regraded: Set[int]) -> None:
         """The candidates anchored at each ``u`` of ``anchors``: its pivot
@@ -631,8 +624,7 @@ class Rewriter:
                     del pairs_at[u]
                 else:
                     pairs_at[u] = pairs
-                if unfiled is not None:
-                    unfiled.add(u)
+                unfiled.add(u)
             old_gadget = gadgets.get(u)
             if len(legs) == 1:
                 leg = legs[0]
@@ -740,10 +732,6 @@ _local_comp_stage = _index_stage("local_comp", local_complement_simp)
 _pivot_stage = _index_stage("pivot", pivot_simp)
 _gadget_pivot_stage = _index_stage("gadget_pivot", gadget_pivot, filed_when_read=True)
 _boundary_pivot_stage = _index_stage("boundary_pivot", boundary_pivot, filed_when_read=True)
-
-
-def _reads_pairs(stages: Sequence[Callable]) -> bool:
-    return _gadget_pivot_stage in stages or _boundary_pivot_stage in stages
 
 
 def _gadget_id_fuse_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:

@@ -224,7 +224,10 @@ def test_help_exits_0(capsys, command):
     ("[]", "the map"), ('"x"', "the map"), ('{"params_in": 5, "rows": []}', "params_in"),
     ('{"params_in": ["t0", "t1"], "rows": null}', "rows"),
     ('{"params_in": ["t0", "t1"], "rows": [{"name": "u0", "terms": 7, "const_pi_over_2": 0}]}',
-     "rows[0].terms")], ids=["list", "string", "params_in", "rows", "terms"])
+     "rows[0].terms"),
+    # t0 is in no row: a circuit keeps every parameter, so the list is only read as []
+    ('{"params_in": ["t0", "t1"], "rows": [{"name": "u0", "terms": [["t1", 1]], "const_pi_over_2": 0}], '
+     '"eliminated": ["t0"]}', "eliminated")], ids=["list", "string", "params_in", "rows", "terms", "eliminated"])
 def test_verify_malformed_map_exits_1(tmp_path, capsys, text, field):
     args = cli_args(tmp_path, "verify")
     args[-1] = str(write(tmp_path, "bad.json", text))
@@ -234,15 +237,21 @@ def test_verify_malformed_map_exits_1(tmp_path, capsys, text, field):
 
 
 def test_verify_inconsistent_map_exits_1(tmp_path, capsys):
-    # the rows keep t0, which the map also lists as eliminated, and params_out names another row
+    # params_out names another row; the eliminated list, refused too, is read after it
     args = cli_args(tmp_path, "verify")
     row = {"name": "u0", "terms": [["t0", 1]], "const_pi_over_2": 0}
-    for extra, reason in [({"params_out": ["zz"]}, 'params_out ["zz"] does not match the row names ["u0"]'),
-                          ({}, "eliminated parameter 't0' appears in row u0")]:
-        args[-1] = str(write(tmp_path, "bad.json", json.dumps(
-            {"params_in": ["t0", "t1"], **extra, "rows": [row], "eliminated": ["t0"]})))
-        assert main(args) == 1
-        assert capsys.readouterr().err == f"verify: cannot load inputs: {reason}\n"
+    args[-1] = str(write(tmp_path, "bad.json", json.dumps(
+        {"params_in": ["t0", "t1"], "params_out": ["zz"], "rows": [row], "eliminated": ["t0"]})))
+    assert main(args) == 1
+    assert capsys.readouterr().err == \
+        'verify: cannot load inputs: params_out ["zz"] does not match the row names ["u0"]\n'
+
+
+def test_verify_deeply_nested_map_exits_1(tmp_path, capsys):
+    args = cli_args(tmp_path, "verify")
+    args[-1] = str(write(tmp_path, "deep.json", "[" * 200_000))
+    assert main(args) == 1
+    assert capsys.readouterr() == ("", "verify: cannot load inputs: the map is nested too deeply\n")
 
 
 @pytest.mark.parametrize("command", ["optimize", "verify", "oracle"])

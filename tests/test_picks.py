@@ -4,9 +4,10 @@
 often reach the same circuit and map.  This file pins the picks themselves:
 for each ladder circuit and pick seed (0 and the ``min`` picks), the SHA-256
 of the event log of ``simplify`` (rule, removed, touched, parameter merges,
-moves, eliminations and dropped phases, in order) and of the terminal
-diagram (every vertex in insertion order with its kind, phase, position and
-neighbours in adjacency order, plus the parameter registry).  Any change to
+moves, an empty tuple that keeps the pinned digests valid, and dropped
+phases, in order) and of the terminal diagram (every vertex in insertion
+order with its kind, phase, position and neighbours in adjacency order,
+plus the parameter registry).  Any change to
 which candidate a rule takes, to vertex ids or to adjacency order shows up
 here.
 
@@ -36,7 +37,7 @@ def event_log_digest(events: List[RewriteEvent]) -> str:
         merge = None if ev.param_merge is None else (ev.param_merge.absorbed, ev.param_merge.survivor)
         dropped = None if ev.dropped is None else (ev.dropped.clifford, ev.dropped.terms)
         h.update(repr((ev.rule.value, ev.removed, ev.touched, merge, ev.moved,
-                       ev.eliminated, dropped)).encode())
+                       (), dropped)).encode())
         h.update(b"\n")
     return h.hexdigest()
 

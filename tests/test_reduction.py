@@ -1,4 +1,5 @@
 import json
+import re
 from random import Random
 
 import numpy as np
@@ -11,7 +12,7 @@ from zxparam.errors import InconsistentProvenance, RepeatedParameter
 from zxparam.generate import random_circuit
 from zxparam.params import Phase
 from zxparam.reduction import ReductionMap, extract_reduction, phase_teleport
-from zxparam.rewrite import RewriteEvent, Rule, simplify
+from zxparam.rewrite import simplify
 from zxparam.verify import check_reduction, optimality_certificate
 
 
@@ -55,12 +56,14 @@ def test_extract_reduction_rejects_corrupted_events():
     terminal, events = simplify(circuit_to_diagram(c))
     with pytest.raises(InconsistentProvenance):
         extract_reduction(events, ["t0"], terminal)  # t1 unknown to the replay
-    bogus = events + [RewriteEvent(Rule.SCALAR_REMOVAL, eliminated=("t0",))]
-    with pytest.raises(InconsistentProvenance):
-        extract_reduction(bogus, c.params, terminal)
-    unknown = events + [RewriteEvent(Rule.SCALAR_REMOVAL, eliminated=("t9",))]
-    with pytest.raises(InconsistentProvenance, match="^event eliminates unknown parameter 't9'$"):
-        extract_reduction(unknown, c.params, terminal)
+
+
+def test_extract_reduction_rejects_a_vanished_parameter():
+    c = parse_circuit("qreg 2\nrz(t0) 0\nrz(t1) 1")
+    terminal, events = simplify(circuit_to_diagram(c))
+    terminal.set_phase(terminal.param_registry["t1"], Phase(0))
+    with pytest.raises(InconsistentProvenance, match="^parameter 't1' is on no terminal spider$"):
+        extract_reduction(events, c.params, terminal)
 
 
 def test_extract_reduction_rejects_a_parameter_on_two_spiders():
@@ -149,16 +152,16 @@ def test_phase_teleport_rejects_invalid_circuits(gates, error):
         phase_teleport(Circuit(2, gates))
 
 
-def test_phase_teleport_eliminates_no_parameter():
-    # every rz rotates about a non-identity Pauli, so no parameter ends in a
-    # scalar component, and exact_check condition (ii) rejects a map that
-    # lists one: the map's eliminated list is empty for every circuit
+def test_simplify_keeps_every_parameter():
+    # each rz is used once, and A·rz(t+δ)·B ∝ A·rz(t)·B forces δ ∈ 2πℤ, so
+    # no parameter of a circuit can end in a scalar component
     rng = Random(53)
     circuits = [c for _, c in CASES] + [
         random_circuit(Random(i + 1000), rng.randint(1, 8), n_gates, rng.randint(0, min(8, n_gates)))
         for i, n_gates in enumerate(rng.randint(1, 40) for _ in range(200))]
     for c in circuits:
-        assert phase_teleport(c).reduction.eliminated == ()
+        terminal, _ = simplify(circuit_to_diagram(c))
+        assert set(terminal.param_registry) == set(c.params)
 
 
 def test_phase_teleport_count_matches_terminal_diagram():
@@ -244,7 +247,7 @@ def test_known_fusion_structure(name, src, expected):
 
 def test_reduction_map_serialization_round_trip():
     m = ReductionMap(("t0", "t1", "t2"), ("u0", "u1"),
-                     ((("t0", 1), ("t2", -1)), (("t1", 1),)), (0, 3), eliminated=())
+                     ((("t0", 1), ("t2", -1)), (("t1", 1),)), (0, 3))
     again = ReductionMap.from_text(m.to_text())
     assert again == m
     data = m.to_dict()
@@ -270,27 +273,34 @@ def test_reduction_map_invariants():
 @pytest.mark.parametrize("args, message", [
     ((("t0", "t0"), ("u0",), ((("t0", 1),),), (0,)), "params_in names 't0' twice"),
     ((("t0", "t1"), ("u0", "u0"), ((("t0", 1),), (("t1", 1),)), (0, 0)), "new_param_names names 'u0' twice"),
-    ((("t0", "t1", "t2"), ("u0",), ((("t0", 1),),), (0,), ("t1", "t1")), "eliminated names 't1' twice"),
     ((("a", "b"), ("u0", "u1"), ((("a", 1),),), (0,)),
      "rows, new_param_names and constants have lengths 1, 2 and 1"),
     ((("t0",), ("u0",), ((("t0", 1),),), (0, 0)), "rows, new_param_names and constants have lengths 1, 1 and 2"),
-    ((("t0",), ("u0",), ((("t0", 1),),), (0,), ("t9",)), "eliminated parameter 't9' is not in params_in"),
-    ((("t0",), ("u0",), ((("t0", 1),),), (0,), ("t0",)), "eliminated parameter 't0' appears in row u0"),
-], ids=["params_in", "new_param_names", "eliminated", "short-rows", "long-constants", "unknown-eliminated",
-        "eliminated-in-row"])
+], ids=["params_in", "new_param_names", "short-rows", "long-constants"])
 def test_reduction_map_rejects_inconsistent_fields(args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         ReductionMap(*args)
 
 
 def test_reduction_map_from_dict_checks_params_out():
-    data = ReductionMap(("t0", "t1"), ("u0",), ((("t0", 1),),), (0,), ("t1",)).to_dict()
+    data = ReductionMap(("t0", "t1"), ("u0",), ((("t0", 1),),), (0,)).to_dict()
     assert ReductionMap.from_dict(data).new_param_names == ("u0",)
     del data["params_out"]
     assert ReductionMap.from_dict(data).new_param_names == ("u0",)
     data["params_out"] = ["zz"]
     with pytest.raises(ValueError, match=r'^params_out \["zz"\] does not match the row names \["u0"\]$'):
         ReductionMap.from_dict(data)
+
+
+def test_reduction_map_from_dict_reads_eliminated_only_as_empty():
+    data = ReductionMap(("t0", "t1"), ("u0",), ((("t0", 1),),), (0,)).to_dict()
+    assert data["eliminated"] == []
+    del data["eliminated"]
+    assert ReductionMap.from_dict(data).to_dict()["eliminated"] == []
+    for listed in (["t1"], None, "t1"):
+        data["eliminated"] = listed
+        with pytest.raises(ValueError, match=re.escape(f"eliminated must be [], got {json.dumps(listed)}")):
+            ReductionMap.from_dict(data)
 
 
 def reference_row_string(m: ReductionMap, i: int) -> str:
@@ -308,17 +318,14 @@ def reference_row_string(m: ReductionMap, i: int) -> str:
 
 HAND_BUILT_MAPS = [
     ReductionMap((), (), (), ()),
-    ReductionMap(("t0", "t1"), (), (), (), eliminated=("t0", "t1")),
     # from_text accepts any string as a name: quotes, backslashes, control
     # and non-ASCII characters, and characters outside the BMP
     ReductionMap(('q"uote', "back\\slash", "été", "tab\tnew\nline", "\U0001d70b", "\x7f"),
-                 ("ü0", "\\"), (((("été", -1), ('q"uote', 1), ("\x7f", 1))), (("\U0001d70b", 1),)), (3, 0),
-                 eliminated=("back\\slash",)),
-    ReductionMap(("t0", "t1", "t2", "t3"), ("u0",), ((("t3", 1), ("t1", -1)),), (2,), eliminated=("t2", "t0")),
+                 ("ü0", "\\"), (((("été", -1), ('q"uote', 1), ("\x7f", 1))), (("\U0001d70b", 1),)), (3, 0)),
 ]
 
 
-@pytest.mark.parametrize("m", HAND_BUILT_MAPS, ids=["empty", "all-eliminated", "escaped-names", "eliminated"])
+@pytest.mark.parametrize("m", HAND_BUILT_MAPS, ids=["empty", "escaped-names"])
 def test_map_text_is_json_dumps_of_the_dict(m):
     assert m.to_text() == json.dumps(m.to_dict(), indent=2) + "\n"
     assert ReductionMap.from_text(m.to_text()).to_text() == m.to_text()  # rows come back in column order
