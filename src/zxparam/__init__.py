@@ -18,7 +18,7 @@ importing the package and running any ``zxparam`` command never load it.
 """
 
 from .params import Phase
-from .diagram import Diagram, EdgeKind, GadgetView, SpiderNetwork, ValidationReport, find_gadgets, to_graph_like, validate
+from .diagram import Diagram, EdgeKind, GadgetView, SpiderNetwork, find_gadgets, to_graph_like, validate
 from .circuits import Circuit, Gate, circuit_to_diagram, circuit_unitary, emit_circuit, parse_circuit
 from .rewrite import RewriteEvent, Rule, simplify
 from .reduction import ReductionMap, extract_reduction, phase_teleport
@@ -27,7 +27,7 @@ from .verify import APForm, CertificateReport, ProportionalityReport, ap_form, b
 
 __all__ = [
     "Phase",
-    "Diagram", "EdgeKind", "GadgetView", "SpiderNetwork", "ValidationReport",
+    "Diagram", "EdgeKind", "GadgetView", "SpiderNetwork",
     "find_gadgets", "to_graph_like", "validate",
     "Circuit", "Gate", "circuit_to_diagram", "circuit_unitary", "emit_circuit", "parse_circuit",
     "RewriteEvent", "Rule", "simplify",

@@ -1,8 +1,8 @@
 """Batch command line: optimize, verify and oracle subcommands.
 
-Exit codes: 0 success, 1 a malformed command line or ``ZXPARAM_SEED``
-(one stderr line starting ``bad configuration:``), a parse error (including
-a qreg wider than circuits.MAX_QUBITS and an rz constant longer than
+Exit codes: 0 success, 1 a malformed command line (one stderr line starting
+``bad configuration:``), a parse error (including a qreg wider than
+circuits.MAX_QUBITS and an rz constant longer than
 circuits.MAX_ANGLE_DIGITS), an oracle past its parameter limit,
 a Pauli frame past frame.MAX_FRAME_AREA, or a file that cannot be read or
 written, 2 internal invariant violation, 3 verification
@@ -33,8 +33,8 @@ EXIT_ORACLE_BEATS = 4
 
 
 class BadConfiguration(Exception):
-    """A command line or ``ZXPARAM_SEED`` that cannot run; the command exits
-    1 with one line naming it."""
+    """A command line that cannot run; the command exits 1 with one line
+    naming it."""
 
 
 class FileAccessError(Exception):
@@ -218,9 +218,6 @@ def _int_between(low: int, high: int) -> Callable[[str], int]:
     return _checked(int, lambda v: low <= v <= high, f"an integer between {low} and {high}")
 
 
-_seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="zxparam", description="Parameter-count optimisation for Clifford+phase circuits")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -234,9 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("circuit", type=Path)
     oracle.add_argument("--oracle-max-params", type=_int_between(0, MAX_ORACLE_PARAMS), default=4)
     for p in (optimize, verify, oracle):
-        p.add_argument("--seed", type=_seed, help="seed of the rewrite picks among equally cheap candidates; "
-                                                  "outputs and verdicts do not depend on it "
-                                                  "(default: ZXPARAM_SEED or 0)")
+        p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "a non-negative integer"), default=0,
+                       help="seed of the rewrite picks among equally cheap candidates: 0 takes the "
+                            "smallest, others a seeded choice; outputs and verdicts do not depend on it "
+                            "(default: 0)")
         p.add_argument("--report", type=Path)
     return parser
 
@@ -248,12 +246,6 @@ HANDLERS = {"optimize": cmd_optimize, "verify": cmd_verify, "oracle": cmd_oracle
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = PARSER.parse_args(argv)
-        if args.seed is None:
-            env = os.environ.get("ZXPARAM_SEED", "0")
-            try:
-                args.seed = _seed(env)
-            except argparse.ArgumentTypeError as exc:
-                raise BadConfiguration(f"ZXPARAM_SEED {exc}") from None
         return HANDLERS[args.command](args)
     except BadConfiguration as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)

@@ -274,34 +274,22 @@ def find_gadgets(d: Diagram) -> List[GadgetView]:
     return gadgets
 
 
-@dataclass
-class ValidationReport:
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def add(self, message: str) -> None:
-        self.violations.append(message)
-
-
-def validate(d: Diagram) -> ValidationReport:
-    """Report every violated graph-like invariant; empty report iff well-formed."""
-    report = ValidationReport()
+def validate(d: Diagram) -> List[str]:
+    """Every violated graph-like invariant; empty iff well-formed."""
+    violations: List[str] = []
     vertices, adj, boundary_count = d._vertices, d._adj, d._boundary_count
     spider, hadamard = _SPIDER, _HADAMARD
     for a, nbrs in adj.items():
         if vertices[a].kind is spider:
             for b, kind in nbrs.items():
                 if kind is not hadamard and a < b and vertices[b].kind is spider:
-                    report.add(f"plain spider-spider edge {a}-{b}")
+                    violations.append(f"plain spider-spider edge {a}-{b}")
     seen: Dict[str, int] = {}
     repeated: List[str] = []
     for v, data in vertices.items():
         nbrs = adj[v]
         if v in nbrs:
-            report.add(f"self-loop at vertex {v}")
+            violations.append(f"self-loop at vertex {v}")
         if data.kind is spider:
             for name, _ in data.phase.terms:
                 if name in seen:
@@ -309,17 +297,17 @@ def validate(d: Diagram) -> ValidationReport:
                 seen[name] = v
         else:
             if len(nbrs) != 1:
-                report.add(f"boundary node {v} has degree {len(nbrs)}")
+                violations.append(f"boundary node {v} has degree {len(nbrs)}")
             if data.phase.terms or data.phase.clifford:
-                report.add(f"boundary node {v} carries a phase")
+                violations.append(f"boundary node {v} carries a phase")
         count = 0
         for n in nbrs:
             if vertices[n].kind is not spider:
                 count += 1
         if boundary_count.get(v) != count:
-            report.add(f"vertex {v} has {count} boundary neighbours, recorded {boundary_count.get(v)}")
-    report.violations.extend(repeated)
-    return report
+            violations.append(f"vertex {v} has {count} boundary neighbours, recorded {boundary_count.get(v)}")
+    violations.extend(repeated)
+    return violations
 
 
 # -- raw spider networks and the graph-like conversion -----------------------
@@ -521,7 +509,7 @@ def to_graph_like(raw: SpiderNetwork) -> Diagram:
         for n in adj[b]:
             boundary_count[n] += 1
 
-    report = validate(d)
-    if not report.ok:
-        raise ConversionError("conversion produced an invalid diagram: " + "; ".join(report.violations))
+    violations = validate(d)
+    if violations:
+        raise ConversionError("conversion produced an invalid diagram: " + "; ".join(violations))
     return d

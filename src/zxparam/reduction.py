@@ -264,7 +264,7 @@ class TeleportResult:
     reduction: ReductionMap
 
 
-def phase_teleport(c: Circuit, seed: Optional[int] = None) -> TeleportResult:
+def phase_teleport(c: Circuit, seed: int = 0) -> TeleportResult:
     """Optimise the circuit in place using the diagram simplification.
 
     The output keeps the Clifford gates of ``c`` untouched; for each fusion
@@ -297,8 +297,7 @@ def phase_teleport(c: Circuit, seed: Optional[int] = None) -> TeleportResult:
         elif g.param in new_name:
             gates.append(Gate(rz_param, g.qubits, param=new_name[g.param]))
         # other parametrised gates are set to zero and dropped
-    out = Circuit(c.n_qubits, gates)
-    out.validate()
+    out = Circuit(c.n_qubits, gates)  # c's checked gates, each kept rz renamed to a distinct u{i}
 
     reduction = ReductionMap(
         params_in=tuple(params),

@@ -379,11 +379,12 @@ class Rewriter:
     Such a rewrite toggles edges within the neighbourhoods it reads, the way
     a step of Gaussian elimination fills a sparse matrix, so a spider costs
     its degree and a pair the product of its two degrees, as in
-    minimum-degree orderings.  Ties go to the smallest candidate, or with a
-    seed to ``rng.choice`` over the tied candidates sorted.  These four
-    indexes map each candidate to ``(cost, candidate)`` under its current
-    cost, so a pick is one ``min`` over an index's values.  The other rules
-    take their smallest candidate, or a seeded choice.
+    minimum-degree orderings.  Ties go to the smallest candidate under seed
+    0, and under a nonzero seed to ``Random(seed).choice`` over the tied
+    candidates sorted.  These four indexes map each candidate to ``(cost,
+    candidate)`` under its current cost, so a pick is one ``min`` over an
+    index's values.  The other rules take their smallest candidate, or a
+    seeded choice.
     After a rewrite only what it changed is re-checked: the matched, removed
     and touched vertices and the former neighbours of the matched ones, which
     are every vertex whose phase, degree or adjacency changed.
@@ -405,10 +406,10 @@ class Rewriter:
     """
 
     def __init__(self, d: Diagram, stages: Sequence[Callable[["Rewriter"], Optional[List[RewriteEvent]]]],
-                 seed: Optional[int] = None):
+                 seed: int = 0):
         self.d = d
         self.stages = tuple(stages)
-        self.rng = Random(seed) if seed is not None else None
+        self.rng = Random(seed) if seed else None
         # the costed candidates: candidate -> (cost, candidate)
         self.local_comp: Dict[int, Tuple[int, int]] = {}
         self.pauli: Set[int] = set()  # internal spiders with phase 0 or pi
@@ -744,13 +745,10 @@ def _gadget_id_fuse_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
 
 def _gadget_fusion_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
     # groups are disjoint, so their smallest axes order them
-    if not rw.shared:
-        return None
     by_neighbourhood = rw.by_neighbourhood
-    if rw.rng is None:
-        first = min(min(by_neighbourhood[n]) for n in rw.shared)
-    else:
-        first = rw.rng.choice(sorted(min(by_neighbourhood[n]) for n in rw.shared))
+    first = _pick([min(by_neighbourhood[n]) for n in rw.shared], rw.rng)
+    if first is None:
+        return None
     axes = sorted(by_neighbourhood[rw.gadgets[first].neighbourhood])
     g1, g2 = rw.gadgets[axes[0]], rw.gadgets[axes[1]]
     return rw.apply((g1.axis_spider, g1.phase_spider, g2.axis_spider, g2.phase_spider),
@@ -791,26 +789,26 @@ SIMPLIFY_STAGES = (_local_comp_stage, _pivot_stage, _gadget_pivot_stage, _bounda
 AP_FORM_STAGES = (_local_comp_stage, _pivot_stage, _hadamard_wire_stage)
 
 
-def simplify(d: Diagram, seed: Optional[int] = None) -> Tuple[Diagram, List[RewriteEvent]]:
+def simplify(d: Diagram, seed: int = 0) -> Tuple[Diagram, List[RewriteEvent]]:
     """Run the full strategy to a fixpoint and return the terminal diagram.
 
     Rules are attempted in a fixed priority (local complementation, pivot,
     gadget pivot, boundary pivot, gadget fusion on one neighbour, gadget
     fusion, scalar removal, boundary decoration cleanup).  The first four
     take their cheapest candidate, a spider costing its degree and a pair
-    the product of its degrees, the smallest of the tied ones or, when
-    ``seed`` is given, a seeded choice among them; the others take the
-    candidate with the smallest vertex ids, or a seeded random one.  The
-    order changes the events and the terminal diagram's ids, not its
-    parameter count.  The terminal diagram satisfies the
-    pseudo-normal form conditions checked by ``verify.terminal_violations``.
+    the product of its degrees; to the others every candidate is as cheap.
+    Seed 0 takes the smallest of the cheapest candidates, and a nonzero
+    ``seed`` a seeded choice among them.  The order changes the events and the
+    terminal diagram's ids, not its parameter count.  The terminal diagram
+    satisfies the pseudo-normal form conditions checked by
+    ``verify.terminal_violations``.
     Raises FixpointNotReached if the safety cap on the number of rewrites
     is hit.  ``d`` itself is left as it is.
     """
     return _simplify(d.copy(), seed)
 
 
-def _simplify(d: Diagram, seed: Optional[int] = None) -> Tuple[Diagram, List[RewriteEvent]]:
+def _simplify(d: Diagram, seed: int = 0) -> Tuple[Diagram, List[RewriteEvent]]:
     """``simplify`` rewriting ``d`` itself, for a caller that owns it."""
     limit = 1000 + 60 * (len(d.spiders()) + 2) ** 2
     return d, Rewriter(d, SIMPLIFY_STAGES, seed).run(limit)

@@ -16,7 +16,7 @@ from zxparam.cli import main
 from zxparam.diagram import Diagram, NKind, SpiderNetwork
 from zxparam.errors import NotTerminalForm
 from zxparam.generate import random_circuit
-from zxparam.reduction import ReductionMap
+from zxparam.reduction import ReductionMap, phase_teleport
 from zxparam.rewrite import Rewriter
 from zxparam.verify import MAX_ORACLE_PARAMS
 
@@ -151,16 +151,15 @@ def test_reports_byte_identical_across_runs(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_env_seed_fallback(tmp_path, monkeypatch):
-    src = write(tmp_path, "in.zxc", FUSION)
-    outs = []
-    for run in range(2):
-        monkeypatch.setenv("ZXPARAM_SEED", "17")
-        out = tmp_path / f"env{run}.zxc"
-        report = tmp_path / f"env{run}.json"
-        assert main(["optimize", str(src), "--out", str(out), "--report", str(report)]) == 0
-        outs.append(report.read_bytes())
-    assert outs[0] == outs[1]
+def test_optimize_default_seed_is_0(tmp_path):
+    circuit = random_circuit(Random(5), 6, 60, 12)
+    src = write(tmp_path, "in.zxc", emit_circuit(circuit))
+    result = phase_teleport(circuit)
+    expected = (emit_circuit(result.circuit).encode(), result.reduction.to_text().encode())
+    for run, seed in enumerate([[], ["--seed", "0"]]):
+        out, report = tmp_path / f"out{run}.zxc", tmp_path / f"map{run}.json"
+        assert main(["optimize", str(src), *seed, "--out", str(out), "--report", str(report)]) == 0
+        assert (out.read_bytes(), report.read_bytes()) == expected
 
 
 def test_bad_configuration_exits_1(tmp_path, capsys):
@@ -252,14 +251,6 @@ def test_verify_deeply_nested_map_exits_1(tmp_path, capsys):
     args[-1] = str(write(tmp_path, "deep.json", "[" * 200_000))
     assert main(args) == 1
     assert capsys.readouterr() == ("", "verify: cannot load inputs: the map is nested too deeply\n")
-
-
-@pytest.mark.parametrize("command", ["optimize", "verify", "oracle"])
-def test_negative_env_seed_exits_1(tmp_path, monkeypatch, capsys, command):
-    monkeypatch.setenv("ZXPARAM_SEED", "-1")
-    assert main(cli_args(tmp_path, command)) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "bad configuration" in err and "-1" in err
 
 
 def unreadable(tmp_path, kind):
@@ -453,13 +444,6 @@ def test_verify_past_the_dense_limit(tmp_path, capsys):
     assert main(["verify", str(src), str(out), str(report)]) == 0
     assert capsys.readouterr().out.endswith(
         f"verify: OK (exact check passed, merge bound {count}; certificate passed, {count} parameters)\n")
-
-
-def test_non_integer_env_seed_exits_1(tmp_path, monkeypatch, capsys):
-    src = write(tmp_path, "in.zxc", FUSION)
-    monkeypatch.setenv("ZXPARAM_SEED", "abc")
-    assert main(["optimize", str(src)]) == 1
-    assert "ZXPARAM_SEED" in capsys.readouterr().err
 
 
 def cli_args(tmp_path, command):

@@ -315,7 +315,7 @@ def test_simplify_terminal_conditions_on_random_circuits():
         c = random_circuit(Random(i + 3000), rng.randint(1, 6), rng.randint(3, 24), rng.randint(0, 5))
         term, events = simplify(circuit_to_diagram(c))
         assert not terminal_violations(term), terminal_violations(term)
-        assert validate(term).ok
+        assert validate(term) == []
         # no two gadget axes adjacent
         axes = [g.axis_spider for g in find_gadgets(term)]
         for a, b in itertools.combinations(axes, 2):
@@ -465,7 +465,7 @@ def assert_driver_matches_rescan(rw: Rewriter) -> int:
     """Step ``rw`` to its fixpoint, checking before each step that every
     index equals a full rescan and that the costed indexes hold each
     candidate under its current cost, and after it that the pick was a
-    cheapest candidate (the smallest of them without a seed).  The gadget
+    cheapest candidate (the smallest of them under seed 0).  The gadget
     and boundary pivot indexes are checked where the driver reads them:
     when no local complementation or pivot applies, after ``file_pairs``;
     until then the changes of several steps pile up in them.  Their pairs
@@ -486,7 +486,7 @@ def assert_driver_matches_rescan(rw: Rewriter) -> int:
             checked, reads = COSTED, reads + 1
         for name in checked:
             assert getattr(rw, name) == {c: (k, c) for c, k in costs[name].items()}
-        assert validate(rw.d).ok, validate(rw.d).violations
+        assert validate(rw.d) == []
         stage = next((name for name in costed if expected[name]), None)
         events = rw.step()
         if events is None:
@@ -526,9 +526,9 @@ def test_driver_indexes_equal_full_rescan(seed, monkeypatch):
         monkeypatch.setattr(rewrite, "_REFILL_RATIO", ratio)
         steps = 0
         for d in diagrams:
-            for pick_seed in (seed, None):  # seeded picks, then the ``min`` picks
+            for pick_seed in (seed + 1, 0):  # seeded picks, then the ``min`` picks
                 steps += assert_driver_matches_rescan(Rewriter(d.copy(), SIMPLIFY_STAGES, seed=pick_seed))
-        for pick_seed in (seed, None):
+        for pick_seed in (seed + 1, 0):
             steps += assert_driver_matches_rescan(Rewriter(state.copy(), AP_FORM_STAGES, seed=pick_seed))
         assert steps > 40
 
@@ -584,7 +584,7 @@ def same_diagram(d, reference):
         {v: (x.kind, x.phase, x.position) for v, x in reference._vertices.items()}
     assert d._boundary_count == reference._boundary_count
     assert d.param_registry == reference.param_registry
-    assert validate(d).ok, validate(d).violations
+    assert validate(d) == []
 
 
 @pytest.mark.parametrize("seed", range(20))
