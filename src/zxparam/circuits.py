@@ -90,9 +90,6 @@ class Circuit:
                     raise RepeatedParameter(f"parameter {g.param!r} used on two gates")
                 seen.add(g.param)
 
-    def copy(self) -> "Circuit":
-        return Circuit(self.n_qubits, list(self.gates))
-
 
 # -- parser / printer ---------------------------------------------------------
 

@@ -328,12 +328,12 @@ def _needs_boundary_cleanup(d: Diagram, b: int) -> bool:
 
 # The driver's per-vertex code.  The SIG_ bits are the vertex's signature:
 # what the candidates anchored at a neighbour read off it.  The CLASS_ bits
-# say which of the driver's vertex sets holds it (at most one).
+# are its class: an internal spider that local complementation removes, or an
+# internal 0/pi spider, at which the pivot and gadget candidates are anchored.
 SIG_DEGREE_ONE, SIG_WIRED, SIG_PARAM = 1, 2, 4
-CLASS_LOCAL_COMP, CLASS_PAULI, CLASS_HADAMARD_WIRED = 8, 16, 32
+CLASS_LOCAL_COMP, CLASS_PAULI = 8, 16
 _SIGNATURE = SIG_DEGREE_ONE | SIG_WIRED | SIG_PARAM
-_CLASSES = CLASS_LOCAL_COMP | CLASS_PAULI | CLASS_HADAMARD_WIRED
-_PLAIN_CLASSES = CLASS_PAULI | CLASS_HADAMARD_WIRED  # the classes kept in plain sets
+_CLASSES = CLASS_LOCAL_COMP | CLASS_PAULI
 _NO_PARTNERS: FrozenSet[int] = frozenset()
 _NO_ENDS: Tuple[Tuple[int, ...], Tuple[int, ...]] = ((), ())
 # Rewriter.file_pairs refills the gadget and boundary pivot indexes when the
@@ -359,14 +359,7 @@ def _cheapest(costed: Dict, rng: Optional[Random]):
     if not costed:
         return None
     cost, first = min(costed.values())
-    if rng is None:
-        return first
-    tied = []
-    for k, c in costed.values():
-        if k == cost:
-            tied.append(c)
-    tied.sort()
-    return rng.choice(tied)
+    return first if rng is None else _pick([c for k, c in costed.values() if k == cost], rng)
 
 
 class Rewriter:
@@ -389,20 +382,22 @@ class Rewriter:
     and touched vertices and the former neighbours of the matched ones, which
     are every vertex whose phase, degree or adjacency changed.
 
-    Each spider has a code, one small int: its signature (degree one,
-    boundary adjacency, parameter), which is what the candidates anchored at
-    a neighbour read off it, and its class (local complementation, internal
-    0/pi, Hadamard boundary wire).
-    A re-checked vertex moves between the class sets only when its class
-    changed; when its signature changed, its internal 0/pi neighbours are
-    re-checked too.  Re-checking an internal 0/pi spider walks its
-    neighbours once and applies only the difference from the previous walk
-    to its pivot partners, its gadget/boundary pivot ends and its gadget;
-    if its degree changed, it files its pivot pairs under their new costs.
+    Each spider has a code, one small int, the driver's only per-spider
+    record: its signature (degree one, boundary adjacency, parameter), which
+    is what the candidates anchored at a neighbour read off it, and its class
+    (local complementation, internal 0/pi).
+    When a re-checked vertex's signature changed, its internal 0/pi
+    neighbours are re-checked too.  Re-checking an internal 0/pi spider
+    walks its neighbours once and applies only the difference from the
+    previous walk to its pivot partners, its gadget/boundary pivot ends and
+    its gadget; if its degree changed, it files its pivot pairs under their
+    new costs.
     The gadget and boundary pivot indexes are read only when no local
     complementation or pivot applies, so they are brought up to date when
     read, by ``file_pairs``, from the anchors and the pair ends whose ends
     or degree changed since.
+    The boundary stages run last and seldom, so they keep no index: they
+    read the spiders on the boundary nodes, which no rule adds or removes.
     """
 
     def __init__(self, d: Diagram, stages: Sequence[Callable[["Rewriter"], Optional[List[RewriteEvent]]]],
@@ -412,7 +407,6 @@ class Rewriter:
         self.rng = Random(seed) if seed else None
         # the costed candidates: candidate -> (cost, candidate)
         self.local_comp: Dict[int, Tuple[int, int]] = {}
-        self.pauli: Set[int] = set()  # internal spiders with phase 0 or pi
         self.pivot: Dict[Tuple[int, int], Tuple[int, Tuple[int, int]]] = {}
         self.gadget_pivot: Dict[Tuple[int, int], Tuple[int, Tuple[int, int]]] = {}
         self.boundary_pivot: Dict[Tuple[int, int], Tuple[int, Tuple[int, int]]] = {}
@@ -420,10 +414,9 @@ class Rewriter:
         self.by_neighbourhood: Dict[FrozenSet[int], Set[int]] = {}  # neighbourhood -> axes
         self.unary: Set[int] = set()  # axes of gadgets with one neighbour
         self.shared: Set[FrozenSet[int]] = set()  # neighbourhoods of two gadgets or more
-        self.hadamard_wired: Set[int] = set()  # boundary spiders with a Hadamard boundary wire
         self.codes: Dict[int, int] = {}  # spider -> SIG_ and CLASS_ bits
         self.degrees: Dict[int, int] = {}  # spider -> degree at its last re-check
-        self._class_sets = {CLASS_PAULI: self.pauli, CLASS_HADAMARD_WIRED: self.hadamard_wired}
+        self.boundaries = d.boundaries()  # no rule adds or removes a boundary node
         self._pivot_partners: Dict[int, Set[int]] = {}  # never holds an empty set
         # anchor -> (gadget pivot ends, boundary pivot ends)
         self._pairs_at: Dict[int, Tuple[List[int], List[int]]] = {}
@@ -473,17 +466,8 @@ class Rewriter:
         at once, gadget and boundary pivots by the next ``file_pairs``."""
         d = self.d
         vertices, adj, boundary_count = d._vertices, d._adj, d._boundary_count
-        codes, degrees, class_sets, local_comp = self.codes, self.degrees, self._class_sets, self.local_comp
-        spider, hadamard = _SPIDER, _HADAMARD
-        # A boundary wire changes only with its boundary node in ``changed``
-        # (only _buffer_boundary_wires changes one, on a matched spider), so a
-        # wired spider's Hadamard-wire class is read off its neighbours only
-        # when it is new or such a node's spider.
-        rewired: Set[int] = set()
-        for v in changed.difference(codes):  # boundary nodes and new spiders
-            data = vertices.get(v)
-            if data is not None and data.kind is not spider:
-                rewired.update(adj[v])
+        codes, degrees, local_comp = self.codes, self.degrees, self.local_comp
+        spider = _SPIDER
         # Candidates are anchored only at internal 0/pi spiders, so every
         # vertex that is one now or was one before the rewrite is re-checked.
         anchors: List[int] = []
@@ -498,23 +482,14 @@ class Rewriter:
                     del degrees[v]
                     if old & CLASS_LOCAL_COMP:
                         del local_comp[v]
-                    elif old & _PLAIN_CLASSES:
-                        class_sets[old & _PLAIN_CLASSES].discard(v)
-                        if old & CLASS_PAULI:
-                            anchors.append(v)
+                    elif old & CLASS_PAULI:
+                        anchors.append(v)
                 continue
             nbrs = adj[v]
             degree = len(nbrs)
             ph = data.phase
             if boundary_count[v]:
                 code = SIG_WIRED | SIG_PARAM if ph.terms else SIG_WIRED
-                if old is not None and v not in rewired:
-                    code |= old & CLASS_HADAMARD_WIRED
-                else:
-                    for n, kind in nbrs.items():
-                        if kind is hadamard and vertices[n].kind is not spider:
-                            code |= CLASS_HADAMARD_WIRED
-                            break
             elif ph.terms:
                 code = SIG_PARAM
             elif ph.clifford & 1:
@@ -535,23 +510,17 @@ class Rewriter:
             if old is None:
                 # every neighbour of a new spider gained an edge, so it is
                 # in ``changed`` already
-                if code & _PLAIN_CLASSES:
-                    class_sets[code & _PLAIN_CLASSES].add(v)
                 continue
             if (code ^ old) & _CLASSES:
                 if old & CLASS_LOCAL_COMP:
                     del local_comp[v]
-                elif old & _PLAIN_CLASSES:
-                    class_sets[old & _PLAIN_CLASSES].discard(v)
-                    if old & CLASS_PAULI:
-                        anchors.append(v)
-                if code & _PLAIN_CLASSES:
-                    class_sets[code & _PLAIN_CLASSES].add(v)
+                elif old & CLASS_PAULI:
+                    anchors.append(v)
             if (code ^ old) & _SIGNATURE:
                 around.update(nbrs)
         if around:
             around.difference_update(changed)
-            anchors.extend(around & self.pauli)
+            anchors.extend(u for u in around if codes.get(u, 0) & CLASS_PAULI)
         self._recheck_anchored(anchors, regraded)
         self._unfiled |= regraded
 
@@ -566,10 +535,10 @@ class Rewriter:
         are left to ``file_pairs``, like those of an anchor whose ends
         changed."""
         adj, codes = self.d._adj, self.codes
-        pauli, partners_of, pairs_at, gadgets = self.pauli, self._pivot_partners, self._pairs_at, self.gadgets
+        partners_of, pairs_at, gadgets = self._pivot_partners, self._pairs_at, self.gadgets
         pivot, unfiled = self.pivot, self._unfiled
         for u in anchors:
-            if u in pauli:
+            if codes.get(u, 0) & CLASS_PAULI:
                 adj_u = adj[u]
                 partners: Set[int] = set()
                 legs: List[int] = []
@@ -763,15 +732,22 @@ def _scalar_removal_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
     return events
 
 
+def _hadamard_wired(rw: Rewriter) -> Set[int]:
+    """The spiders with a Hadamard wire to one of the boundary nodes."""
+    vertices, adj = rw.d._vertices, rw.d._adj
+    return {s for b in rw.boundaries for s, kind in adj[b].items()
+            if kind is _HADAMARD and vertices[s].kind is _SPIDER}
+
+
 def _boundary_cleanup_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
-    b = _pick([b for b in rw.hadamard_wired if _needs_boundary_cleanup(rw.d, b)], rw.rng)
+    b = _pick([b for b in _hadamard_wired(rw) if _needs_boundary_cleanup(rw.d, b)], rw.rng)
     return None if b is None else rw.apply((b,), _boundary_cleanup, b)
 
 
 def _hadamard_wire_stage(rw: Rewriter) -> Optional[List[RewriteEvent]]:
     """Buffer the boundary wires of a spider with a Hadamard boundary wire
     (no event: the buffering is tensor-exact and moves no parameter)."""
-    b = _pick(rw.hadamard_wired, rw.rng)
+    b = _pick(_hadamard_wired(rw), rw.rng)
     if b is None:
         return None
     changed = {b, *rw.d._adj[b]}

@@ -124,12 +124,13 @@ class APForm:
     """A stabiliser state as an affine GF(2) subspace with a phase polynomial.
 
     The state is sum over {x : A x = b} of i^(sum_j linear_phase[j] x_j)
-    times (-1)^(sum over quadratic_pairs x_i x_j) |x>.
+    times (-1)^(sum over quadratic_pairs x_i x_j) |x>.  ``rows`` holds the
+    system A x = b as ``(row, b)`` pairs in reduced row echelon form, each row
+    an int bitmask in which bit j is x_j.
     """
 
     n_qubits: int
-    a_matrix: np.ndarray  # GF(2), reduced row echelon form
-    b_vector: np.ndarray
+    rows: Tuple[Tuple[int, int], ...]
     linear_phase: Tuple[int, ...]  # mod 4, units of pi/2
     quadratic_pairs: FrozenSet[Tuple[int, int]]
 
@@ -166,8 +167,6 @@ def ap_form(d: Diagram) -> APForm:
     spiders as parity constraints over the outputs, output phases as the
     linear phase polynomial, and output-output edges as its quadratic part.
     """
-    import numpy as np
-
     if d.inputs():
         raise NotClifford("AP form applies to states (no input wires)")
     if d.param_registry:
@@ -228,10 +227,7 @@ def ap_form(d: Diagram) -> APForm:
             ja, jb = rep[a], rep[b]
             quad.add((min(ja, jb), max(ja, jb)))
 
-    reduced = _gf2_rref(rows, rhs)
-    a_matrix = np.array([[row >> j & 1 for j in range(n)] for row, _ in reduced], dtype=np.uint8)
-    b_vector = np.array([b for _, b in reduced], dtype=np.uint8)
-    return APForm(n, a_matrix.reshape(len(reduced), n), b_vector, tuple(linear), frozenset(quad))
+    return APForm(n, tuple(_gf2_rref(rows, rhs)), tuple(linear), frozenset(quad))
 
 
 # -- stabiliser certificates ---------------------------------------------------

@@ -58,11 +58,12 @@ def ap_state(form: APForm) -> np.ndarray:
     n = form.n_qubits
     amplitudes = np.zeros(2 ** n, dtype=complex)
     for idx in range(2 ** n):
-        x = np.array([(idx >> (n - 1 - j)) & 1 for j in range(n)], dtype=np.uint8)
-        if form.a_matrix.size and np.any((form.a_matrix @ x) % 2 != form.b_vector):
+        x = [(idx >> (n - 1 - j)) & 1 for j in range(n)]
+        mask = sum(x_j << j for j, x_j in enumerate(x))  # bit j is x_j, as in the rows
+        if any((row & mask).bit_count() & 1 != b for row, b in form.rows):
             continue
-        phase = sum(form.linear_phase[j] * int(x[j]) for j in range(n)) % 4
-        sign = sum(int(x[i]) * int(x[j]) for i, j in form.quadratic_pairs) % 2
+        phase = sum(form.linear_phase[j] * x[j] for j in range(n)) % 4
+        sign = sum(x[i] * x[j] for i, j in form.quadratic_pairs) % 2
         amplitudes[idx] = (1j ** phase) * ((-1) ** sign)
     return amplitudes
 

@@ -14,7 +14,7 @@ from zxparam.errors import NotApplicable
 from zxparam.generate import random_circuit
 from zxparam import rewrite
 from zxparam.params import Phase
-from zxparam.rewrite import (AP_FORM_STAGES, CLASS_HADAMARD_WIRED, CLASS_LOCAL_COMP, CLASS_PAULI,
+from zxparam.rewrite import (AP_FORM_STAGES, CLASS_LOCAL_COMP, CLASS_PAULI,
                              SIG_DEGREE_ONE, SIG_PARAM, SIG_WIRED, SIMPLIFY_STAGES, Rewriter, Rule,
                              _complement_out, _pivot_core, boundary_pivot, gadget_fusion,
                              gadget_id_fuse, gadget_pivot, local_complement_simp, pivot_simp,
@@ -442,7 +442,6 @@ def rescan(d: Diagram) -> dict:
         "codes": {v: (SIG_DEGREE_ONE if d.degree(v) == 1 else 0) | (SIG_WIRED if wires(v) else 0)
                   | (0 if d.phase(v).is_clifford() else SIG_PARAM)
                   | (CLASS_LOCAL_COMP if v in local_comp else 0) | (CLASS_PAULI if v in pauli else 0)
-                  | (CLASS_HADAMARD_WIRED if v in hadamard_wired else 0)
                   for v in spiders},
         "degrees": {v: d.degree(v) for v in spiders},
     }
@@ -452,6 +451,10 @@ def rescan(d: Diagram) -> dict:
 # last two are filed when their stages read them.
 COSTED = ("local_comp", "pivot", "gadget_pivot", "boundary_pivot")
 FILED_WHEN_READ = COSTED[2:]
+# The rescan's sets that the driver keeps no index of, read off what it keeps:
+# the spider codes and the boundary nodes.
+DERIVED = {"pauli": lambda rw: {v for v, code in rw.codes.items() if code & CLASS_PAULI},
+           "hadamard_wired": rewrite._hadamard_wired}
 
 
 def pick_cost(d: Diagram, candidate) -> int:
@@ -469,12 +472,16 @@ def assert_driver_matches_rescan(rw: Rewriter) -> int:
     and boundary pivot indexes are checked where the driver reads them:
     when no local complementation or pivot applies, after ``file_pairs``;
     until then the changes of several steps pile up in them.  Their pairs
-    as the anchors see them now are checked before every step."""
+    as the anchors see them now are checked before every step, and so are
+    the internal 0/pi and Hadamard-wired spiders read off the codes and the
+    boundary nodes."""
     costed = COSTED if rw.stages == SIMPLIFY_STAGES else COSTED[:2]
     steps = reads = 0
     while True:
         expected = rescan(rw.d)
-        assert {name: set(getattr(rw, name)) if name in COSTED else getattr(rw, name)
+        assert rw.boundaries == rw.d.boundaries()
+        assert {name: DERIVED[name](rw) if name in DERIVED else set(getattr(rw, name)) if name in COSTED
+                else getattr(rw, name)
                 for name in expected if name not in FILED_WHEN_READ} == \
             {name: value for name, value in expected.items() if name not in FILED_WHEN_READ}
         for i, name in enumerate(FILED_WHEN_READ):
