@@ -23,7 +23,7 @@ from .circuits import Circuit, Gate, circuit_to_diagram, circuit_unitary, emit_c
 from .rewrite import RewriteEvent, Rule, simplify
 from .reduction import ReductionMap, extract_reduction, phase_teleport
 from .tensor import TensorState, tensor_eval
-from .verify import APForm, CertificateReport, ProportionalityReport, ap_form, brute_force_min, check_reduction, optimality_certificate, zz_certificate
+from .verify import APForm, CertificateReport, ProportionalityReport, ap_form, brute_force_min, check_reduction, optimality_certificate
 
 __all__ = [
     "Phase",
@@ -34,7 +34,7 @@ __all__ = [
     "ReductionMap", "extract_reduction", "phase_teleport",
     "TensorState", "tensor_eval",
     "APForm", "CertificateReport", "ProportionalityReport",
-    "ap_form", "brute_force_min", "check_reduction", "optimality_certificate", "zz_certificate",
+    "ap_form", "brute_force_min", "check_reduction", "optimality_certificate",
 ]
 
 __version__ = "0.1.0"

@@ -251,27 +251,37 @@ def axis_parity(d: Diagram, g: GadgetView) -> int:
     return d.phase(g.axis_spider).clifford // 2
 
 
-def find_gadgets(d: Diagram) -> List[GadgetView]:
-    """All phase gadgets of ``d``, sorted by axis id.
+def is_internal_pauli(d: Diagram, v: int) -> bool:
+    """Is ``v`` an internal spider with no parameter and a 0 or pi phase?"""
+    data = d._vertices.get(v)
+    if data is None or data.kind is not _SPIDER or d._boundary_count[v]:
+        return False
+    ph = data.phase
+    return not ph.terms and not ph.clifford & 1
 
-    An axis is an internal non-parametrised spider with a 0 or pi phase and
-    exactly one degree-1 internal neighbour (the phase spider).  Hubs with
-    several degree-1 plugs are left to the rewrite rules to resolve and are
-    not reported as gadgets.
+
+def gadget_at(d: Diagram, v: int) -> Optional[GadgetView]:
+    """The phase gadget whose axis is ``v``, or None.
+
+    An axis is an internal spider with no parameter, a 0 or pi phase and
+    exactly one degree-1 neighbour (the phase spider).  Hubs with several
+    degree-1 plugs are left to the rewrite rules to resolve and are not
+    gadgets.
     """
-    gadgets = []
-    for v in sorted(d.spiders()):
-        ph = d.phase(v)
-        if not ph.is_pauli() or not d.is_internal(v):
-            continue
-        legs = [n for n in d.neighbors(v)
-                if d.degree(n) == 1 and d.vertex(n).kind is _SPIDER]
-        if len(legs) != 1:
-            continue
-        leg = legs[0]
-        nbhd = frozenset(n for n in d.neighbors(v) if n != leg)
-        gadgets.append(GadgetView(axis_spider=v, phase_spider=leg, neighbourhood=nbhd))
-    return gadgets
+    if not is_internal_pauli(d, v):
+        return None
+    adj = d._adj
+    legs = [n for n in adj[v] if len(adj[n]) == 1]  # v is internal: every neighbour is a spider
+    if len(legs) != 1:
+        return None
+    leg = legs[0]
+    return GadgetView(axis_spider=v, phase_spider=leg, neighbourhood=frozenset(adj[v].keys() - {leg}))
+
+
+def find_gadgets(d: Diagram) -> List[GadgetView]:
+    """All phase gadgets of ``d`` (see ``gadget_at``), sorted by axis id."""
+    gadgets = (gadget_at(d, v) for v in sorted(d.spiders()))
+    return [g for g in gadgets if g is not None]
 
 
 def validate(d: Diagram) -> List[str]:

@@ -18,7 +18,7 @@ from enum import Enum
 from random import Random
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .diagram import Diagram, EdgeKind, GadgetView, VKind, axis_parity
+from .diagram import Diagram, EdgeKind, GadgetView, VKind, axis_parity, gadget_at, is_internal_pauli
 from .errors import FixpointNotReached, NotApplicable
 from .params import CLIFFORD_PHASES, Phase
 
@@ -61,23 +61,6 @@ def _require(condition: bool, message: str, *args) -> None:
     the message is formatted only then."""
     if not condition:
         raise NotApplicable(message.format(*args))
-
-
-def _is_internal_pauli(d: Diagram, v: int) -> bool:
-    data = d._vertices.get(v)
-    if data is None or data.kind is not _SPIDER or d._boundary_count[v]:
-        return False
-    ph = data.phase
-    return not ph.terms and not ph.clifford & 1
-
-
-def _degree_one_plugs(d: Diagram, v: int) -> List[int]:
-    vertices, adj = d._vertices, d._adj
-    return [n for n in adj[v] if len(adj[n]) == 1 and vertices[n].kind is _SPIDER]
-
-
-def _is_clean_axis(d: Diagram, v: int) -> bool:
-    return _is_internal_pauli(d, v) and len(_degree_one_plugs(d, v)) == 1
 
 
 # -- local complementation ----------------------------------------------------
@@ -150,7 +133,7 @@ def _pivot_core(d: Diagram, u: int, v: int) -> Tuple[int, ...]:
 def pivot_simp(d: Diagram, u: int, v: int) -> RewriteEvent:
     """Remove a Hadamard-adjacent pair of internal spiders with 0/pi phases."""
     for w in (u, v):
-        _require(_is_internal_pauli(d, w), "spider {} is not an internal 0/pi Clifford spider", w)
+        _require(is_internal_pauli(d, w), "spider {} is not an internal 0/pi Clifford spider", w)
     _require(d.has_edge(u, v), "{} and {} are not adjacent", u, v)
     touched = _pivot_core(d, u, v)
     return RewriteEvent(Rule.PIVOT, removed=(u, v), touched=touched)
@@ -190,10 +173,10 @@ def boundary_pivot(d: Diagram, u: int, b: int) -> RewriteEvent:
     gadget, and a regular pivot removes the pair.  Follow-up rules remove
     the introduced spiders again whenever the extracted phase is Clifford.
     """
-    _require(_is_internal_pauli(d, u), "spider {} is not an internal 0/pi Clifford spider", u)
+    _require(is_internal_pauli(d, u), "spider {} is not an internal 0/pi Clifford spider", u)
     _require(b in d._vertices and d.is_boundary_spider(b), "{} is not a boundary spider", b)
     _require(d.has_edge(u, b), "{} and {} are not adjacent", u, b)
-    _require(not _is_clean_axis(d, u), "spider {} is a gadget axis", u)
+    _require(gadget_at(d, u) is None, "spider {} is a gadget axis", u)
     added = _buffer_boundary_wires(d, b)
     moved: Tuple[Tuple[str, int], ...] = ()
     if not d.phase(b).is_zero():
@@ -214,8 +197,8 @@ def gadget_pivot(d: Diagram, u: int, w: int) -> RewriteEvent:
     ``u``, so the rewrite is sound up to a constant scalar with the
     parameter sign unchanged.
     """
-    _require(_is_internal_pauli(d, u), "spider {} is not an internal 0/pi Clifford spider", u)
-    _require(not _is_clean_axis(d, u), "spider {} is a gadget axis", u)
+    _require(is_internal_pauli(d, u), "spider {} is not an internal 0/pi Clifford spider", u)
+    _require(gadget_at(d, u) is None, "spider {} is a gadget axis", u)
     _require(w in d._vertices and d.vertex(w).kind is VKind.SPIDER and d.is_internal(w),
              "{} is not an internal spider", w)
     _require(not d.phase(w).is_clifford(), "spider {} carries no parameter", w)
@@ -231,12 +214,7 @@ def gadget_pivot(d: Diagram, u: int, w: int) -> RewriteEvent:
 # -- gadget fusion ------------------------------------------------------------
 
 def _check_gadget(d: Diagram, g: GadgetView) -> None:
-    ok = (g.axis_spider in d._vertices and g.phase_spider in d._vertices
-          and _is_internal_pauli(d, g.axis_spider)
-          and d.degree(g.phase_spider) == 1
-          and d.has_edge(g.axis_spider, g.phase_spider)
-          and frozenset(n for n in d.neighbors(g.axis_spider) if n != g.phase_spider) == g.neighbourhood)
-    _require(ok, "not a current phase gadget: {}", g)
+    _require(gadget_at(d, g.axis_spider) == g, "not a current phase gadget: {}", g)
 
 
 def _fuse_gadget(d: Diagram, g: GadgetView, target: int,
@@ -382,10 +360,10 @@ class Rewriter:
     and touched vertices and the former neighbours of the matched ones, which
     are every vertex whose phase, degree or adjacency changed.
 
-    Each spider has a code, one small int, the driver's only per-spider
-    record: its signature (degree one, boundary adjacency, parameter), which
-    is what the candidates anchored at a neighbour read off it, and its class
-    (local complementation, internal 0/pi).
+    Each spider has two records: its degree at its last re-check, and its
+    code, one small int: its signature (degree one, boundary adjacency,
+    parameter), which is what the candidates anchored at a neighbour read
+    off it, and its class (local complementation, internal 0/pi).
     When a re-checked vertex's signature changed, its internal 0/pi
     neighbours are re-checked too.  Re-checking an internal 0/pi spider
     walks its neighbours once and applies only the difference from the

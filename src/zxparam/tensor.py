@@ -168,14 +168,6 @@ class ProportionalityReport:
     max_deviation: float
     deviations: List[float] = field(default_factory=list)  # per sample, same order as ratios
 
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "ratios": [[float(r.real), float(r.imag)] for r in self.ratios],
-            "max_deviation": float(self.max_deviation),
-            "deviations": [float(dev) for dev in self.deviations],
-        }
-
 
 # magnitudes within this relative distance of the largest count as tied with it
 TIE_RTOL = 1e-12

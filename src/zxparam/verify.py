@@ -1,6 +1,6 @@
 """Independent oracles: finite-value reduction checking, AP forms, the
-terminal-form check, the weight-two stabiliser certificate, the optimality
-certificate, and a brute-force minimal-parameter-count search.
+terminal-form check, the optimality certificate, and a brute-force
+minimal-parameter-count search.
 
 Everything here answers "is the optimiser right?" without reusing the
 optimiser's code paths: circuits are evaluated by the gate-by-gate
@@ -253,12 +253,6 @@ def _shape_violations(d: Diagram, gadgets: Sequence[GadgetView]) -> List[str]:
     return problems
 
 
-def _require_shape(d: Diagram, gadgets: Sequence[GadgetView]) -> None:
-    shape = _shape_violations(d, gadgets)
-    if shape:
-        raise NotTerminalForm("; ".join(shape))
-
-
 def _gadget_failures(gadgets: Sequence[GadgetView]) -> List[str]:
     """Conditions (a) and (b): every gadget touches at least two vertices,
     and no two gadgets share a neighbourhood."""
@@ -289,39 +283,6 @@ def terminal_violations(d: Diagram) -> List[str]:
     return problems
 
 
-def zz_certificate(d: Diagram) -> List[Tuple[Tuple[int, int], str]]:
-    """Pairs of parameter legs admitting a weight-2 Z x Z stabiliser.
-
-    Condition (i): the legs' vertices are adjacent, the Hadamard-decorated
-    vertex has no other neighbour, and the decorations are I x H or H x I.
-    Condition (ii): non-adjacent vertices with identical neighbourhoods,
-    both decorated H.  An empty list certifies that no parameter fusion
-    remains; the sign parity of a hypothetical fusion is immaterial because
-    an odd pair reduces to the even case by absorbing a Pauli X.
-
-    In the plugged-GSLC shape, which is required, every gadget is
-    parametrised.  A gadget's phase spider is an H leg at its axis, and any
-    other parametrised spider an I leg at itself.  An axis is internal with
-    one plug, so its graph neighbourhood is the gadget's ``neighbourhood``:
-    condition (i) is a gadget touching just one parametrised spider, and
-    (ii) two gadgets with equal neighbourhoods, whose axes are never
-    adjacent (each would be in its own neighbourhood).  Pairs come sorted.
-    """
-    gadgets = _parametrised_gadgets(d)
-    _require_shape(d, gadgets)
-    found = []
-    groups: Dict[FrozenSet[int], List[int]] = {}
-    for g in gadgets:
-        groups.setdefault(g.neighbourhood, []).append(g.phase_spider)
-        if len(g.neighbourhood) == 1:
-            (v,) = g.neighbourhood
-            if not d.phase(v).is_clifford():
-                found.append(((min(v, g.phase_spider), max(v, g.phase_spider)), "i"))
-    for plugs in groups.values():
-        found.extend((pair, "ii") for pair in itertools.combinations(sorted(plugs), 2))
-    return sorted(found)
-
-
 @dataclass
 class CertificateReport:
     passed: bool
@@ -340,14 +301,25 @@ def optimality_certificate(d: Diagram) -> CertificateReport:
     Passing certifies the parameter count is minimal: every gadget touches
     at least two vertices (a), gadget neighbourhoods are pairwise distinct
     (b), no weight-2 Z x Z stabiliser connects two parameter legs (c), and
-    no parametrised spider is isolated (d).  Each defect is reported once:
-    in this shape a pair of condition (c)(i) is a gadget over a single
-    parametrised spider, which (a) names, and a pair of (c)(ii) is two
-    gadgets with one neighbourhood, which (b) names (see
-    ``zz_certificate``), so (c) has no entry of its own.
+    no parametrised spider is isolated (d).
+
+    Conditions (a) and (b) decide (c), so (c) has no entry of its own.  A
+    weight-2 Z x Z stabiliser joins two legs either (i) adjacent, the
+    Hadamard-decorated one with no other neighbour and the decorations
+    I x H, or (ii) non-adjacent with identical neighbourhoods, both
+    decorated H.  In the plugged-GSLC shape, which is required, every gadget
+    is parametrised; a gadget's phase spider is an H leg at its axis, any
+    other parametrised spider an I leg at itself, and an axis's graph
+    neighbourhood is the gadget's ``neighbourhood``.  So a pair of (i) is a
+    gadget over a single parametrised spider, which (a) names, and a pair of
+    (ii) is two gadgets with one neighbourhood, which (b) names.  The sign
+    parity of a fusion is immaterial: an odd pair reduces to the even case
+    by absorbing a Pauli X.
     """
     gadgets = _parametrised_gadgets(d)
-    _require_shape(d, gadgets)
+    shape = _shape_violations(d, gadgets)
+    if shape:
+        raise NotTerminalForm("; ".join(shape))
     failures = _gadget_failures(gadgets)
     params = d.param_exprs()
     for v in params:

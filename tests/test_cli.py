@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,7 +19,7 @@ from zxparam.errors import NotTerminalForm
 from zxparam.generate import random_circuit
 from zxparam.reduction import ReductionMap, phase_teleport
 from zxparam.rewrite import Rewriter
-from zxparam.verify import MAX_ORACLE_PARAMS
+from zxparam.verify import MAX_ORACLE_PARAMS, CertificateReport
 
 FUSION = "qreg 1\nrz(t0) 0\nrz(t1) 0\n"
 CLIFFORD_ONLY = "qreg 2\nh 0\ncx 0 1\ns 1\n"
@@ -528,3 +529,39 @@ def test_failed_ratio_check_with_report_still_exits_2_on_a_failed_simplify(tmp_p
     assert main(wrong_fusion_args(tmp_path) + ["--report", str(verify_report)]) == 2
     assert "no terminal form" in capsys.readouterr().err
     assert not verify_report.exists()
+
+
+def test_oracle_beaten_optimiser_exits_4(tmp_path, monkeypatch, capsys):
+    teleported = SimpleNamespace(reduction=SimpleNamespace(new_param_names=("u0", "u1")))
+    monkeypatch.setattr(zxparam.cli, "phase_teleport", lambda circuit, seed=0: teleported)
+    assert main(["oracle", str(write(tmp_path, "in.zxc", FUSION))]) == 4
+    out, err = capsys.readouterr()
+    assert out.startswith("min = 1\n")
+    assert err == "oracle: BUG — oracle found 1 < optimiser 2\n"
+
+
+@pytest.mark.parametrize("certificate, line", [
+    (CertificateReport(passed=False, failures=["(a) one", "(d) two"], n_parameters=1),
+     "verify: FAILED certificate: (a) one; (d) two\n"),
+    (CertificateReport(passed=True, n_parameters=0),
+     "verify: FAILED optimality: the optimised circuit has 1 parameters, the certificate proves 0 suffice\n"),
+])
+def test_verify_failed_certificate_exits_3(tmp_path, monkeypatch, capsys, certificate, line):
+    code, src, out, report = run_optimize(tmp_path, FUSION)
+    capsys.readouterr()
+    monkeypatch.setattr(zxparam.cli, "optimality_certificate", lambda terminal: certificate)
+    assert main(["verify", str(src), str(out), str(report)]) == 3
+    assert capsys.readouterr() == (line, "")
+
+
+def test_simplify_past_its_cap_exits_2(tmp_path, monkeypatch, capsys):
+    code, src, out, report = run_optimize(tmp_path, emit_circuit(random_circuit(Random(3), 4, 40, 8)))
+    assert code == 0
+    capsys.readouterr()
+    run = Rewriter.run
+    monkeypatch.setattr(Rewriter, "run", lambda self, limit, what="simplify": run(self, 1, what))
+    for argv in (["optimize", str(src), "--out", str(tmp_path / "capped.zxc")],
+                 ["verify", str(src), str(out), str(report)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("simplify did not reach a fixpoint (safety cap hit)\n")

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 from random import Random
 
 import numpy as np
@@ -72,6 +73,30 @@ def test_extract_reduction_rejects_a_parameter_on_two_spiders():
     terminal.set_phase(terminal.param_registry["t1"], Phase.of("t0"))
     with pytest.raises(InconsistentProvenance, match="^parameter 't0' is on two terminal spiders$"):
         extract_reduction(events, c.params, terminal)
+
+
+def test_extract_reduction_replay_names_each_corruption():
+    c = random_circuit(Random(0), 4, 40, 8)
+    terminal, events = simplify(circuit_to_diagram(c))
+    extract_reduction(events, c.params, terminal)
+    m = next(i for i, ev in enumerate(events) if ev.param_merge is not None)
+    v = max(i for i, ev in enumerate(events) if ev.moved)  # no later event moves its parameters
+    merge, moved = events[m].param_merge, events[v].moved
+    (merged, sign), (name, owner) = merge.absorbed[0], moved[0]
+    other = next(w for w in terminal.param_exprs() if w != owner)
+    cases = [
+        (m, {"param_merge": replace(merge, absorbed=((merged, -sign),) + merge.absorbed[1:])},
+         f"replayed sign {-sign} for {merged!r} does not match terminal {sign}"),
+        (v, {"moved": ((name, other),) + moved[1:]},
+         f"replayed owner {other} for {name!r} does not match terminal {owner}"),
+        (v, {"moved": (("x", owner),) + moved}, "event moves unknown parameter 'x'"),
+        (m, {"param_merge": replace(merge, absorbed=(("x", 1),) + merge.absorbed)},
+         "event merges unknown parameter 'x'"),
+    ]
+    for i, fields, message in cases:
+        corrupted = events[:i] + [replace(events[i], **fields)] + events[i + 1:]
+        with pytest.raises(InconsistentProvenance, match=f"^{re.escape(message)}$"):
+            extract_reduction(corrupted, c.params, terminal)
 
 
 def test_phase_teleport_fusion_example():

@@ -9,7 +9,7 @@ from test_diagram import toggle_one_by_one
 from helpers import attach_gadget, circuit_state_diagram, random_graph_like_state, structured_samples
 from test_golden import phase_poly_circuit
 from zxparam.circuits import circuit_to_diagram, parse_circuit
-from zxparam.diagram import Diagram, EdgeKind, GadgetView, VKind, find_gadgets, validate
+from zxparam.diagram import Diagram, EdgeKind, GadgetView, VKind, find_gadgets, gadget_at, validate
 from zxparam.errors import NotApplicable
 from zxparam.generate import random_circuit
 from zxparam import rewrite
@@ -181,6 +181,25 @@ def test_gadget_fusion_requires_equal_neighbourhoods():
     g1, g2 = find_gadgets(d)
     with pytest.raises(NotApplicable):
         gadget_fusion(d, g1, g2)
+
+
+def test_gadget_rules_refuse_a_hub_with_two_plugs():
+    # a hub with a second degree-1 neighbour is no gadget, whichever plug a
+    # view calls its phase spider: find_gadgets skips it and the rules refuse it
+    d, s = state_with([Phase(0), Phase(0)], [], n_out=2)
+    attach_gadget(Random(0), d, s, 0, Phase.of("a"))
+    (g,) = find_gadgets(d)
+    views = []
+    for hood, name in ((s, "b"), ([], "c")):
+        hub, leaf = attach_gadget(Random(0), d, hood, 0, Phase.of(name))
+        plug = d.add_spider(Phase.of(name + "2"))
+        d.add_edge(hub, plug)
+        views.append(GadgetView(hub, leaf, frozenset({plug, *hood})))
+    wide, unary = views
+    assert find_gadgets(d) == [g] and all(gadget_at(d, v.axis_spider) is None for v in views)
+    for call in (lambda: gadget_fusion(d, g, wide), lambda: gadget_id_fuse(d, unary)):
+        with pytest.raises(NotApplicable, match="not a current phase gadget"):
+            call()
 
 
 def test_precondition_messages_name_the_failed_check():

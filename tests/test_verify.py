@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 from random import Random
 
@@ -19,8 +20,7 @@ from zxparam.reduction import ReductionMap, phase_teleport
 from zxparam.rewrite import simplify
 from zxparam.tensor import proportionality_ratio, tensor_eval
 from zxparam.verify import (BLOCK_BYTES, BruteForceResult, ap_form, brute_force_min, check_reduction,
-                            optimality_certificate, probe_state, sample_array, terminal_violations,
-                            zz_certificate)
+                            optimality_certificate, probe_state, sample_array, terminal_violations)
 
 FUSION = "qreg 1\nrz(t0) 0\nrz(t1) 0"
 
@@ -273,50 +273,33 @@ def test_ap_form_zero_state():
         ap_form(d)
 
 
-def build_i_h_pair():
+def test_ap_form_reads_bare_wires_and_a_doubly_wired_spider():
+    d = Diagram()
+    o = [d.add_boundary(VKind.OUTPUT, q) for q in range(6)]
+    d.add_edge(o[0], o[1], EdgeKind.PLAIN)
+    d.add_edge(o[2], o[3], EdgeKind.HADAMARD)
+    s = d.add_spider(Phase(1))
+    d.add_edge(s, o[4], EdgeKind.PLAIN)
+    d.add_edge(s, o[5], EdgeKind.PLAIN)
+    ap = ap_form(d)
+    assert ap.rows == ((0b000011, 0), (0b110000, 0))
+    assert ap.linear_phase == (0, 0, 0, 0, 1, 0)
+    assert ap.quadratic_pairs == frozenset({(2, 3)})
+    ok, _, dev = proportionality_ratio(ap_state(ap), tensor_eval(d).amplitudes, 1e-9)
+    assert ok, dev
+
+
+def test_terminal_violations_name_a_decorated_boundary_spider_and_a_lone_spider():
     d = Diagram()
     out = d.add_boundary(VKind.OUTPUT, 0)
-    w = d.add_spider(Phase(0, (("a", 1),)))
-    d.add_edge(w, out, EdgeKind.PLAIN)
-    axis, leaf = attach_gadget(Random(0), d, [w], 0, Phase.of("b"))
-    return d, w, leaf
-
-
-def test_zz_certificate_condition_i():
-    d, w, leaf = build_i_h_pair()
-    assert zz_certificate(d) == [((w, leaf), "i")]
-
-
-def test_zz_certificate_condition_ii():
-    d = Diagram()
-    targets = []
-    for q in range(2):
-        out = d.add_boundary(VKind.OUTPUT, q)
-        s = d.add_spider(Phase(0))
-        d.add_edge(s, out, EdgeKind.PLAIN)
-        targets.append(s)
-    a1, p1 = attach_gadget(Random(0), d, targets, 0, Phase.of("a"))
-    a2, p2 = attach_gadget(Random(0), d, targets, 1, Phase.of("b"))
-    assert zz_certificate(d) == [((p1, p2), "ii")]
-
-
-def test_zz_certificate_symmetry_and_emptiness_on_simplify_output():
-    rng = Random(61)
-    for i in range(15):
-        c = random_circuit(Random(i + 350), rng.randint(2, 6), rng.randint(4, 22), rng.randint(1, 5))
-        term, _ = simplify(circuit_to_diagram(c))
-        assert zz_certificate(term) == []
-
-
-def test_zz_certificate_requires_gslc_shape():
-    d = Diagram()
-    out = d.add_boundary(VKind.OUTPUT, 0)
-    w = d.add_spider(Phase(0))
-    d.add_edge(w, out, EdgeKind.PLAIN)
-    v = d.add_spider(Phase(1))  # internal +-pi/2 spider: not GSLC
-    d.add_edge(v, w, EdgeKind.HADAMARD)
-    with pytest.raises(NotTerminalForm):
-        zz_certificate(d)
+    b = d.add_spider(Phase(1))
+    d.add_edge(b, out, EdgeKind.HADAMARD)
+    message = f"boundary spider {b} has decoration S^1H"
+    assert terminal_violations(d) == [message]
+    with pytest.raises(NotTerminalForm, match=f"^{re.escape(message)}$"):
+        optimality_certificate(d)
+    lone = d.add_spider(Phase(2))
+    assert terminal_violations(d) == [message, f"scalar component [{lone}] remains"]
 
 
 def test_optimality_certificate_passes_on_simplify_outputs():
@@ -346,9 +329,6 @@ def test_terminal_checks_find_gadgets_once(monkeypatch):
     calls.clear()
     assert terminal_violations(term) == []
     assert len(calls) == 1
-    calls.clear()
-    zz_certificate(term)
-    assert len(calls) == 1
 
 
 def test_optimality_certificate_flags_identical_neighbourhoods():
@@ -365,16 +345,18 @@ def test_optimality_certificate_flags_identical_neighbourhoods():
     assert not report.passed
     # one failure per defect: the pair of legs that condition (c)(ii) finds
     # is the same defect, and has no entry of its own
-    assert len(zz_certificate(d)) == 1
     assert report.failures == [f"(b) gadgets at axes {a1} and {a2} share a neighbourhood"]
 
 
 def test_optimality_certificate_flags_degree_one_gadget():
-    d, w, leaf = build_i_h_pair()
+    d = Diagram()
+    out = d.add_boundary(VKind.OUTPUT, 0)
+    w = d.add_spider(Phase(0, (("a", 1),)))
+    d.add_edge(w, out, EdgeKind.PLAIN)
+    attach_gadget(Random(0), d, [w], 0, Phase.of("b"))
     report = optimality_certificate(d)
     assert not report.passed
     # condition (c)(i) finds the same gadget, and adds no entry
-    assert zz_certificate(d) == [((w, leaf), "i")]
     assert len(report.failures) == 1 and report.failures[0].startswith("(a)")
 
 
