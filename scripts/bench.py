@@ -30,12 +30,20 @@ The file records
   median reference time beside it;
 - the code size: the line count of each ``src/zxparam/*.py`` module, and
   their total;
+- the bytecode counts: executed bytecodes (``sys.settrace`` opcode events)
+  of ``parse_circuit``, ``circuit_to_network``, ``to_graph_like``,
+  ``simplify`` and ``extract_reduction``, summed over 20 seeded random
+  circuits of 10 qubits, 200 gates and 40 parameters and over 20 phase
+  polynomials shaped like ``opt_phasepoly``'s 8-qubit rung, counted in a
+  fresh process with ``PYTHONHASHSEED=0``.  Unlike wall time they do not
+  move with the machine, but work done in C does not show in them.  They
+  are counted twice, in two processes;
 - the environment line that ``perfbench/run.py`` prints first: platform,
   nproc, the Python and numpy versions, and the seed.
 
 It exits 1, after writing the file, if a workload, a metric, a ladder key, a
-cold-start key or the code size is missing, or if the benchmark reports a
-wrong result.
+cold-start key, the code size or a bytecode count is missing, if the two
+bytecode counts differ, or if the benchmark reports a wrong result.
 ``--rungs N`` keeps the N smallest rungs of each ladder.
 """
 
@@ -58,11 +66,13 @@ from typing import Callable, Dict, List, Tuple
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+from phasepoly import phase_poly_circuit  # noqa: E402
 from reference import reference_seconds  # noqa: E402
-from zxparam.circuits import Circuit, Gate, GateKind, emit_circuit  # noqa: E402
+from zxparam.circuits import Circuit, Gate, GateKind, circuit_to_network, emit_circuit, parse_circuit  # noqa: E402
+from zxparam.diagram import to_graph_like  # noqa: E402
 from zxparam.frame import exact_check, merge_bound  # noqa: E402
 from zxparam.generate import random_circuit  # noqa: E402
-from zxparam.reduction import phase_teleport  # noqa: E402
+from zxparam.reduction import extract_reduction, phase_teleport, simplify  # noqa: E402
 from zxparam.verify import check_reduction  # noqa: E402
 
 # (qubits, gates, params), smallest first
@@ -77,6 +87,10 @@ STAGE_KEYS = {"phase_teleport": ("seconds", "reference_s", "params_out"),
 LADDERS = {"phase_teleport": TELEPORT_LADDER, "check_reduction": CHECK_LADDER, "verify": TELEPORT_LADDER,
            "phase_polynomial": PHASEPOLY_LADDER}
 COLD_START_KEYS = ("import", "optimize")
+COUNTED_STAGES = ("parse_circuit", "circuit_to_network", "to_graph_like", "simplify", "extract_reduction")
+# 20 circuits of each shape: counting runs about 19 times slower than the code
+COUNT_SHAPES = {"random_10q_200g_40p": lambda seed: random_circuit(Random(seed), 10, 200, 40),
+                "phasepoly_8q_120g_24p_16w": lambda seed: phase_poly_circuit(Random(seed), 8, 120, 24, 16)}
 SEED = 1
 
 
@@ -191,6 +205,55 @@ def cold_start(repeats: int) -> dict:
     return {"circuit": f"random_circuit(Random(1), {q}, {g}, {p})", "repeats": repeats, **times}
 
 
+def executed_bytecodes(fn: Callable[..., object], *args) -> Tuple[int, object]:
+    """The number of bytecodes that ``fn(*args)`` executes, and its result."""
+    count = 0
+
+    def opcode(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return opcode
+
+    def call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return opcode
+
+    sys.settrace(call)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(None)
+    return count, result
+
+
+def bytecode_counts() -> Dict[str, Dict[str, int]]:
+    """Executed bytecodes of each counted stage, per shape, summed over its
+    circuits."""
+    counts = {}
+    for shape, make in COUNT_SHAPES.items():
+        stages = counts[shape] = dict.fromkeys(COUNTED_STAGES, 0)
+        for seed in range(20):
+            parse, c = executed_bytecodes(parse_circuit, emit_circuit(make(seed)))
+            network, net = executed_bytecodes(circuit_to_network, c)
+            graph_like, diagram = executed_bytecodes(to_graph_like, net)
+            rewrite, (terminal, events) = executed_bytecodes(simplify, diagram)
+            extract, _ = executed_bytecodes(extract_reduction, events, c.params, terminal)
+            for stage, n in zip(COUNTED_STAGES, (parse, network, graph_like, rewrite, extract)):
+                stages[stage] += n
+    return counts
+
+
+def counted_in_fresh_process() -> Dict[str, Dict[str, int]]:
+    """``bytecode_counts()`` in a new interpreter with ``PYTHONHASHSEED=0``,
+    so that set and dict orders, and with them the counts, repeat."""
+    code = (f"import json, sys; sys.path.insert(0, {str(ROOT / 'scripts')!r}); import bench; "
+            "print(json.dumps(bench.bytecode_counts()))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONHASHSEED": "0"},
+                          stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
 def code_size() -> dict:
     """Line count of each module of the package, and their total."""
     modules = {path.name: len(path.read_text().splitlines())
@@ -226,6 +289,11 @@ def problems(bench: dict, rungs: int) -> List[str]:
     code = bench.get("code", {})
     if not code.get("modules") or code.get("total") != sum(code["modules"].values()):
         found.append("code lacks the module line counts or their total")
+    counts = bench.get("bytecodes", {})
+    found += [f"bytecodes lack {shape}.{stage}" for shape in COUNT_SHAPES for stage in COUNTED_STAGES
+              if not counts.get("counts", {}).get(shape, {}).get(stage)]
+    if counts.get("counts") != counts.get("second_count"):
+        found.append("two processes counted different bytecodes")
     return found
 
 
@@ -249,6 +317,9 @@ def main() -> None:
                    **ladder(args.rungs, args.repeats)},
         "cold_start": cold_start(args.repeats),
         "code": code_size(),
+        "bytecodes": {"circuits": "random_circuit(Random(seed), 10, 200, 40) and "
+                                  "phase_poly_circuit(Random(seed), 8, 120, 24, 16), seeds 0-19",
+                      "counts": counted_in_fresh_process(), "second_count": counted_in_fresh_process()},
     }
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
     found = problems(bench, args.rungs)

@@ -53,13 +53,18 @@ def _read(path: Path) -> str:
 def _atomic_write(path: Path, text: str) -> None:
     """Write ``text`` to a new file beside ``path``, then rename it over
     ``path``.  The new file is made with mode 0666 less the umask, as
-    ``open`` would make ``path`` itself."""
+    ``open`` would make ``path`` itself, and the encoded text is written
+    through its descriptor until every byte is taken."""
     try:
-        tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+        tmp = f"{path}.{os.urandom(8).hex()}.tmp"
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
+            try:
+                data = memoryview(text.encode())
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

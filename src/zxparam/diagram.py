@@ -362,25 +362,25 @@ class SpiderNetwork:
 
 
 def to_graph_like(raw: SpiderNetwork) -> Diagram:
-    """Convert an arbitrary spider network into a graph-like diagram.
+    """Convert an arbitrary spider network into a graph-like diagram that is
+    tensor-equal to it up to a nonzero constant scalar.
 
-    Colour change turns X-spiders into Z-spiders with toggled edges, Hadamard
-    boxes become edge toggles, plain edges between spiders are fused away,
-    self-loops and parallel edges resolve by the standard mod-2 edge algebra
-    (a Hadamard self-loop leaves a pi phase, parallel Hadamard edges cancel).
-    The result is tensor-equal to the input up to a nonzero constant scalar.
-
-    One pass over the wires: each H-box and X node keeps the list of its
-    incident wires for H-box absorption and colour change (a network of Z
-    spiders and boundaries skips both), Z-spiders joined by plain wires
-    merge in a union-find (the class phase is the sum of its members), and
-    the Hadamard wires between two classes reduce to their parity.  Plain
-    wires merge in the order they were added and the class keeps the id of
-    the first endpoint, so vertex ids follow the order of the network.
+    Each H-box is absorbed into the wire that joins its two neighbours, and
+    colour change turns X-spiders into Z-spiders by flipping the Hadamard
+    parity of every wire with one X end.  Z-spiders joined by plain wires
+    merge in a union-find, in the order the wires were added, each merge
+    keeping the root of the wire's first end; a class takes the sum of its
+    phases, and the surviving nodes are numbered in network order.  One pass over the wires, in order,
+    then fills the adjacency maps: a Hadamard wire toggles its edge, so that
+    parallel ones cancel in pairs and an odd survivor sits where the last
+    was added; a plain wire is kept once, where it was added; a Hadamard
+    self-loop adds pi and a plain one vanishes; a wire between two boundary
+    nodes is kept as it is.
 
     Raises RepeatedParameter if one parameter id occurs on two spiders, and
     ConversionError if the network has no graph-like form (an H-box without
-    exactly two wires, or boundary wires that do not resolve).
+    exactly two wires or with a self-loop, or boundary wires that do not
+    resolve).
     """
     seen_params: Dict[str, int] = {}
     for v, ph in raw.phases.items():
@@ -390,14 +390,13 @@ def to_graph_like(raw: SpiderNetwork) -> Diagram:
             seen_params[name] = v
 
     kinds = dict(raw.kinds)
-    phases = dict(raw.phases)
     # (node, node, Hadamard parity) in the order the wires were added; an
     # absorbed H-box leaves None and appends its replacement wire.
     edges: List[Optional[Tuple[int, int, int]]] = list(raw.edges)
     z_kind, x_kind, hbox_kind = NKind.Z, NKind.X, NKind.HBOX  # an Enum member read is slow on 3.11
-    special = [v for v, kind in kinds.items() if kind is hbox_kind or kind is x_kind]
-    if special:
-        incident: Dict[int, List[int]] = {v: [] for v in special}  # edge indices, a self-loop once
+    hboxes = [v for v, kind in kinds.items() if kind is hbox_kind]
+    if hboxes:
+        incident: Dict[int, List[int]] = {v: [] for v in hboxes}  # edge indices, a self-loop once
 
         def attach(i: int, a: int, b: int) -> None:
             if a in incident:
@@ -408,116 +407,102 @@ def to_graph_like(raw: SpiderNetwork) -> Diagram:
         for i, (a, b, _) in enumerate(raw.edges):
             attach(i, a, b)
 
-        for v in special:
-            if kinds[v] is not hbox_kind:
-                continue
+        for v in hboxes:
             live = [i for i in incident.pop(v) if edges[i] is not None]
             if len(live) != 2:
                 raise ConversionError(f"Hadamard box {v} must have exactly 2 wires, has {len(live)}")
             e1, e2 = edges[live[0]], edges[live[1]]
             edges[live[0]] = edges[live[1]] = None
             a, b = e1[0] if e1[1] == v else e1[1], e2[0] if e2[1] == v else e2[1]
+            if v in (a, b):
+                raise ConversionError(f"Hadamard box {v} has a self-loop")
             attach(len(edges), a, b)
             edges.append((a, b, (e1[2] + e2[2] + 1) % 2))
             del kinds[v]
-            del phases[v]
 
-        for v in special:
-            if kinds.get(v) is x_kind:
-                for i in incident[v]:
-                    e = edges[i]
-                    if e is not None:
-                        # a self-loop toggles twice
-                        edges[i] = (e[0], e[1], e[2] ^ (e[0] == v) ^ (e[1] == v))
-                kinds[v] = z_kind
+    if x_kind in kinds.values():
+        for i, e in enumerate(edges):
+            if e is not None and (kinds.get(e[0]) is x_kind) is not (kinds.get(e[1]) is x_kind):
+                edges[i] = (e[0], e[1], not e[2])
+        kinds = {v: z_kind if kind is x_kind else kind for v, kind in kinds.items()}
 
-    parent = {v: v for v, kind in kinds.items() if kind is z_kind}
+    parent: Dict[int, int] = {}  # a merged spider that is not its class's root -> a spider of its class
 
     def find(v: int) -> int:
         root = v
-        while parent[root] != root:
+        while root in parent:
             root = parent[root]
-        while parent[v] != root:
+        while v != root:
             parent[v], v = root, parent[v]
         return root
 
     for e in edges:
-        if e is not None and e[2] == 0 and e[0] in parent and e[1] in parent:
+        if e is not None and not e[2] and kinds.get(e[0]) is z_kind and kinds.get(e[1]) is z_kind:
             a, b = find(e[0]), find(e[1])
             if a != b:
                 parent[b] = a
-    rep: Dict[int, int] = {}  # Z node -> the representative of its class
-    for v in parent:
-        root = rep[v] = find(v)
-        if root != v:
-            phases[root] = phases[root] + phases[v]
-
-    # Resolve wires between classes: a Hadamard self-loop adds pi, a plain
-    # self-loop or a repeated plain wire vanishes, Hadamard wires between the
-    # same two nodes cancel in pairs (the last one is kept when their count
-    # is odd).  Wires between two boundary nodes are left as they are.
-    resolved: List[Tuple[int, int, int]] = []  # (edge index, node, node)
-    last_hadamard: Dict[Tuple[int, int], int] = {}
-    hadamard_parity: Dict[Tuple[int, int], int] = {}
-    plain_seen: Set[Tuple[int, int]] = set()
-    for i, e in enumerate(edges):
-        if e is None:
-            continue
-        a, b = rep.get(e[0], e[0]), rep.get(e[1], e[1])
-        if a not in rep and b not in rep:
-            resolved.append((i, a, b))
-            continue
-        if a == b:
-            if e[2]:
-                phases[a] = phases[a].add_clifford(2)
-            continue
-        pair = (a, b) if a < b else (b, a)
-        if e[2]:
-            last_hadamard[pair] = i
-            hadamard_parity[pair] = hadamard_parity.get(pair, 0) ^ 1
-        elif pair not in plain_seen:
-            plain_seen.add(pair)
-            resolved.append((i, a, b))
-    for pair, i in last_hadamard.items():
-        if hadamard_parity[pair]:
-            resolved.append((i, *pair))
-    resolved.sort()
 
     # The diagram is written directly, as add_spider, add_boundary and
     # add_edge would build it; validate checks the result.
     d = Diagram()
     vertices, adj = d._vertices, d._adj
-    id_map: Dict[int, int] = {}
-    boundaries: List[int] = []
-    input_kind, output_kind = NKind.INPUT, NKind.OUTPUT
+    new: Dict[int, int] = {}  # network node -> diagram vertex
     for v, kind in kinds.items():
-        new = len(id_map)
+        if v in parent:
+            continue
+        n = new[v] = len(adj)
+        adj[n] = {}
         if kind is z_kind:
-            if rep[v] != v:
-                continue
-            vertices[new] = Vertex(_SPIDER, phases[v])
-        elif kind is input_kind:
-            vertices[new] = Vertex(VKind.INPUT, _ZERO, raw.positions.get(v, 0))
-            boundaries.append(new)
-        elif kind is output_kind:
-            vertices[new] = Vertex(VKind.OUTPUT, _ZERO, raw.positions.get(v, 0))
-            boundaries.append(new)
+            vertices[n] = Vertex(_SPIDER, raw.phases[v])
         else:
-            raise ConversionError(f"unresolved node kind {kind}")
-        id_map[v] = new
-        adj[new] = {}
-    d._next_id = len(id_map)
-    edge_kinds = (EdgeKind.PLAIN, EdgeKind.HADAMARD)  # by parity
-    for i, a, b in resolved:
-        da, db = id_map[a], id_map[b]
-        adj_a = adj[da]
-        if da == db or db in adj_a:
-            raise ConversionError(f"unresolved {'self-loop' if da == db else 'parallel edge'} {da}-{db}")
-        adj_a[db] = adj[db][da] = edge_kinds[edges[i][2]]
+            boundary = VKind.INPUT if kind is NKind.INPUT else VKind.OUTPUT
+            vertices[n] = Vertex(boundary, _ZERO, raw.positions.get(v, 0))
+    d._next_id = len(adj)
+    for v in parent:
+        n = new[v] = new[find(v)]
+        vertices[n].phase += raw.phases[v]
+
+    # An edge's state while the wires are read: bit 1 is the parity of its
+    # Hadamard wires, bit 2 is set once a plain wire joins the same two
+    # vertices.  Plain wires join two spiders only inside a class, so an edge
+    # can end with both bits set only at a boundary, where it does not resolve.
+    for e in edges:
+        if e is None:
+            continue
+        a, b = new[e[0]], new[e[1]]
+        if a == b:
+            vertex = vertices[a]
+            if vertex.kind is not _SPIDER:
+                raise ConversionError(f"unresolved self-loop {a}-{b}")
+            if e[2]:
+                vertex.phase = vertex.phase.add_clifford(2)
+            continue
+        adj_a, adj_b = adj[a], adj[b]
+        state = adj_a.get(b, 0)
+        if state and vertices[a].kind is not _SPIDER and vertices[b].kind is not _SPIDER:
+            raise ConversionError(f"unresolved parallel edge {a}-{b}")
+        if e[2]:
+            state ^= 1
+            if not state:
+                del adj_a[b], adj_b[a]
+                continue
+        elif state < 2:  # the first plain wire places the edge
+            if state:
+                del adj_a[b], adj_b[a]
+            state |= 2
+        else:
+            continue
+        adj_a[b] = adj_b[a] = state
+
     boundary_count = d._boundary_count = dict.fromkeys(adj, 0)
-    for b in boundaries:
-        for n in adj[b]:
+    for v in d.boundaries():
+        for n, state in adj[v].items():
+            if state == 3:
+                raise ConversionError(f"unresolved parallel edge {min(v, n)}-{max(v, n)}")
             boundary_count[n] += 1
+    edge_kinds = (None, EdgeKind.HADAMARD, EdgeKind.PLAIN)  # by state
+    for v, nbrs in adj.items():
+        adj[v] = {n: edge_kinds[state] for n, state in nbrs.items()}
 
     violations = validate(d)
     if violations:

@@ -37,7 +37,9 @@ class Phase:
 
     @staticmethod
     def of(name: str, sign: int = 1, const: int = 0) -> "Phase":
-        return Phase(const, ((name, sign),))
+        if sign not in (-1, 1):
+            raise ValueError(f"coefficient of {name!r} must be -1 or +1, got {sign}")
+        return _normalised(const % 4, ((name, sign),))
 
     def is_clifford(self) -> bool:
         return not self.terms

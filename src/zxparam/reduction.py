@@ -17,7 +17,7 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quoted
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .circuits import Circuit, Gate, GateKind, circuit_to_diagram
+from .circuits import Circuit, Gate, GateKind, _gate, circuit_to_diagram
 from .diagram import Diagram
 from .errors import DimensionMismatch, InconsistentProvenance
 from .params import HALF_PI
@@ -295,7 +295,7 @@ def phase_teleport(c: Circuit, seed: int = 0) -> TeleportResult:
         if g.kind is not rz_param:
             gates.append(g)
         elif g.param in new_name:
-            gates.append(Gate(rz_param, g.qubits, param=new_name[g.param]))
+            gates.append(_gate(rz_param, g.qubits, param=new_name[g.param]))
         # other parametrised gates are set to zero and dropped
     out = Circuit(c.n_qubits, gates)  # c's checked gates, each kept rz renamed to a distinct u{i}
 

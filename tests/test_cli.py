@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import stat
@@ -289,6 +290,22 @@ def test_unwritable_output_exits_1(tmp_path, capsys, command, option):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{target}: cannot write" in err
     assert not list(tmp_path.glob("**/*.tmp"))
+
+
+def test_a_full_disk_keeps_the_previous_outputs(tmp_path, monkeypatch, capsys):
+    code, src, out, report = run_optimize(tmp_path, FUSION)
+    before = out.read_bytes(), report.read_bytes()
+    capsys.readouterr()
+
+    def full(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "write", full)
+    assert main(["optimize", str(src), "--out", str(out), "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"optimize: {out}: cannot write: {os.strerror(errno.ENOSPC)}\n"
+    assert (out.read_bytes(), report.read_bytes()) == before
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_outputs_take_the_umask_mode(tmp_path):

@@ -37,6 +37,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import re
 from pathlib import Path
 from random import Random
@@ -121,6 +122,14 @@ CASES = ladder()
 @pytest.mark.parametrize("name,circuit", CASES, ids=[name for name, _ in CASES])
 def test_optimize_output_is_byte_identical(tmp_path, capsys, name, circuit):
     assert digest(tmp_path, name, circuit) == GOLDEN[name]
+
+
+def test_short_writes_keep_the_outputs_byte_identical(tmp_path, monkeypatch):
+    # os.write may take fewer bytes than it is given; every byte still lands
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+    for name, circuit in CASES:
+        assert digest(tmp_path, name, circuit) == GOLDEN[name], name
 
 
 # (qubits, gates, params, circuits): random circuits, then phase polynomials

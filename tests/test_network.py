@@ -1,4 +1,5 @@
-"""The circuit network of Z spiders against the per-gate reference network."""
+"""The circuit network of Z spiders against the per-gate reference network,
+and the rules by which ``to_graph_like`` resolves wires."""
 
 from random import Random
 
@@ -8,6 +9,7 @@ from helpers import circuit_state_diagram
 from reference_network import reference_network
 from zxparam.circuits import Circuit, Gate, GateKind, circuit_to_diagram, circuit_to_network, parse_circuit
 from zxparam.diagram import Diagram, EdgeKind, NKind, SpiderNetwork, VKind, to_graph_like, validate
+from zxparam.errors import ConversionError
 from zxparam.generate import random_circuit
 from zxparam.params import Phase
 
@@ -129,3 +131,160 @@ def test_flagged_wire_into_an_x_node_is_a_plain_merge():
     assert d.phase(v) == Phase.of("t0")
     assert sorted(kind.value for _, _, kind in d.edges()) == ["plain", "plain"]
     assert d.edge_kind(v, d.outputs()[0]) is EdgeKind.PLAIN
+
+
+# -- the wire-resolution rules of to_graph_like -------------------------------
+
+
+def layout(d: Diagram):
+    """Every vertex with its kind, phase, position and neighbours in order."""
+    return [(v, d.vertex(v).kind.value, d.phase(v), d.vertex(v).position,
+             [(n, d.edge_kind(v, n).value) for n in d.neighbors(v)]) for v in d.vertices()]
+
+
+def boundary_pair():
+    net = SpiderNetwork()
+    return net, net.node(NKind.INPUT, position=0), net.node(NKind.OUTPUT, position=0)
+
+
+def test_three_hadamard_wires_leave_one_edge_at_the_last():
+    net, i, o = boundary_pair()
+    a, b, c = net.node(NKind.Z, Phase.of("t0")), net.node(NKind.Z, Phase(1)), net.node(NKind.Z, Phase(2))
+    net.wire(i, a)
+    net.wire(a, b, True)
+    net.wire(a, c, True)
+    net.wire(b, a, True)
+    net.wire(a, b, True)
+    net.wire(b, o)
+    assert layout(to_graph_like(net)) == [
+        (0, "input", Phase(), 0, [(2, "plain")]),
+        (1, "output", Phase(), 0, [(3, "plain")]),
+        (2, "spider", Phase.of("t0"), None, [(0, "plain"), (4, "hadamard"), (3, "hadamard")]),
+        (3, "spider", Phase(1), None, [(2, "hadamard"), (1, "plain")]),
+        (4, "spider", Phase(2), None, [(2, "hadamard")]),
+    ]
+
+
+@pytest.mark.parametrize("wires, neighbours", [
+    # the plain wire is kept, where it was added; the Hadamard wires cancel
+    ([("z", "o", False), ("z", "o", True), ("o", "z", True), ("i", "z", False)], [1, 0]),
+    ([("z", "o", True), ("i", "z", False), ("z", "o", False), ("z", "o", True)], [0, 1]),
+    ([("z", "o", False), ("i", "z", False), ("z", "o", False)], [1, 0]),
+])
+def test_a_plain_wire_to_a_boundary_survives_an_even_number_of_hadamard_wires(wires, neighbours):
+    net, i, o = boundary_pair()
+    nodes = {"i": i, "o": o, "z": net.node(NKind.Z, Phase.of("t0"))}
+    for a, b, hadamard in wires:
+        net.wire(nodes[a], nodes[b], hadamard)
+    assert layout(to_graph_like(net)) == [
+        (0, "input", Phase(), 0, [(2, "plain")]),
+        (1, "output", Phase(), 0, [(2, "plain")]),
+        (2, "spider", Phase.of("t0"), None, [(n, "plain") for n in neighbours]),
+    ]
+
+
+@pytest.mark.parametrize("hadamard_first", [True, False])
+def test_a_plain_and_a_hadamard_wire_to_one_boundary_raise(hadamard_first):
+    net, i, o = boundary_pair()
+    z = net.node(NKind.Z)
+    net.wire(i, z)
+    net.wire(z, o, hadamard_first)
+    net.wire(z, o, not hadamard_first)
+    with pytest.raises(ConversionError, match="unresolved parallel edge"):
+        to_graph_like(net)
+
+
+def test_a_hadamard_self_loop_adds_pi_and_a_plain_one_vanishes():
+    net, i, o = boundary_pair()
+    a, b = net.node(NKind.Z, Phase(1)), net.node(NKind.Z, Phase.of("t0"))
+    net.wire(i, a)
+    net.wire(a, a, True)
+    net.wire(a, b, True)
+    net.wire(b, b)
+    net.wire(b, o)
+    assert layout(to_graph_like(net)) == [
+        (0, "input", Phase(), 0, [(2, "plain")]),
+        (1, "output", Phase(), 0, [(3, "plain")]),
+        (2, "spider", Phase(3), None, [(0, "plain"), (3, "hadamard")]),
+        (3, "spider", Phase.of("t0"), None, [(2, "hadamard"), (1, "plain")]),
+    ]
+
+
+def test_an_x_node_keeps_its_self_loops_through_the_colour_change():
+    net, i, o = boundary_pair()
+    x, z = net.node(NKind.X, Phase(1)), net.node(NKind.Z, Phase.of("t0"))
+    net.wire(i, x)
+    net.wire(x, x)
+    net.wire(x, x, True)
+    net.wire(x, z)
+    net.wire(z, o)
+    assert layout(to_graph_like(net)) == [
+        (0, "input", Phase(), 0, [(2, "hadamard")]),
+        (1, "output", Phase(), 0, [(3, "plain")]),
+        (2, "spider", Phase(3), None, [(0, "hadamard"), (3, "hadamard")]),
+        (3, "spider", Phase.of("t0"), None, [(2, "hadamard"), (1, "plain")]),
+    ]
+
+
+def test_an_x_node_behind_an_h_box_fuses_with_its_z_neighbours():
+    net, i, o = boundary_pair()
+    z, h = net.node(NKind.Z, Phase.of("t0")), net.node(NKind.HBOX)
+    x, z2 = net.node(NKind.X, Phase(2)), net.node(NKind.Z, Phase.of("t1"))
+    net.wire(i, z)
+    net.wire(z, h)
+    net.wire(h, x)
+    net.wire(x, z2, True)
+    net.wire(x, o)
+    assert layout(to_graph_like(net)) == [
+        (0, "input", Phase(), 0, [(2, "plain")]),
+        (1, "output", Phase(), 0, [(2, "hadamard")]),
+        (2, "spider", Phase(2, (("t0", 1), ("t1", 1))), None, [(0, "plain"), (1, "hadamard")]),
+    ]
+
+
+def test_two_h_boxes_in_series_leave_their_wires_parity():
+    net, i, o = boundary_pair()
+    a, h1 = net.node(NKind.Z, Phase.of("t0")), net.node(NKind.HBOX)
+    h2, b = net.node(NKind.HBOX), net.node(NKind.Z, Phase(1))
+    net.wire(i, a)
+    net.wire(a, h1)
+    net.wire(h1, h2, True)
+    net.wire(h2, b)
+    net.wire(b, o)
+    assert layout(to_graph_like(net)) == [
+        (0, "input", Phase(), 0, [(2, "plain")]),
+        (1, "output", Phase(), 0, [(3, "plain")]),
+        (2, "spider", Phase.of("t0"), None, [(0, "plain"), (3, "hadamard")]),
+        (3, "spider", Phase(1), None, [(1, "plain"), (2, "hadamard")]),
+    ]
+
+
+@pytest.mark.parametrize("wires, message", [
+    ([("i", "o", False), ("i", "o", False)], "unresolved parallel edge 0-1"),
+    ([("i", "o", True), ("o", "i", True)], "unresolved parallel edge 1-0"),
+    ([("i", "o", False), ("i", "i", True)], "unresolved self-loop 0-0"),
+])
+def test_a_repeated_boundary_wire_raises(wires, message):
+    net, i, o = boundary_pair()
+    nodes = {"i": i, "o": o}
+    for a, b, hadamard in wires:
+        net.wire(nodes[a], nodes[b], hadamard)
+    with pytest.raises(ConversionError, match=message):
+        to_graph_like(net)
+
+
+@pytest.mark.parametrize("wires, message", [
+    ([("h", "h"), ("h", "z")], "Hadamard box 3 has a self-loop"),
+    ([("z", "h"), ("h", "h")], "Hadamard box 3 has a self-loop"),
+    ([("h", "h"), ("h", "h")], "Hadamard box 3 has a self-loop"),
+    ([("h", "h")], "Hadamard box 3 must have exactly 2 wires, has 1"),
+])
+def test_an_h_box_with_a_self_loop_raises(wires, message):
+    net, i, o = boundary_pair()
+    nodes = {"z": net.node(NKind.Z), "h": net.node(NKind.HBOX)}
+    net.wire(i, nodes["z"])
+    net.wire(nodes["z"], o)
+    for a, b in wires:
+        net.wire(nodes[a], nodes[b])
+    with pytest.raises(ConversionError, match=message):
+        to_graph_like(net)

@@ -35,6 +35,14 @@ def test_expr_rejects_bad_coefficients():
         Phase(0, (("t0", 2),))
     with pytest.raises(ValueError):
         Phase(0, (("t0", 0),))
+    for sign in (2, 0):
+        with pytest.raises(ValueError, match=f"coefficient of 't0' must be -1 or \\+1, got {sign}"):
+            Phase.of("t0", sign)
+
+
+@pytest.mark.parametrize("sign, const", [(1, 0), (-1, 3), (1, 6), (-1, -1)])
+def test_of_equals_the_constructor(sign, const):
+    assert Phase.of("t0", sign, const) == Phase(const, (("t0", sign),))
 
 
 def test_addition_cancels_terms():
